@@ -15,7 +15,7 @@ replay cost is dominated by the lane-invariant front end the batch kernel
 vectorizes. The L1-thrashing tune-set members (milc06, cactus06,
 omnetpp06), where every record takes the per-lane memory-side path, have
 their own wide-sweep benchmark in ``test_fig08_lane_thrash.py`` gated by
-``BENCH_PR8.json``.
+``BENCH_PR10.json``.
 
 Each test installs its own *uncached* execution context: replay task keys
 do not encode ``REPRO_LANE_KERNEL``, so the session cache shared by the

@@ -9,7 +9,7 @@ L1, so nearly every record takes the per-lane memory-side path — the
 array-resident hierarchy (packed ``(lanes, sets, ways)`` tag/flag arrays,
 vectorized victim selection and fill engine) turns that path into a
 handful of masked array ops per record, which is the speedup the
-committed ``BENCH_PR8.json`` baseline records.
+committed ``BENCH_PR10.json`` baseline records.
 
 The replicate count is deliberately large (400 bandit seeds, 411 lanes):
 the scalar path is linear in lane count while the array path amortizes

@@ -20,9 +20,6 @@ simulation runs*, the invariants the runtime test suite can only exercise:
   so the trailing partial bandit step is never silently dropped (the PR 1
   bug class).
 - **R5 float equality** — ``==``/``!=`` against float literals.
-- **R6 mutable default arguments**.
-- **R7 hot-loop hygiene** — ``# repro: hot`` functions must not allocate
-  record objects or re-walk long attribute chains per loop iteration.
 
 The project-wide rules run over an inter-procedural symbol table and call
 graph (:mod:`repro.analysis.symbols` / :mod:`repro.analysis.callgraph`)
@@ -33,13 +30,6 @@ built from all scanned files at once:
   to :func:`repro.util.rng.derive_seed` or an explicit config seed; any
   entropy source (``hash()``, wall clock, ``os.urandom``/``getpid``,
   uuid/secrets) in the flow is flagged.
-- **R9 constant provenance** — distinctive Table 6/7 *values* (e.g.
-  γ = 0.999) re-derived outside :mod:`repro.constants`, even via local
-  aliasing or literal arithmetic.
-- **R10 mirror drift** — ``# repro: mirror[name]``-tagged kernel/object-
-  path region pairs must change together; fingerprints are compared
-  against the checked-in ``mirror-manifest.json`` (refresh with
-  ``--update-mirrors`` after verifying with ``REPRO_SANITIZE=1``).
 - **R11 cache-key completeness** — every input a pool worker consumes
   must reach its ``task_key`` fingerprint: no ``*args``/``**kwargs``
   workers, no worker-reachable env-var reads (unless waived with
@@ -58,27 +48,10 @@ built from all scanned files at once:
   cross-family stores, mixed-dtype promotion, and masks or shifts outside
   the declared bit budget.
 
-The vectorization-soundness rules (:mod:`repro.analysis.array_rules`,
-backed by the index-provenance dataflow in
-:mod:`repro.analysis.index_flow`) guard the numpy lane kernels against
-the aliasing hazards that fancy indexing makes silent:
-
-- **R14 scatter aliasing** — any fancy-indexed read-modify-write
-  (``arr[idx] += rhs`` or its spelled-out form) where ``idx`` cannot be
-  proven duplicate-free must use the unbuffered ``np.<ufunc>.at`` or carry
-  a ``# repro: unique-index[reason]`` waiver; the proof follows the index
-  through assignments, helper returns and call sites back to sources like
-  ``arange``/``flatnonzero``/``nonzero()[0]`` or boolean masks.
-- **R15 view aliasing** — in-place updates whose right-hand side reads the
-  same base array through an overlapping slice view; the read must be
-  hoisted into an explicit copy so evaluation order is visible.
-- **R16 lane coupling** — inside R10 mirror-tagged regions, cross-lane
-  reductions (``sum``/``any``/``max`` … without a lane-preserving axis)
-  must not flow into per-lane state; genuinely shared scalars are
-  acknowledged with ``# repro: shared-scalar[name]``.
-- **R17 mirror coverage** — every ``def`` in a ``*_kernel.py`` module that
-  mutates non-local lane/state columns must sit inside some R10 mirror
-  tag, or explain itself with ``# repro: mirror-exempt[reason]``.
+Rule codes are stable across releases, so baseline keys stay valid; the
+gaps (R6, R7, R9, R10, R14–R17) are retired rules whose guarantees now
+come from ruff's B006, the perf harness, the runtime sanitizer and the
+differential property tests.
 
 Findings can be suppressed per line with ``# repro: ignore`` or
 ``# repro: ignore[R1,R4]``, or burned down incrementally through a checked
@@ -89,7 +62,6 @@ per-module pass out over a process pool; ``--format json`` emits a
 machine-readable report for CI artifacts).
 """
 
-from repro.analysis.array_rules import ARRAY_RULES
 from repro.analysis.baseline import load_baseline, write_baseline
 from repro.analysis.core import Finding, ParsedModule, default_rules, run_analysis
 from repro.analysis.project_rules import PROJECT_RULES, ProjectRule
@@ -98,7 +70,6 @@ from repro.analysis.symbols import Project, build_project
 
 __all__ = [
     "ALL_RULES",
-    "ARRAY_RULES",
     "Finding",
     "ParsedModule",
     "PROJECT_RULES",

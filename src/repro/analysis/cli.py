@@ -32,8 +32,8 @@ from repro.analysis.baseline import (
 from repro.analysis.core import Finding, default_rules, run_analysis
 from repro.analysis.rules import Rule
 
-#: Every rule the CLI knows: per-module R1–R7 and R13 plus project-wide
-#: R8–R12 and the vectorization-soundness rules R14–R17.
+#: Every rule the CLI knows: per-module R1–R5 and R13 plus project-wide
+#: R8, R11 and R12.
 ACTIVE_RULES: Tuple[Rule, ...] = default_rules()
 
 RULES_BY_CODE: Dict[str, Rule] = {rule.code: rule for rule in ACTIVE_RULES}
@@ -42,7 +42,7 @@ RULES_BY_CODE: Dict[str, Rule] = {rule.code: rule for rule in ACTIVE_RULES}
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="Fidelity & determinism static analysis (rules R1-R17).",
+        description="Fidelity & determinism static analysis.",
     )
     parser.add_argument(
         "paths", nargs="*", default=["src"],
@@ -73,14 +73,6 @@ def _parser() -> argparse.ArgumentParser:
         help="paths in output/baseline keys are relative to this directory",
     )
     parser.add_argument(
-        "--mirrors", type=Path, default=None, metavar="FILE",
-        help="R10 mirror manifest (default: ROOT/mirror-manifest.json)",
-    )
-    parser.add_argument(
-        "--update-mirrors", action="store_true",
-        help="re-record every mirror fingerprint into the manifest and exit",
-    )
-    parser.add_argument(
         "--cache-dir", type=Path, default=None, metavar="DIR",
         help="on-disk symbol-table cache (default: $REPRO_ANALYSIS_CACHE_DIR)",
     )
@@ -109,24 +101,6 @@ def _select_rules(selection: Optional[str]) -> Sequence[Rule]:
             )
         rules.append(RULES_BY_CODE[code])
     return rules
-
-
-def _update_mirrors(paths: Sequence[Path], root: Path, manifest: Path) -> int:
-    from repro.analysis.mirrors import MirrorTagError, scan_mirrors, write_manifest
-    from repro.analysis.symbols import build_project
-
-    project = build_project(paths, root=root)
-    try:
-        tags = scan_mirrors(project)
-    except MirrorTagError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    write_manifest(manifest, tags)
-    sides = sum(len(s) for s in tags.values())
-    print(
-        f"recorded {len(tags)} mirror(s) / {sides} side(s) to {manifest}"
-    )
-    return 0
 
 
 def summarize(
@@ -226,12 +200,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     paths = [Path(p) for p in args.paths]
 
-    if args.update_mirrors:
-        manifest = args.mirrors
-        if manifest is None:
-            manifest = args.root / "mirror-manifest.json"
-        return _update_mirrors(paths, args.root, manifest)
-
     if args.prune:
         removed = prune_baseline(args.baseline, args.root)
         if removed:
@@ -246,7 +214,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             paths,
             rules=rules,
             root=args.root,
-            mirrors=args.mirrors,
             cache_dir=args.cache_dir,
             jobs=max(1, args.jobs),
         )

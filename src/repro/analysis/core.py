@@ -112,13 +112,15 @@ def check_module(module: ParsedModule, rules: Iterable["Rule"]) -> List[Finding]
 
 
 def default_rules() -> tuple["Rule", ...]:
-    """Fresh instances of the full default rule set, R1–R17 in order."""
-    from repro.analysis.array_rules import ARRAY_RULES
+    """Fresh instances of the full default rule set.
+
+    Per-module rules come first (R1–R5, then R13), then the project rules.
+    """
     from repro.analysis.dtype_rules import DtypeContractRule
     from repro.analysis.project_rules import PROJECT_RULES
     from repro.analysis.rules import ALL_RULES
 
-    return (*ALL_RULES, DtypeContractRule(), *PROJECT_RULES, *ARRAY_RULES)
+    return (*ALL_RULES, DtypeContractRule(), *PROJECT_RULES)
 
 
 def _module_pass_worker(
@@ -145,21 +147,19 @@ def run_analysis(
     paths: Sequence[Path],
     rules: Optional[Sequence["Rule"]] = None,
     root: Optional[Path] = None,
-    mirrors: Optional[Path] = None,
     cache_dir: Optional[Path] = None,
     jobs: int = 1,
 ) -> List[Finding]:
     """Lint every Python file under ``paths``; returns all findings.
 
-    Runs in two passes: the per-module rules (R1–R7, R13) file by file,
+    Runs in two passes: the per-module rules (R1–R5, R13) file by file,
     then — if any project rule is selected — the inter-procedural pass
-    (R8–R12) over the whole file set at once, via the project symbol
-    table.
+    (R8, R11, R12) over the whole file set at once, via the project
+    symbol table.
 
     ``root`` controls how paths are displayed/keyed (relative to it when
-    given), which keeps baseline keys machine-independent. ``mirrors`` is
-    the R10 manifest; it defaults to ``root/mirror-manifest.json`` when
-    that file exists. ``cache_dir`` enables the on-disk symbol-table cache
+    given), which keeps baseline keys machine-independent.
+    ``cache_dir`` enables the on-disk symbol-table cache
     (see :func:`repro.analysis.symbols.build_project`). ``jobs > 1``
     fans the parse/lint of the per-module pass (and the symbol-table
     parse) out over a process pool; results are order-stable either way.
@@ -205,11 +205,6 @@ def run_analysis(
         project = build_project(
             paths, root=root, cache_dir=cache_dir, jobs=jobs
         )
-        if mirrors is None and root is not None:
-            default_manifest = root / "mirror-manifest.json"
-            if default_manifest.is_file():
-                mirrors = default_manifest
-        project.mirror_manifest_path = mirrors
         for rule in project_rules:
             for finding in rule.check_project(project):
                 owner = project.module_for_path(finding.path)

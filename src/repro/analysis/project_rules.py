@@ -1,36 +1,22 @@
-"""Project-wide rules R8–R12, driven by the inter-procedural engine.
+"""Project-wide rules R8, R11 and R12, driven by the inter-procedural engine.
 
-Unlike R1–R7 (one module at a time), these rules see the whole project:
-the symbol table and call graph (:mod:`repro.analysis.symbols`,
+Unlike R1–R5 and R13 (one module at a time), these rules see the whole
+project: the symbol table and call graph (:mod:`repro.analysis.symbols`,
 :mod:`repro.analysis.callgraph`), the seed dataflow classifier
-(:mod:`repro.analysis.dataflow`), the mirror manifest
-(:mod:`repro.analysis.mirrors`), and the effect/provenance layer
+(:mod:`repro.analysis.dataflow`), and the effect/provenance layer
 (:mod:`repro.analysis.effects`).
-
-The vectorization-soundness rules R14–R17 subclass :class:`ProjectRule`
-too but live in :mod:`repro.analysis.array_rules` (with their index-
-provenance dataflow in :mod:`repro.analysis.index_flow`);
-:func:`repro.analysis.core.default_rules` appends them after
-:data:`PROJECT_RULES`.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
+from typing import Iterator, Set, Tuple
 
 from repro.analysis.callgraph import build_callgraph
 from repro.analysis.core import Finding, ParsedModule
 from repro.analysis.dataflow import Origin, classify_seed_expr
-from repro.analysis.mirrors import (
-    MirrorSide,
-    MirrorTagError,
-    load_manifest,
-    scan_mirrors,
-)
 from repro.analysis.rules import Rule
 from repro.analysis.symbols import Project
-from repro.constants import DISTINCTIVE_PAPER_VALUES
 
 
 class ProjectRule(Rule):
@@ -145,236 +131,6 @@ class SeedProvenanceRule(ProjectRule):
                 "repro.util.rng.derive_seed, a literal, or a config seed "
                 "through any caller; thread an explicit seed through",
             )
-
-
-# ------------------------------------------------------------------ R9
-
-
-class ConstantProvenanceRule(ProjectRule):
-    """R9: distinctive Table 6/7 values must come from repro.constants.
-
-    Complements R2 (which matches ``name=value`` bindings): R9 flags the
-    *value itself* — any numeric literal equal to a distinctive paper
-    constant, anywhere outside ``repro/constants.py``, including values
-    re-derived arithmetically from literals (``1 - 0.001``) or bound to a
-    local alias first. Workload-generator modules are exempt: their small
-    physical fractions (branch rates etc.) collide with the Table 6
-    bandit constants without sharing their meaning.
-    """
-
-    code = "R9"
-    name = "constant-provenance"
-    description = "distinctive Table 6/7 literals re-derived outside constants"
-
-    _EXEMPT_FRAGMENTS = ("constants.py", "workloads/")
-
-    def __init__(
-        self, registry: Optional[Dict[float, str]] = None
-    ) -> None:
-        self.registry = (
-            DISTINCTIVE_PAPER_VALUES if registry is None else registry
-        )
-
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        for module in project.modules.values():
-            if any(f in module.path for f in self._EXEMPT_FRAGMENTS):
-                continue
-            yield from self._check_module(module)
-
-    def _check_module(self, module: ParsedModule) -> Iterator[Finding]:
-        seen: Set[int] = set()
-
-        def visit(node: ast.AST) -> Iterator[Finding]:
-            for child in ast.iter_child_nodes(node):
-                folded = _fold_numeric(child)
-                if folded is not None:
-                    name = self.registry.get(folded)
-                    if name is not None and id(child) not in seen:
-                        seen.add(id(child))
-                        yield _finding(
-                            module, self.code, child,
-                            f"value {folded!r} re-derives paper constant "
-                            f"{name}; import it from repro.constants",
-                        )
-                        continue  # the match covers its sub-expressions
-                yield from visit(child)
-
-        yield from visit(module.tree)
-
-
-def _fold_numeric(node: ast.AST) -> Optional[Union[int, float]]:
-    """Constant-fold a literal-only numeric expression, else ``None``."""
-    if isinstance(node, ast.Constant):
-        value = node.value
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            return None
-        return value
-    if isinstance(node, ast.UnaryOp) and isinstance(
-        node.op, (ast.USub, ast.UAdd)
-    ):
-        operand = _fold_numeric(node.operand)
-        if operand is None:
-            return None
-        return -operand if isinstance(node.op, ast.USub) else operand
-    if isinstance(node, ast.BinOp):
-        left = _fold_numeric(node.left)
-        right = _fold_numeric(node.right)
-        if left is None or right is None:
-            return None
-        try:
-            if isinstance(node.op, ast.Add):
-                return left + right
-            if isinstance(node.op, ast.Sub):
-                return left - right
-            if isinstance(node.op, ast.Mult):
-                return left * right
-            if isinstance(node.op, ast.Div):
-                return left / right
-            if isinstance(node.op, ast.Pow):
-                return left ** right
-        except (ZeroDivisionError, OverflowError, ValueError):
-            return None
-    return None
-
-
-# ------------------------------------------------------------------ R10
-
-
-class MirrorDriftRule(ProjectRule):
-    """R10: mirrored kernel/object-path regions must change together.
-
-    Tagged regions (see :mod:`repro.analysis.mirrors`) are fingerprinted
-    and compared against ``mirror-manifest.json``. One side drifting from
-    its recorded fingerprint while the other stays put means a paired
-    edit was forgotten — the replay kernel and the object path no longer
-    implement the same semantics.
-    """
-
-    code = "R10"
-    name = "mirror-drift"
-    description = "kernel/object-path mirror regions drifting apart"
-
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        try:
-            tags = scan_mirrors(project)
-        except MirrorTagError as error:
-            yield self._file_finding(
-                project, str(error).split(":", 1)[0], 1,
-                f"malformed mirror tags: {error}",
-            )
-            return
-        for name, sides in sorted(tags.items()):
-            if len(sides) != 2:
-                yield self._side_finding(
-                    project, sides[0],
-                    f"mirror[{name}] is tagged on {len(sides)} region(s); "
-                    "a mirror pairs exactly 2 (kernel side + object side)",
-                )
-        manifest = self._load(project)
-        if manifest is None:
-            for name, sides in sorted(tags.items()):
-                yield self._side_finding(
-                    project, sides[0],
-                    f"mirror[{name}] has no recorded manifest; run "
-                    "`python -m repro.analysis --update-mirrors`",
-                )
-            return
-        yield from self._compare(project, tags, manifest)
-
-    # ------------------------------------------------------------- helpers
-
-    def _load(
-        self, project: Project
-    ) -> Optional[Dict[str, List[Dict[str, str]]]]:
-        path = project.mirror_manifest_path
-        if path is None or not path.is_file():
-            return None
-        return load_manifest(path)
-
-    def _compare(
-        self,
-        project: Project,
-        tags: Dict[str, List[MirrorSide]],
-        manifest: Dict[str, List[Dict[str, str]]],
-    ) -> Iterator[Finding]:
-        for name in sorted(set(tags) | set(manifest)):
-            sides = tags.get(name)
-            recorded = manifest.get(name)
-            if sides is None and recorded is not None:
-                yield self._file_finding(
-                    project, recorded[0].get("path", "<unknown>"), 1,
-                    f"mirror[{name}] is recorded in the manifest but no "
-                    "longer tagged in the source; re-tag it or run "
-                    "--update-mirrors",
-                )
-                continue
-            if sides is not None and recorded is None:
-                yield self._side_finding(
-                    project, sides[0],
-                    f"mirror[{name}] is tagged but not recorded; run "
-                    "`python -m repro.analysis --update-mirrors`",
-                )
-                continue
-            assert sides is not None and recorded is not None
-            by_anchor = {
-                (entry["path"], entry["anchor"]): entry["fingerprint"]
-                for entry in recorded
-            }
-            current = {(s.path, s.anchor): s for s in sides}
-            if set(by_anchor) != set(current):
-                yield self._side_finding(
-                    project, sides[0],
-                    f"mirror[{name}]'s tagged regions moved (anchors "
-                    "changed); re-record with --update-mirrors",
-                )
-                continue
-            changed = [
-                side for key, side in sorted(current.items())
-                if side.fingerprint != by_anchor[key]
-            ]
-            unchanged = [
-                side for key, side in sorted(current.items())
-                if side.fingerprint == by_anchor[key]
-            ]
-            if len(changed) == 1 and unchanged:
-                other = unchanged[0]
-                yield self._side_finding(
-                    project, changed[0],
-                    f"mirror[{name}] changed on one side only; its "
-                    f"counterpart at {other.path} ({other.anchor}) is "
-                    "untouched — apply the paired edit, verify with "
-                    "REPRO_SANITIZE=1, then re-record with "
-                    "--update-mirrors",
-                )
-            elif len(changed) >= 2:
-                yield self._side_finding(
-                    project, changed[0],
-                    f"both sides of mirror[{name}] changed; verify "
-                    "equivalence with REPRO_SANITIZE=1, then re-record "
-                    "with --update-mirrors",
-                )
-
-    def _side_finding(
-        self, project: Project, side: MirrorSide, message: str
-    ) -> Finding:
-        module = project.module_for_path(side.path)
-        if module is not None:
-            line = side.line
-            text = (
-                module.lines[line - 1].strip()
-                if line <= len(module.lines) else ""
-            )
-            return Finding(self.code, side.path, line, 0, message, text)
-        return Finding(self.code, side.path, side.line, 0, message, "")
-
-    def _file_finding(
-        self, project: Project, path: str, line: int, message: str
-    ) -> Finding:
-        module = project.module_for_path(path)
-        text = ""
-        if module is not None and line <= len(module.lines):
-            text = module.lines[line - 1].strip()
-        return Finding(self.code, path, line, 0, message, text)
 
 
 # ------------------------------------------------------------------ R11
@@ -546,8 +302,6 @@ class WorkerPurityRule(ProjectRule):
 #: Project-rule instances, in code order (appended to ALL_RULES).
 PROJECT_RULES: Tuple[ProjectRule, ...] = (
     SeedProvenanceRule(),
-    ConstantProvenanceRule(),
-    MirrorDriftRule(),
     CacheKeyCompletenessRule(),
     WorkerPurityRule(),
 )

@@ -1,12 +1,13 @@
-"""The per-module rule set R1–R7 of the fidelity linter.
+"""The per-module rule set R1–R5 of the fidelity linter.
 
 Each rule is a small AST pass over one :class:`~repro.analysis.core.ParsedModule`.
 Rules never execute the code under analysis; everything here is derived
 from the syntax tree plus the import table of the module.
 
-The project-wide rules R8–R10 (seed provenance, constant provenance,
-mirror drift) live in :mod:`repro.analysis.project_rules`; they subclass
-:class:`Rule` but run over the whole project symbol table at once.
+The project-wide rules R8, R11 and R12 (seed provenance, cache-key
+completeness, worker purity) live in :mod:`repro.analysis.project_rules`;
+they subclass :class:`Rule` but run over the whole project symbol table at
+once. The dtype-contract rule R13 lives in :mod:`repro.analysis.dtype_rules`.
 """
 
 from __future__ import annotations
@@ -515,208 +516,6 @@ class FloatEqualityRule(Rule):
                     break
 
 
-# ------------------------------------------------------------------ R6
-
-
-class MutableDefaultRule(Rule):
-    """R6: mutable default arguments are shared across calls."""
-
-    code = "R6"
-    name = "mutable-defaults"
-    description = "list/dict/set default arguments"
-
-    _MUTABLE_CALLS = ("list", "dict", "set", "bytearray", "deque")
-
-    def check(self, module: ParsedModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defaults = list(node.args.defaults) + [
-                    d for d in node.args.kw_defaults if d is not None
-                ]
-                for default in defaults:
-                    if self._is_mutable(default):
-                        yield module.finding(
-                            self.code, default,
-                            "mutable default argument is shared across "
-                            "calls; default to None and build inside",
-                        )
-
-    def _is_mutable(self, node: ast.expr) -> bool:
-        if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp,
-                             ast.DictComp, ast.SetComp)):
-            return True
-        return (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id in self._MUTABLE_CALLS
-        )
-
-
-# ------------------------------------------------------------------ R7
-
-
-class HotLoopRule(Rule):
-    """R7: functions marked ``# repro: hot`` must keep their loops lean.
-
-    The replay engine's throughput rests on a handful of functions (the
-    fused kernel, the prefetcher ``observe`` paths, ``Cache.lookup``). They
-    carry a ``# repro: hot`` marker on (or directly above) their ``def``
-    line, and this rule holds their ``for``/``while`` bodies to the two
-    hygiene properties the PR 3 optimisation pass established:
-
-    - no per-iteration record-object construction — appending a
-      freshly-constructed class instance (``xs.append(Record(...))``) inside
-      a hot loop is the allocation pattern the compiled-trace path removed;
-    - no repeated dotted attribute chains — the same ``a.b``/``a.b.c`` path
-      occurring :data:`REPEAT_THRESHOLD` or more times in one loop body
-      should be bound to a local before the loop.
-    """
-
-    code = "R7"
-    name = "hot-loop-hygiene"
-    description = "allocation / repeated attribute chains in # repro: hot loops"
-
-    MARKER = "repro: hot"
-    REPEAT_THRESHOLD = 4
-
-    def check(self, module: ParsedModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if self._is_hot(module, node):
-                    yield from self._check_function(module, node)
-
-    def _is_hot(
-        self, module: ParsedModule, node: ast.FunctionDef
-    ) -> bool:
-        for line_number in (node.lineno, node.lineno - 1):
-            if 1 <= line_number <= len(module.lines):
-                if self.MARKER in module.lines[line_number - 1]:
-                    return True
-        return False
-
-    def _check_function(
-        self, module: ParsedModule, func: ast.FunctionDef
-    ) -> Iterator[Finding]:
-        seen: Set[Tuple[int, str]] = set()
-        for node in ast.walk(func):
-            if not isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
-                continue
-            for finding in self._check_loop(module, node):
-                key = (finding.line, finding.message)
-                if key not in seen:
-                    seen.add(key)
-                    yield finding
-
-    def _check_loop(
-        self, module: ParsedModule, loop: ast.stmt
-    ) -> Iterator[Finding]:
-        body = list(loop.body) + list(getattr(loop, "orelse", []))  # type: ignore[attr-defined]
-        paths: Dict[str, List[ast.Attribute]] = {}
-        for stmt in body:
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Call) and self._is_append_of_ctor(node):
-                    yield module.finding(
-                        self.code, node,
-                        "hot loop constructs and appends an object per "
-                        "iteration; use parallel scalar lists (compiled-"
-                        "trace style) or hoist the allocation",
-                    )
-                elif self._is_ctor_comprehension(node):
-                    yield module.finding(
-                        self.code, node,
-                        "hot loop builds a comprehension of constructed "
-                        "objects every iteration; hoist it out of the loop "
-                        "or switch to parallel scalar lists",
-                    )
-        # A chain is only hoistable when its root name is loop-invariant:
-        # names assigned inside the body (per-iteration objects like a
-        # just-evicted line) are excluded.
-        assigned = self._assigned_names(body)
-        for path, nodes in self._attribute_paths(body).items():
-            if path.split(".", 1)[0] in assigned:
-                continue
-            if len(nodes) >= self.REPEAT_THRESHOLD:
-                yield module.finding(
-                    self.code, nodes[0],
-                    f"attribute chain '{path}' occurs {len(nodes)}x in a "
-                    "hot loop body; bind it to a local before the loop",
-                )
-
-    @staticmethod
-    def _assigned_names(body: List[ast.stmt]) -> Set[str]:
-        assigned: Set[str] = set()
-        for stmt in body:
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name) and isinstance(
-                    node.ctx, (ast.Store, ast.Del)
-                ):
-                    assigned.add(node.id)
-        return assigned
-
-    @staticmethod
-    def _is_append_of_ctor(node: ast.Call) -> bool:
-        func = node.func
-        if isinstance(func, ast.Attribute):
-            is_append = func.attr == "append"
-        elif isinstance(func, ast.Name):
-            is_append = func.id == "append" or func.id.endswith("_append")
-        else:
-            return False
-        if not is_append or len(node.args) != 1:
-            return False
-        arg = node.args[0]
-        return (
-            isinstance(arg, ast.Call)
-            and isinstance(arg.func, ast.Name)
-            and arg.func.id[:1].isupper()
-        )
-
-    @staticmethod
-    def _is_ctor_comprehension(node: ast.AST) -> bool:
-        """A comprehension whose element is a class construction."""
-        if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
-            element: ast.expr = node.elt
-        elif isinstance(node, ast.DictComp):
-            element = node.value
-        else:
-            return False
-        return (
-            isinstance(element, ast.Call)
-            and isinstance(element.func, ast.Name)
-            and element.func.id[:1].isupper()
-        )
-
-    def _attribute_paths(
-        self, body: List[ast.stmt]
-    ) -> Dict[str, List[ast.Attribute]]:
-        paths: Dict[str, List[ast.Attribute]] = {}
-
-        def visit(node: ast.AST) -> None:
-            if isinstance(node, ast.Attribute):
-                path = self._dotted_path(node)
-                if path is not None:
-                    paths.setdefault(path, []).append(node)
-                    return  # maximal chain only; skip its sub-attributes
-            for child in ast.iter_child_nodes(node):
-                visit(child)
-
-        for stmt in body:
-            visit(stmt)
-        return paths
-
-    @staticmethod
-    def _dotted_path(node: ast.Attribute) -> Optional[str]:
-        parts: List[str] = []
-        current: ast.expr = node
-        while isinstance(current, ast.Attribute):
-            parts.append(current.attr)
-            current = current.value
-        if isinstance(current, ast.Name):
-            parts.append(current.id)
-            return ".".join(reversed(parts))
-        return None
-
-
 #: The per-module rules, in code order. The engine and CLI append the
 #: project-wide rules from :mod:`repro.analysis.project_rules`.
 ALL_RULES: Tuple[Rule, ...] = (
@@ -725,8 +524,6 @@ ALL_RULES: Tuple[Rule, ...] = (
     PickleSafetyRule(),
     StepHygieneRule(),
     FloatEqualityRule(),
-    MutableDefaultRule(),
-    HotLoopRule(),
 )
 
 #: Rule metadata for `--list-rules` and the summary table.

@@ -4,7 +4,7 @@
 resolves *names to definitions* across module boundaries: functions,
 classes, methods, module-level constants, and the import aliases that
 connect them. The resulting :class:`Project` is what the project-wide
-rules (R8–R10) and the call graph (:mod:`repro.analysis.callgraph`)
+rules (R8, R11, R12) and the call graph (:mod:`repro.analysis.callgraph`)
 consume — no rule re-parses or re-resolves anything.
 
 Building the table is the dominant cost of a project-wide lint, so it can
@@ -64,8 +64,6 @@ class Project:
     import_graph: Dict[str, Set[str]] = field(default_factory=dict)
     #: display path -> dotted module name (for suppression lookups)
     path_index: Dict[str, str] = field(default_factory=dict)
-    #: set by the driver, not cached: R10's recorded manifest location
-    mirror_manifest_path: Optional[Path] = None
 
     # ------------------------------------------------------------- lookups
 

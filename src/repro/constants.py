@@ -131,21 +131,3 @@ PAPER_CONSTANTS: Dict[str, FrozenSet[float]] = {
     "rr_restart_prob": frozenset({RR_RESTART_PROB_MULTICORE}),
     "rr_restart_prob_multicore": frozenset({RR_RESTART_PROB_MULTICORE}),
 }
-
-# ------------------------------------------------------------ R9 registry
-
-#: Value → constant name, for rule R9 (constant provenance). Unlike R2,
-#: which matches on *binding names*, R9 flags the value itself — any
-#: numeric literal (or literal-only arithmetic re-derivation) equal to
-#: one of these, anywhere outside this module. Only values distinctive
-#: enough not to collide with ordinary code are registered: generic
-#: small integers (2, 6, 64, 500, 1000, ...) would drown the rule in
-#: false positives, so R2 remains the guard for those.
-DISTINCTIVE_PAPER_VALUES: Dict[float, str] = {
-    PREFETCH_GAMMA: "PREFETCH_GAMMA",
-    PREFETCH_EXPLORATION_C: "PREFETCH_EXPLORATION_C",
-    SMT_GAMMA: "SMT_GAMMA",
-    SMT_EXPLORATION_C: "SMT_EXPLORATION_C",
-    RR_RESTART_PROB_MULTICORE: "RR_RESTART_PROB_MULTICORE",
-    HILL_CLIMBING_EPOCH_CYCLES: "HILL_CLIMBING_EPOCH_CYCLES",
-}

@@ -321,7 +321,6 @@ def _lane_tracker_geometry(
     return pairs, geo
 
 
-# repro: mirror-exempt[lane-invariant input prepass: builds the shared hit/stack columns both kernels consume; verified by the sanitizer against per-lane replay]
 def _shared_prepass(
     trace: CompiledTrace,
     hierarchy_config: HierarchyConfig,
@@ -678,7 +677,6 @@ def _lane_kernel_dict(
         None if lane.kind == "none" else (False, 0, 0) for lane in lanes
     ]
 
-    # repro: mirror-exempt[degree-register install shared by the mirrored demand paths; twin of the array kernel's apply_arm]
     def apply_arm(i: int, arm_id: int) -> None:
         spec = TABLE7_ARMS[arm_id]
         lane_arm[i] = (
@@ -762,10 +760,8 @@ def _lane_kernel_dict(
         if lane.kind == "arm":
             apply_arm(i, lane.arm)  # type: ignore[arg-type]
 
-    # repro: mirror[lane-bandit-step]
     def fire_hook(i: int, retire_i: float, instructions: int) -> None:
         """Per-lane transcription of run_bandit_prefetch's bandit_hook."""
-        # repro: mirror[lane-array-bandit-step] begin
         bandit = bandits[i]
         if pending[i] != applied[i] and retire_i >= bandit.selection_ready_cycle:
             apply_arm(i, pending[i])
@@ -782,12 +778,9 @@ def _lane_kernel_dict(
             bandit.selection_ready_cycle
             if pending[i] != applied[i] else _INF
         )
-        # repro: mirror[lane-array-bandit-step] end
 
-    # repro: mirror[lane-fill-llc]
     def fill_llc(i: int, block: int, dirty: bool) -> None:
         """Per-lane transcription of the scalar kernel's fill_llc closure."""
-        # repro: mirror[lane-array-fill-llc] begin
         cache_set = llc_sets[i][block % llc_num_sets]
         existing = cache_set.pop(block, None)
         if existing is not None:
@@ -803,9 +796,7 @@ def _lane_kernel_dict(
                 dram_free[i] += dram_line_cost
         else:
             cache_set[block] = dirty
-        # repro: mirror[lane-array-fill-llc] end
 
-    # repro: mirror[lane-fill-l2]
     def fill_l2(i: int, block: int, line: int) -> None:
         """Per-lane transcription of the scalar kernel's fill_l2 closure.
 
@@ -813,7 +804,6 @@ def _lane_kernel_dict(
         dirty); an existing line only absorbs the dirty bit, as the
         object path's fill does.
         """
-        # repro: mirror[lane-array-fill-l2] begin
         cache_set = l2_sets[i][block % l2_num_sets]
         existing = cache_set.pop(block, None)
         if existing is not None:
@@ -830,7 +820,6 @@ def _lane_kernel_dict(
                 fill_llc(i, victim_block, True)
         else:
             cache_set[block] = line
-        # repro: mirror[lane-array-fill-l2] end
 
     def drain_mshr(i: int, cycle_i: float) -> None:
         """MSHR drain for one lane: complete every fill now ready.
@@ -838,7 +827,6 @@ def _lane_kernel_dict(
         The clean-fill ``fill_l2``/``fill_llc`` bodies are inlined — this
         is the hot fill path (roughly one fill per lane per miss row).
         """
-        # repro: mirror[lane-array-drain] begin
         heap = heaps[i]
         inflight_i = inflight[i]
         l2_sets_i = l2_sets[i]
@@ -883,7 +871,6 @@ def _lane_kernel_dict(
             else:
                 cache_set[fill_block] = False
         nfr[i] = heap[0][0] if heap else _INF
-        # repro: mirror[lane-array-drain] end
 
     # ---- per-lane core clocks as (N,) float64 columns; rlog[t + 1] is the
     # retire-time column after row t, and row 0 is a permanent zero row so
@@ -900,6 +887,8 @@ def _lane_kernel_dict(
     dispatch = np.zeros(num_lanes)
     llr = np.zeros(num_lanes)  # last_load_ready
     rlog = np.zeros((total + 1, num_lanes))
+    # Latest dependent-hit cycle since the last miss row (None if none).
+    drain_floor: Optional[np.ndarray] = None
 
     dispatch_cost = pre["dispatch_cost"]
     maximum = np.maximum
@@ -928,6 +917,15 @@ def _lane_kernel_dict(
                 else:
                     if rflags & 2:  # FLAG_DEPENDENT
                         cycle = maximum(dispatch, llr)
+                        # The scalar kernel drains the MSHR up to every
+                        # record's cycle. A dependent hit can run past
+                        # the next miss row's cycle, so it raises that
+                        # row's drain bound. (Other hit rows run at the
+                        # monotone dispatch clock and never do.)
+                        if drain_floor is None:
+                            drain_floor = cycle
+                        else:
+                            maximum(drain_floor, cycle, out=drain_floor)
                     else:
                         cycle = dispatch
                     ready = cycle + l1_latency
@@ -950,6 +948,11 @@ def _lane_kernel_dict(
             bs2 = block % l2_num_sets
             bsl = block % llc_num_sets
             cycle_l = cycle.tolist()
+            if drain_floor is None:
+                drain_l = cycle_l
+            else:
+                drain_l = maximum(cycle, drain_floor).tolist()
+                drain_floor = None
             retire_l = retire.tolist()
             ready_l = cycle_l  # overwritten per lane below (loads only)
             if not is_write:
@@ -981,16 +984,15 @@ def _lane_kernel_dict(
                         apply_arm(i, pending[i])
                         applied[i] = pending[i]
                         hook_cyc[i] = _INF
-            # repro: mirror[lane-demand-path] begin
-            # repro: mirror[lane-array-demand-path] begin
             for i in range(num_lanes):
                 cycle_i = cycle_l[i]
-                if nfr[i] <= cycle_i:
+                drain_i = drain_l[i]
+                if nfr[i] <= drain_i:
                     # Deferred MSHR drain: fills that came ready during the
                     # hit rows since this lane's last miss are unobservable
                     # until this probe, and the ready-heap preserves their
                     # completion order, so draining them here is exact.
-                    drain_mshr(i, cycle_i)
+                    drain_mshr(i, drain_i)
                 l2_cycle = cycle_i + l1_latency
                 l2_sets_i = l2_sets[i]
                 llc_sets_i = llc_sets[i]
@@ -1120,8 +1122,6 @@ def _lane_kernel_dict(
                 # On write rows ready_l aliases cycle_l; cycle_l[i] was
                 # already consumed, so the stray write is harmless.
                 ready_l[i] = ready_i
-            # repro: mirror[lane-array-demand-path] end
-            # repro: mirror[lane-demand-path] end
             if is_write:
                 retire += commit_cost
             else:
@@ -1272,7 +1272,6 @@ class _BanditLanes:
             selection_counts=tuple(algorithm.selection_counts()),
         ))
 
-    # repro: mirror[lane-array-bandit-step]
     def fire(
         self, i: int, retire_i: float, instructions: int, l2da: int
     ) -> None:
@@ -1297,7 +1296,6 @@ class _BanditLanes:
             if self.pending[i] != self.applied[i] else _INF
         )
 
-    # repro: mirror-exempt[deferred arm swap: dict-path twin lives inside the lane-bandit-step mirror's fire hook]
     def apply_pending(self, i: int) -> None:
         """Deferred cycle-threshold fire: only the arm swap is observable."""
         self.apply_arm(i, self.pending[i])
@@ -1318,8 +1316,6 @@ class _BanditLanes:
 _ARANGE_CACHE: Dict[int, np.ndarray] = {}
 
 
-# repro: unique-index[memoized np.arange: 0..n-1, duplicate-free]
-# repro: mirror-exempt[read-only arange memo; holds no kernel state]
 def _arange(n: int) -> np.ndarray:
     """A cached ``np.arange(n)`` (the kernel re-uses a few small sizes).
 
@@ -1332,7 +1328,6 @@ def _arange(n: int) -> np.ndarray:
     return cached
 
 
-# repro: mirror-exempt[shared set-probe/insert engine of the tagged _fill_llc_rows/_fill_l2_rows transcriptions; a mirror pairs exactly two sides]
 def _fill_rows(
     flat: np.ndarray,
     cflat: np.ndarray,
@@ -1432,7 +1427,6 @@ class _ArrayState:
     ctr: int = 0
 
 
-# repro: mirror[lane-array-fill-llc]
 def _fill_llc_rows(
     st: _ArrayState,
     rows: np.ndarray,
@@ -1465,7 +1459,6 @@ def _fill_llc_rows(
         np.add.at(st.dram_free, wrows, st.dram_line_cost)
 
 
-# repro: mirror[lane-array-fill-l2]
 def _fill_l2_rows(
     st: _ArrayState, rows: np.ndarray, blocks: np.ndarray, flags: np.ndarray
 ) -> None:
@@ -1500,7 +1493,6 @@ def _fill_l2_rows(
         )
 
 
-# repro: mirror-exempt[one-block specialization of the tagged _fill_l2_rows; exercised by the sanitizer on every L1 dirty victim]
 def _fill_l2_wb(st: _ArrayState, rows_all: np.ndarray, block: int) -> None:
     """L1 dirty-victim writeback into every lane's L2 at once.
 
@@ -1609,7 +1601,6 @@ class _FillQueue:
             capacity=capacity,
         )
 
-    # repro: mirror-exempt[array-path MSHR storage; dict twin is the per-lane heap inside the lane-demand-path mirror]
     def _compact(self) -> None:
         """Squeeze holes out of every row (stable), resetting ``tail``.
 
@@ -1627,7 +1618,6 @@ class _FillQueue:
         self.tail[:] = self.length
         self.hi = int(self.length.max())
 
-    # repro: mirror-exempt[array-path MSHR storage; dict twin is the per-lane heap inside the lane-demand-path mirror]
     def insert(
         self,
         rows: np.ndarray,
@@ -1648,19 +1638,16 @@ class _FillQueue:
         if is_pf:
             self.pf[rows, pos] = True
         # rows are unique (callers pass at most one fill per lane), so
-        # (row, bucket) pairs are too: plain fancy += is safe here
-        # (unlike the drain's removals).
-        # repro: unique-index[callers pass at most one fill per lane]
+        # (row, bucket) pairs are too: plain fancy += is safe on every
+        # per-row column below (unlike the drain's removals).
         self.tab[rows, blocks & 255] += 1
         self.tail[rows] = pos + 1
-        self.length[rows] += 1  # repro: unique-index[one fill per lane]
-        # repro: unique-index[one fill per lane]
+        self.length[rows] += 1
         self.nfr[rows] = np.minimum(self.nfr[rows], ready_vals)
         new_hi = int(pos.max()) + 1
         if new_hi > self.hi:
             self.hi = new_hi
 
-    # repro: mirror-exempt[array-path MSHR storage; dict twin is the per-lane heap inside the lane-demand-path mirror]
     def insert_many(
         self,
         ready_mat: np.ndarray,
@@ -1713,7 +1700,6 @@ class _FillQueue:
         if new_hi > self.hi:
             self.hi = new_hi
 
-    # repro: mirror-exempt[array-path MSHR storage; dict twin is the per-lane heap inside the lane-demand-path mirror]
     def remove_due(
         self, cycle: Optional[np.ndarray]
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -1766,7 +1752,6 @@ def _rank_within(keys: np.ndarray) -> np.ndarray:
     return rank
 
 
-# repro: mirror[lane-array-drain]
 def _drain_ready_fills(
     st: _ArrayState, fq: _FillQueue, cycle: Optional[np.ndarray]
 ) -> None:
@@ -2015,7 +2000,6 @@ def _lane_kernel_array(
     # are cached and recomputed only when a register actually changed.
     deg_dirty = [True]
 
-    # repro: mirror-exempt[degree-register install shared by the mirrored demand paths; twin of the dict kernel's apply_arm]
     def apply_arm(i: int, arm_id: int) -> None:
         spec = TABLE7_ARMS[arm_id]
         reg_nl[i] = 1 if spec.next_line else 0
@@ -2087,6 +2071,9 @@ def _lane_kernel_array(
     dispatch = np.zeros(num_lanes)
     llr = np.zeros(num_lanes)  # last_load_ready
     rlog = np.zeros((total + 1, num_lanes))
+    # Latest dependent-hit cycle since the last miss row (see the dict
+    # kernel: it raises the next miss row's MSHR drain bound).
+    drain_floor: Optional[np.ndarray] = None
 
     dispatch_cost = pre["dispatch_cost"]
     maximum = np.maximum
@@ -2114,6 +2101,10 @@ def _lane_kernel_array(
                 else:
                     if rflags & 2:  # FLAG_DEPENDENT
                         cycle = maximum(dispatch, llr)
+                        if drain_floor is None:
+                            drain_floor = cycle
+                        else:
+                            maximum(drain_floor, cycle, out=drain_floor)
                     else:
                         cycle = dispatch
                     ready = cycle + l1_latency
@@ -2148,12 +2139,16 @@ def _lane_kernel_array(
                     for i in due_apply.nonzero()[0]:
                         bst.apply_pending(int(i))
                     hook_cyc_fin = bool((hook_cycv < _INF).any())
-            # repro: mirror[lane-array-demand-path] begin
-            if fq.hi and (nfr <= cycle).any():
+            if drain_floor is None:
+                drain_to = cycle
+            else:
+                drain_to = maximum(cycle, drain_floor)
+                drain_floor = None
+            if fq.hi and (nfr <= drain_to).any():
                 # Deferred MSHR drain, exactly the dict kernel's: fills
                 # that came ready during hit rows are unobservable until
                 # this probe, and the queue preserves completion order.
-                _drain_ready_fills(st, fq, cycle)
+                _drain_ready_fills(st, fq, drain_to)
             l2_cycle = cycle + l1_latency
             ready_arr = np.empty(num_lanes)
             # --- L2 probe: one shared set index, all lanes at once ---
@@ -2384,7 +2379,6 @@ def _lane_kernel_array(
                             ) & ~dup_sm
                         # offs is a lane-invariant candidate-offset memo; its
                         # min() reduces the candidate axis, not the lane axis.
-                        # repro: shared-scalar[cand_cache]
                         cand_cache[ck] = ent = (offs, valid, int(offs.min()))
                     offs, valid, offs_min = ent
                     cv_cols = block + offs
@@ -2530,7 +2524,6 @@ def _lane_kernel_array(
                         # lane shares its request cycle, kept 1-D.
                         ready_mat = request
                     fq.insert_many(ready_mat, cand, ins, cum_nb, ins_n)
-            # repro: mirror[lane-array-demand-path] end
             if is_write:
                 retire += commit_cost
             else:

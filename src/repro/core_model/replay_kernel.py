@@ -40,8 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only import cycle guard
 _INF = float("inf")
 
 
-# repro: mirror[demand-path]
-def run_replay_kernel(  # repro: hot
+def run_replay_kernel(
     core: "TraceCore",
     pcs: List[int],
     blocks: List[int],
@@ -141,9 +140,7 @@ def run_replay_kernel(  # repro: hot
     # touch are shared cells (``nonlocal``). Bodies mirror CacheHierarchy's
     # _fill_l2/_fill_llc (including CacheLine recycling on eviction).
 
-    # repro: mirror[fill-llc]
     def fill_llc(block: int, prefetched: bool, dirty: bool) -> None:
-        # repro: mirror[lane-fill-llc] begin
         nonlocal llc_stamp, llc_resident, writebacks
         nonlocal dram_channel_free, dram_writeback_count
         cache_set = llc_sets[block % llc_num_sets]
@@ -176,11 +173,8 @@ def run_replay_kernel(  # repro: hot
             cache_set[block] = CacheLine(block, llc_stamp, prefetched,
                                          False, dirty)
             llc_resident += 1
-        # repro: mirror[lane-fill-llc] end
 
-    # repro: mirror[fill-l2]
     def fill_l2(block: int, prefetched: bool, dirty: bool) -> None:
-        # repro: mirror[lane-fill-l2] begin
         nonlocal l2_stamp, l2_resident, pf_wrong
         cache_set = l2_sets[block % l2_num_sets]
         l2_stamp += 1
@@ -209,7 +203,6 @@ def run_replay_kernel(  # repro: hot
             cache_set[block] = CacheLine(block, l2_stamp, prefetched,
                                          False, dirty)
             l2_resident += 1
-        # repro: mirror[lane-fill-l2] end
 
     # Core timing state (mirrors run_compiled's non-kernel loop).
     rob_size = core.config.rob_size
@@ -395,7 +388,6 @@ def run_replay_kernel(  # repro: hot
             continue
 
         # L1 miss -> L2 demand access; this stream trains the L2 prefetcher.
-        # repro: mirror[lane-demand-path] begin
         l1_misses += 1
         l2_cycle = cycle + l1_latency
         l2_demand_accesses += 1
@@ -609,7 +601,6 @@ def run_replay_kernel(  # repro: hot
                 if pf_ready < next_fill_ready:
                     next_fill_ready = pf_ready
                 inflight_prefetches += 1
-        # repro: mirror[lane-demand-path] end
 
         if is_write:
             retire_time += commit_cost

@@ -2,10 +2,10 @@
 
 The replay engine keeps two implementations of the same semantics: the
 allocation-free fused kernel (:mod:`repro.core_model.replay_kernel`) and
-the object path (``TraceCore.execute`` + ``CacheHierarchy``). The static
-side of that contract is rule R10 (mirror drift); this module is the
-dynamic side: with ``REPRO_SANITIZE=1`` (or ``--sanitize`` on the
-experiment CLI), every compiled-trace replay also runs the same trace
+the object path (``TraceCore.execute`` + ``CacheHierarchy``). This module
+checks that contract at run time: with ``REPRO_SANITIZE=1`` (or
+``--sanitize`` on the experiment CLI), every compiled-trace replay also
+runs the same trace
 through the object path on a shadow copy of the stack and asserts
 step-by-step equality — per-checkpoint instruction counts, cycles, IPC
 and L2 demand accesses, and (for bandit runs) the per-step arm choices
@@ -14,8 +14,8 @@ the step, the field, and both values.
 
 This is a debugging/verification mode: it replays every trace twice and
 checkpoints frequently, so expect roughly 2-3x the runtime. Run it after
-touching any ``repro: mirror``-tagged region, then refresh the manifest
-with ``python -m repro.analysis --update-mirrors``.
+touching any fast path; ``tests/test_differential_paths.py`` covers the
+same equivalence over randomized inputs in tier-1.
 """
 
 from __future__ import annotations

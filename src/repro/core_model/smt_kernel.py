@@ -13,9 +13,9 @@ Semantics are bit-identical to ``SMTPipeline.step``: same stage order
 (store drain, commit, issue, rename, fetch), same shared-RNG draw order
 for store drains and load latencies, same round-robin tie-breaking, and
 the same floating-point expressions for gating thresholds and epoch IPC.
-Every inlined stage is tagged ``# repro: mirror[...]`` against its object
-twin so rule R10 flags one-sided edits, and the runtime sanitizer
-(``REPRO_SANITIZE=1``) checks per-epoch equality end to end.
+The runtime sanitizer (``REPRO_SANITIZE=1``) checks per-epoch equality end
+to end, and ``tests/test_differential_paths.py`` fuzzes the kernel against
+the object path over random mixes, policies and epoch budgets.
 
 The epoch-boundary hook is the kernel's only mid-run exit: after each
 epoch the per-thread committed counters and the cycle count are flushed
@@ -74,7 +74,6 @@ def kernel_eligible(pipeline: object) -> bool:
     return kernel_enabled() and type(pipeline) is SMTPipeline
 
 
-# repro: hot
 def run_smt_epochs_kernel(
     pipeline: SMTPipeline,
     hill_climbing: "HillClimbing",
@@ -191,16 +190,13 @@ def run_smt_epochs_kernel(
         end_cycle = cycle + epoch_cycles
         while cycle < end_cycle:
             # ---------------------------------------------- store drain
-            # repro: mirror[smt-drain-stores] begin
             while sq_releases and sq_releases[0][0] <= cycle:
-                # repro: unique-index[heappop yields one scalar thread id]
+                # heappop yields one scalar thread id
                 sq_occ[heappop(sq_releases)[1]] -= 1
-            # repro: mirror[smt-drain-stores] end
 
             order = _ORDER_10 if rr & 1 else _ORDER_01
 
             # --------------------------------------------------- commit
-            # repro: mirror[smt-commit] begin
             budget = commit_width
             for ti in order:
                 rob = robs[ti]
@@ -233,10 +229,8 @@ def run_smt_epochs_kernel(
                         heappush(sq_releases, (cycle + latency, ti))
                     if kind in reg_writing:
                         irf_occ[ti] -= 1
-            # repro: mirror[smt-commit] end
 
             # ---------------------------------------------------- issue
-            # repro: mirror[smt-issue] begin
             if iq:
                 budget = issue_width
                 issued_any = False
@@ -255,7 +249,6 @@ def run_smt_epochs_kernel(
                         if ready_at is None or ready_at > cycle:
                             continue
                     if kind == KIND_LOAD:
-                        # repro: mirror[smt-memory-latency] begin
                         draw = mem_random()
                         if draw < l1_cut[ti]:
                             latency = l1_latency
@@ -263,7 +256,6 @@ def run_smt_epochs_kernel(
                             latency = l2_latency
                         else:
                             latency = dram_latency
-                        # repro: mirror[smt-memory-latency] end
                     elif kind == KIND_LONG:
                         latency = long_latency[ti]
                     else:
@@ -276,10 +268,8 @@ def run_smt_epochs_kernel(
                 if issued_any:
                     iq = [entry for entry in iq if entry[0] >= 0]
                     iq_append = iq.append
-            # repro: mirror[smt-issue] end
 
             # --------------------------------------------------- rename
-            # repro: mirror[smt-rename] begin
             act_cycles += 1
             budget = decode_width
             renamed = 0
@@ -355,10 +345,8 @@ def run_smt_epochs_kernel(
                     act_sq += 1
                 if stall_rf:
                     act_rf += 1
-            # repro: mirror[smt-rename] end
 
             # ---------------------------------------------------- fetch
-            # repro: mirror[smt-gating] begin
             gated0 = gated1 = False
             if gates_anything:
                 if gate_iq and iq_occ[0] > allowance0:
@@ -377,8 +365,6 @@ def run_smt_epochs_kernel(
                     gated1 = True
                 elif gate_irf and irf_occ[1] > irf_threshold1:
                     gated1 = True
-            # repro: mirror[smt-gating] end
-            # repro: mirror[smt-fetch] begin
             # The blocked-branch check runs unconditionally per thread:
             # clearing a resolved redirect is a side effect the object
             # path performs even for threads that end up ineligible.
@@ -402,8 +388,6 @@ def run_smt_epochs_kernel(
                     eligible1 = False
             if eligible1 and (len(fetchqs[1]) >= fetchq_capacity or gated1):
                 eligible1 = False
-            # repro: mirror[smt-fetch] end
-            # repro: mirror[smt-pick-thread] begin
             if eligible0 and eligible1:
                 if priority_is_rr:
                     choice = rr & 1
@@ -429,7 +413,6 @@ def run_smt_epochs_kernel(
                 choice = 1
             else:
                 choice = -1
-            # repro: mirror[smt-pick-thread] end
             if choice >= 0:
                 snext = stream_next[choice]
                 fetchq_append = fetchq_appends[choice]
@@ -454,7 +437,6 @@ def run_smt_epochs_kernel(
 
             # ------------------------------------------------- bookkeeping
             if cycle % 4096 == 0:
-                # repro: mirror[smt-prune-completion] begin
                 for ti in _ORDER_01:
                     completion = completions[ti]
                     if len(completion) > 2048:
@@ -466,12 +448,10 @@ def run_smt_epochs_kernel(
                         }
                         completions[ti] = completion
                         completion_gets[ti] = completion.get
-                # repro: mirror[smt-prune-completion] end
             cycle += 1
             rr += 1
 
         # ------------------------------------------------ epoch boundary
-        # repro: mirror[smt-epoch-loop] begin
         # repro: dtype[epoch_ipc: float64]
         epoch_ipc = (committed[0] + committed[1] - epoch_start_committed) / epoch_cycles
         hill_climbing.end_epoch(epoch_ipc)
@@ -480,7 +460,6 @@ def run_smt_epochs_kernel(
             thread1.committed = committed[1]
             pipeline.cycle = cycle
             epoch_hook(pipeline, epoch_ipc)
-        # repro: mirror[smt-epoch-loop] end
 
     # ---------------------------------------------------------- write-back
     thread0.next_seq = next_seqs[0]

@@ -90,7 +90,6 @@ class TraceCore:
             cycles=self.retire_time,
         )
 
-    # repro: mirror[core-step]
     def execute(self, record: TraceRecord) -> None:
         """Advance the core over ``record`` and its preceding plain instructions."""
         gap = record.inst_gap
@@ -122,8 +121,7 @@ class TraceCore:
                 break
             self.execute(record)
 
-    # repro: mirror[core-step]
-    def run_compiled(  # repro: hot
+    def run_compiled(
         self,
         trace: "CompiledTrace",
         max_records: Optional[int] = None,

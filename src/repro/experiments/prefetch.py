@@ -299,9 +299,7 @@ def run_bandit_prefetch(
         step_accesses = params.step_l2_accesses
         infinity = float("inf")
 
-        # repro: mirror[bandit-step]
         def bandit_hook(hook_core: TraceCore) -> Tuple[int, float]:
-            # repro: mirror[lane-bandit-step] begin
             nonlocal pending_arm, applied_arm, next_boundary
             retire_time = hook_core.retire_time
             if pending_arm != applied_arm and retire_time >= bandit.selection_ready_cycle:
@@ -322,11 +320,9 @@ def run_bandit_prefetch(
                 if pending_arm != applied_arm
                 else infinity,
             )
-            # repro: mirror[lane-bandit-step] end
 
         core.run_compiled(trace, record_hook=bandit_hook, sanitize=False)
     else:
-        # repro: mirror[bandit-step] begin
         for record in trace:
             core.execute(record)
             if pending_arm != applied_arm and core.retire_time >= bandit.selection_ready_cycle:
@@ -341,7 +337,6 @@ def run_bandit_prefetch(
                 if ideal_latency:
                     ensemble.set_arm(pending_arm)
                     applied_arm = pending_arm
-        # repro: mirror[bandit-step] end
     # The last begin_step() is still awaiting its reward: train on the
     # trailing partial step (or retract it if it covered zero cycles).
     bandit.flush_step(core.counters())

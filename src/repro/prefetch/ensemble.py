@@ -102,7 +102,7 @@ class EnsemblePrefetcher(Prefetcher):
         self.stride.set_degree(spec.stride_degree)
         self.stream.set_degree(spec.stream_degree)
 
-    def observe(self, pc: int, block: int, cycle: float, hit: bool) -> List[int]:  # repro: hot
+    def observe(self, pc: int, block: int, cycle: float, hit: bool) -> List[int]:
         # Every component trains on the demand stream regardless of the
         # active arm (so a newly selected arm is effective immediately);
         # the dedup pass only runs when more than one emitted candidates.

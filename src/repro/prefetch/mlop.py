@@ -61,7 +61,7 @@ class MLOPPrefetcher(Prefetcher):
         # The DPC-3 design reports ~8 KB: access maps + score matrix.
         return 8 * 1024
 
-    def observe(self, pc: int, block: int, cycle: float, hit: bool) -> List[int]:  # repro: hot
+    def observe(self, pc: int, block: int, cycle: float, hit: bool) -> List[int]:
         index = self._access_index + 1
         self._access_index = index
         access_map = self._access_map

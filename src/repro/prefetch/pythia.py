@@ -120,7 +120,7 @@ class PythiaPrefetcher(Prefetcher):
 
     # ------------------------------------------------------------------- API
 
-    def observe(self, pc: int, block: int, cycle: float, hit: bool) -> List[int]:  # repro: hot
+    def observe(self, pc: int, block: int, cycle: float, hit: bool) -> List[int]:
         config = self.config
         access_index = self._access_index + 1
         self._access_index = access_index

@@ -56,7 +56,7 @@ class StreamPrefetcher(Prefetcher):
             raise ValueError(f"degree must be >= 0, got {degree}")
         self.degree = degree
 
-    def observe(self, pc: int, block: int, cycle: float, hit: bool) -> List[int]:  # repro: hot
+    def observe(self, pc: int, block: int, cycle: float, hit: bool) -> List[int]:
         # Training happens regardless of degree so that the ensemble's arm
         # switches find already-warm trackers; only emission is gated.
         trackers = self._trackers

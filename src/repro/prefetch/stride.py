@@ -53,7 +53,7 @@ class StridePrefetcher(Prefetcher):
             raise ValueError(f"degree must be >= 0, got {degree}")
         self.degree = degree
 
-    def observe(self, pc: int, block: int, cycle: float, hit: bool) -> List[int]:  # repro: hot
+    def observe(self, pc: int, block: int, cycle: float, hit: bool) -> List[int]:
         # Training happens regardless of degree so that the ensemble's arm
         # switches find an already-warm table; only emission is gated.
         entries = self._entries

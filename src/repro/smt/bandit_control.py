@@ -38,7 +38,6 @@ from repro.smt.pipeline import SMTPipeline
 EpochHook = Callable[[SMTPipeline, float], None]
 
 
-# repro: mirror[smt-epoch-loop]
 def _run_epochs_object(
     pipeline: SMTPipeline,
     hill_climbing: HillClimbing,

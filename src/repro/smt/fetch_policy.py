@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 FETCH_PRIORITIES = ("BrC", "IC", "LSQC", "RR")
 
 
-# repro: mirror[smt-pick-thread]
 def pick_thread(
     priority: str,
     eligible: Sequence[int],

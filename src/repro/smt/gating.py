@@ -14,7 +14,6 @@ from typing import List, Sequence
 from repro.smt.pg_policy import PGPolicy
 
 
-# repro: mirror[smt-gating]
 def gated_threads(
     policy: PGPolicy,
     allowances_iq_units: Sequence[float],

@@ -199,14 +199,12 @@ class SMTPipeline:
 
     # ---------------------------------------------------------------- stages
 
-    # repro: mirror[smt-drain-stores]
     def _drain_stores(self, cycle: int) -> None:
         releases = self._sq_releases
         while releases and releases[0][0] <= cycle:
             _, thread_index = heapq.heappop(releases)
             self.threads[thread_index].sq_occ -= 1
 
-    # repro: mirror[smt-commit]
     def _commit(self, cycle: int) -> None:
         budget = self.config.commit_width
         for offset in range(2):
@@ -235,7 +233,6 @@ class SMTPipeline:
                 if kind in REG_WRITING_KINDS:
                     thread.irf_occ -= 1
 
-    # repro: mirror[smt-issue]
     def _issue(self, cycle: int) -> None:
         budget = self.config.issue_width
         iq = self._iq
@@ -272,7 +269,6 @@ class SMTPipeline:
         if issued_any:
             self._iq = [entry for entry in iq if entry[0] >= 0]
 
-    # repro: mirror[smt-rename]
     def _rename(self, cycle: int) -> None:
         config = self.config
         budget = config.decode_width
@@ -349,7 +345,6 @@ class SMTPipeline:
             if "rf" in stall_reasons:
                 activity.stalled_rf += 1
 
-    # repro: mirror[smt-fetch]
     def _fetch(self, cycle: int) -> None:
         config = self.config
         eligible = []
@@ -412,7 +407,6 @@ class SMTPipeline:
             self._effective_irf,
         )
 
-    # repro: mirror[smt-memory-latency]
     def _memory_latency(self, profile: ThreadProfile) -> int:
         draw = self._mem_rng.random()
         if draw < profile.l1_hit_rate:
@@ -421,7 +415,6 @@ class SMTPipeline:
             return self.config.l2_latency
         return self.config.dram_latency
 
-    # repro: mirror[smt-prune-completion]
     def _prune_completion(self) -> None:
         # Dependence offsets are bounded (≤ 256), so completion entries far
         # below the commit frontier can never be consulted again.

@@ -70,7 +70,7 @@ class Cache:
     def _set_for(self, block: int) -> Dict[int, CacheLine]:
         return self._sets[block % self.num_sets]
 
-    def lookup(self, block: int, *, update: bool = True) -> Optional[CacheLine]:  # repro: hot
+    def lookup(self, block: int, *, update: bool = True) -> Optional[CacheLine]:
         """Probe for ``block``; on a hit, refresh recency and mark it used."""
         cache_set = self._sets[block % self.num_sets]
         line = cache_set.get(block)

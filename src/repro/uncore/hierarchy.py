@@ -128,8 +128,7 @@ class CacheHierarchy:
 
     # --------------------------------------------------------------- internals
 
-    # repro: mirror[demand-path]
-    def _demand_access(  # repro: hot
+    def _demand_access(
         self, pc: int, address: int, cycle: float, *, is_write: bool
     ) -> float:
         """Fused demand path: lookups, fills, and MSHR checks inline.
@@ -347,8 +346,7 @@ class CacheHierarchy:
             # L1 writeback lands in L2 (no DRAM traffic).
             self._fill_l2(victim.block, prefetched=False, dirty=True)
 
-    # repro: mirror[fill-l2]
-    def _fill_l2(  # repro: hot
+    def _fill_l2(
         self, block: int, *, prefetched: bool, dirty: bool = False
     ) -> None:
         """Fill into L2: fused ``insert`` + victim handling for plain caches.
@@ -394,8 +392,7 @@ class CacheHierarchy:
             cache_set[block] = CacheLine(block, stamp, prefetched, False, dirty)
             l2._resident += 1
 
-    # repro: mirror[fill-llc]
-    def _fill_llc(  # repro: hot
+    def _fill_llc(
         self, block: int, *, prefetched: bool, dirty: bool = False
     ) -> None:
         llc = self.llc

@@ -1,26 +1,17 @@
-"""Tests for the inter-procedural engine and the project rules R8-R10.
+"""Tests for the inter-procedural engine and the seed-provenance rule R8.
 
 Covers the symbol table and call graph (pass 1/2), the seed-provenance
-dataflow classifier, constant re-derivation detection, and mirror-drift
-checking — including the acceptance case: a one-sided edit to a mirrored
-region of the *real* source tree must fail R10.
+dataflow classifier and rule, and a clean run of every project rule over
+the real source tree.
 """
 
-import json
-import shutil
 import textwrap
 from pathlib import Path
 
 from repro.analysis.callgraph import build_callgraph
 from repro.analysis.core import run_analysis
 from repro.analysis.dataflow import classify_seed_expr
-from repro.analysis.mirrors import scan_mirrors, write_manifest
-from repro.analysis.project_rules import (
-    PROJECT_RULES,
-    ConstantProvenanceRule,
-    MirrorDriftRule,
-    SeedProvenanceRule,
-)
+from repro.analysis.project_rules import PROJECT_RULES, SeedProvenanceRule
 from repro.analysis.symbols import build_project
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -361,189 +352,9 @@ class TestSeedProvenanceRule:
         assert findings == []
 
 
-# -------------------------------------------------------------------- R9
-
-
-class TestConstantProvenanceRule:
-    RULES = (ConstantProvenanceRule(),)
-
-    def r9(self, tmp_path, files):
-        findings = lint_project(make_tree(tmp_path, files), self.RULES)
-        assert all(f.rule == "R9" for f in findings)
-        return findings
-
-    def test_distinctive_literal_is_flagged(self, tmp_path):
-        findings = self.r9(tmp_path, {
-            "mod.py": "gamma = 0.999\n",
-        })
-        assert len(findings) == 1
-        assert "PREFETCH_GAMMA" in findings[0].message
-
-    def test_arithmetic_rederivation_is_flagged_once(self, tmp_path):
-        # 1 - 0.001 == 0.999 (and 0.001 is itself distinctive); the folded
-        # match covers the whole expression, so exactly one finding.
-        findings = self.r9(tmp_path, {
-            "mod.py": "decay = 1 - 0.001\n",
-        })
-        assert len(findings) == 1
-        assert "PREFETCH_GAMMA" in findings[0].message
-
-    def test_aliased_literal_is_flagged_at_binding(self, tmp_path):
-        findings = self.r9(tmp_path, {
-            "mod.py": """
-                _c = 0.04
-
-
-                def exploration():
-                    return _c
-            """,
-        })
-        assert len(findings) == 1
-        assert "PREFETCH_EXPLORATION_C" in findings[0].message
-
-    def test_constants_module_and_workloads_are_exempt(self, tmp_path):
-        findings = self.r9(tmp_path, {
-            "constants.py": "PREFETCH_GAMMA = 0.999\n",
-            "workloads/gen.py": "branch_rate = 0.001\n",
-        })
-        assert findings == []
-
-    def test_undistinctive_values_pass(self, tmp_path):
-        findings = self.r9(tmp_path, {
-            "mod.py": "half = 0.5\nwidth = 4\nscale = 2 * 0.25\n",
-        })
-        assert findings == []
-
-
-# ------------------------------------------------------------------- R10
-
-
-MIRRORED = {
-    "kernel.py": """
-        # repro: mirror[step]
-        def kernel_step(state):
-            state.count += 1
-            return state.count * 2
-    """,
-    "objects.py": """
-        # repro: mirror[step]
-        def object_step(state):
-            state.count += 1
-            return state.count * 2
-    """,
-}
-
-
-class TestMirrorDriftRule:
-    RULES = (MirrorDriftRule(),)
-
-    def record(self, tree):
-        project = build_project([tree / "src"], root=tree)
-        manifest = tree / "mirror-manifest.json"
-        write_manifest(manifest, scan_mirrors(project))
-        return manifest
-
-    def test_untagged_tree_is_clean(self, tmp_path):
-        tree = make_tree(tmp_path, {"mod.py": "x = 1\n"})
-        assert lint_project(tree, self.RULES) == []
-
-    def test_tags_without_manifest_are_flagged(self, tmp_path):
-        tree = make_tree(tmp_path, MIRRORED)
-        findings = lint_project(tree, self.RULES)
-        assert len(findings) == 1
-        assert "no recorded manifest" in findings[0].message
-
-    def test_recorded_manifest_round_trips_clean(self, tmp_path):
-        tree = make_tree(tmp_path, MIRRORED)
-        self.record(tree)
-        assert lint_project(tree, self.RULES) == []
-
-    def test_one_sided_edit_fails(self, tmp_path):
-        tree = make_tree(tmp_path, MIRRORED)
-        self.record(tree)
-        kernel = tree / "src" / "kernel.py"
-        kernel.write_text(
-            kernel.read_text().replace("* 2", "* 3"), encoding="utf-8"
-        )
-        findings = lint_project(tree, self.RULES)
-        assert len(findings) == 1
-        assert findings[0].rule == "R10"
-        assert findings[0].path == "src/kernel.py"
-        assert "one side only" in findings[0].message
-        assert "src/objects.py" in findings[0].message
-
-    def test_both_sides_edited_asks_for_rerecord(self, tmp_path):
-        tree = make_tree(tmp_path, MIRRORED)
-        self.record(tree)
-        for name in ("kernel.py", "objects.py"):
-            path = tree / "src" / name
-            path.write_text(
-                path.read_text().replace("* 2", "* 3"), encoding="utf-8"
-            )
-        findings = lint_project(tree, self.RULES)
-        assert len(findings) == 1
-        assert "both sides" in findings[0].message
-
-    def test_unpaired_tag_is_flagged(self, tmp_path):
-        tree = make_tree(tmp_path, {"kernel.py": MIRRORED["kernel.py"]})
-        self.record(tree)
-        findings = lint_project(tree, self.RULES)
-        assert any("exactly 2" in f.message for f in findings)
-
-    def test_comment_only_edit_is_not_drift(self, tmp_path):
-        tree = make_tree(tmp_path, MIRRORED)
-        self.record(tree)
-        kernel = tree / "src" / "kernel.py"
-        kernel.write_text(
-            kernel.read_text().replace(
-                "state.count += 1", "state.count += 1  # bump"
-            ),
-            encoding="utf-8",
-        )
-        assert lint_project(tree, self.RULES) == []
-
-
-def test_real_tree_one_sided_kernel_edit_fails_r10(tmp_path):
-    """Acceptance: editing the replay kernel without its object-path twin
-    must produce an R10 finding against the recorded manifest."""
-    shutil.copytree(REPO_ROOT / "src", tmp_path / "src")
-    shutil.copy(REPO_ROOT / "mirror-manifest.json", tmp_path)
-
-    kernel = tmp_path / "src" / "repro" / "core_model" / "replay_kernel.py"
-    source = kernel.read_text(encoding="utf-8")
-    marker = "    hierarchy = core.hierarchy\n"
-    assert marker in source
-    kernel.write_text(
-        source.replace(marker, marker + "    drift_probe = 0\n", 1),
-        encoding="utf-8",
-    )
-
-    findings = run_analysis(
-        [tmp_path / "src"], rules=(MirrorDriftRule(),), root=tmp_path
-    )
-    assert len(findings) == 1
-    finding = findings[0]
-    assert finding.rule == "R10"
-    assert finding.path == "src/repro/core_model/replay_kernel.py"
-    assert "mirror[demand-path]" in finding.message
-    assert "one side only" in finding.message
-    assert "src/repro/uncore/hierarchy.py" in finding.message
-
-
 def test_real_tree_is_clean_under_project_rules():
-    """The shipped tree passes R8-R10 against its own manifest."""
+    """The shipped tree passes every project rule."""
     findings = run_analysis(
         [REPO_ROOT / "src"], rules=PROJECT_RULES, root=REPO_ROOT
     )
     assert findings == []
-
-
-def test_manifest_document_shape():
-    document = json.loads(
-        (REPO_ROOT / "mirror-manifest.json").read_text(encoding="utf-8")
-    )
-    assert document["version"] == 1
-    for name, sides in document["mirrors"].items():
-        assert len(sides) == 2, name
-        for side in sides:
-            assert set(side) == {"path", "anchor", "fingerprint"}

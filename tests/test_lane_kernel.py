@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.core_model.lane_kernel import (
@@ -16,7 +17,6 @@ from repro.core_model.lane_kernel import (
     run_lane_batch,
 )
 from repro.core_model.sanitizer import SANITIZE_ENV, SanitizeDivergence
-from repro.core_model.trace_core import CoreConfig
 from repro.experiments.configs import (
     ALT_HIERARCHY_CONFIG,
     BASELINE_HIERARCHY_CONFIG,
@@ -237,3 +237,50 @@ class TestSanitizedBatch:
                 trace, LANES, BASELINE_HIERARCHY_CONFIG, CORE_CONFIG_TABLE4,
                 PARAMS,
             )
+
+
+class TestDuplicateScatterRegression:
+    """Why the array kernel's fill accounting uses ``np.add.at``.
+
+    ``_fill_l2_rows``-style accounting: a wave of fills carries one row
+    per lane *today*, but if a batch ever repeats a lane, buffered fancy
+    ``+=`` silently drops every duplicate while ``np.add.at`` matches the
+    scalar reference loop bit-for-bit.
+    """
+
+    ROWS = np.array([0, 3, 3, 3, 1, 0], dtype=np.intp)
+    VICTIMS = np.array([5, 9, 13, 4, 1, 21], dtype=np.int64)
+
+    def scalar_reference(self):
+        pf_wrong = np.zeros(4, dtype=np.int64)
+        for row, victim in zip(self.ROWS, self.VICTIMS):
+            if (victim & 3) == 1:
+                pf_wrong[row] += 1
+        return pf_wrong
+
+    def test_buffered_fancy_add_drops_duplicates(self):
+        wrong = (self.VICTIMS & 3) == 1
+        pf_wrong = np.zeros(4, dtype=np.int64)
+        pf_wrong[self.ROWS[wrong]] += 1
+        reference = self.scalar_reference()
+        # Row 3 takes two wrong-path victims (9 and 13); the buffered
+        # gather-modify-scatter applies only one of them.
+        assert reference[3] == 2
+        assert pf_wrong[3] == 1
+        assert not np.array_equal(pf_wrong, reference)
+
+    def test_unbuffered_add_at_matches_scalar_loop(self):
+        wrong = (self.VICTIMS & 3) == 1
+        pf_wrong = np.zeros(4, dtype=np.int64)
+        np.add.at(pf_wrong, self.ROWS[wrong], 1)
+        assert np.array_equal(pf_wrong, self.scalar_reference())
+
+    def test_unique_rows_make_both_forms_agree(self):
+        # The kernel's plain fancy += sites rely on exactly this: with one
+        # fill per lane the buffered and unbuffered forms coincide.
+        rows = np.array([2, 0, 3], dtype=np.intp)
+        buffered = np.zeros(4, dtype=np.int64)
+        buffered[rows] += 1
+        exact = np.zeros(4, dtype=np.int64)
+        np.add.at(exact, rows, 1)
+        assert np.array_equal(buffered, exact)

@@ -13,7 +13,7 @@ bit-identical results lane by lane.
 import dataclasses
 import os
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core_model.lane_kernel import LANE_KERNEL_ENV, LaneSpec, run_lane_batch
 from repro.experiments.configs import (
@@ -83,6 +83,10 @@ class TestRandomizedTriPathIdentity:
         mshr=st.integers(min_value=2, max_value=8),
         inflight=st.integers(min_value=1, max_value=8),
     )
+    # A dependent load that hits in L1 runs past the next miss row's cycle;
+    # the batched kernels once drained the MSHR only up to miss-row cycles.
+    @example(workload="mcf06", length=390, seed=2, l2_sets=4, l2_ways=1,
+             llc_sets=8, llc_ways=1, mshr=2, inflight=1)
     def test_random_geometry_and_trace(self, workload, length, seed, l2_sets,
                                        l2_ways, llc_sets, llc_ways, mshr,
                                        inflight):
