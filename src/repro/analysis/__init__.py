@@ -16,9 +16,9 @@ simulation runs*, the invariants the runtime test suite can only exercise:
   lambdas, closures and locally defined functions fail inside a worker
   only once ``--jobs > 1``.
 - **R4 step hygiene** — a replay loop that calls ``observe()`` /
-  ``end_step()`` must also reach ``flush_step()`` or ``cancel_selection()``
-  so the trailing partial bandit step is never silently dropped (the PR 1
-  bug class).
+  ``end_step()`` / a prefetch controller's ``on_record()`` must also reach
+  ``flush_step()``, ``cancel_selection()`` or the controller's ``finish()``
+  so the trailing partial bandit step is never silently dropped.
 - **R5 float equality** — ``==``/``!=`` against float literals.
 
 The project-wide rules run over an inter-procedural symbol table and call

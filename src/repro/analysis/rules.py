@@ -422,18 +422,21 @@ class StepHygieneRule(Rule):
     """R4: replay loops that train a bandit must flush the trailing step.
 
     A loop body that calls ``<agent>.observe(reward)`` (single-argument
-    form) or ``<bandit>.end_step(...)`` leaves a selection awaiting its
-    reward when the loop exits early or the trace runs out; the enclosing
-    function must therefore also reach ``flush_step()`` or
-    ``cancel_selection()`` on some path.
+    form), ``<bandit>.end_step(...)`` or a prefetch controller's
+    ``on_record(...)`` leaves a selection awaiting its reward when the
+    loop exits early or the trace runs out; the enclosing function must
+    therefore also reach ``flush_step()``, ``cancel_selection()`` or the
+    controller's ``finish()`` on some path.
     """
 
     code = "R4"
     name = "step-hygiene"
-    description = "replay loops with observe()/end_step() but no flush"
+    description = "replay loops with observe()/end_step()/on_record() but no flush"
 
-    _TRIGGERS = ("observe", "end_step")
-    _RESOLUTIONS = ("flush_step", "cancel_selection")
+    #: Loop calls that leave a step open; ``observe`` counts only in its
+    #: one-argument (reward) form, checked separately.
+    _TRIGGERS = ("end_step", "on_record")
+    _RESOLUTIONS = ("flush_step", "cancel_selection", "finish")
 
     def check(self, module: ParsedModule) -> Iterator[Finding]:
         for node in ast.walk(module.tree):
@@ -453,7 +456,7 @@ class StepHygieneRule(Rule):
                 continue
             if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute):
                 name = sub.func.attr
-                if name == "end_step":
+                if name in self._TRIGGERS:
                     return sub
                 if (
                     name == "observe"
@@ -479,8 +482,8 @@ class StepHygieneRule(Rule):
                         self.code, trigger,
                         f"replay loop in `{function.name}` trains the "
                         "bandit but the function never reaches "
-                        "flush_step()/cancel_selection(); the trailing "
-                        "partial step is dropped",
+                        "flush_step()/cancel_selection()/finish(); the "
+                        "trailing partial step is dropped",
                     )
                     break
 

@@ -11,15 +11,24 @@ arm potentials on the critical path (~500 cycles for 11 arms) from an
 (~50 cycles); the evaluation conservatively charges 500 cycles. During those
 cycles the controlled unit keeps running with the previously selected arm,
 so in simulation the latency only delays when the new arm takes effect.
+
+:class:`PrefetchBanditController` is that contract for the prefetcher, in
+the one copy every prefetch replay path drives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from repro.bandit.base import MABAlgorithm
 from repro.bandit.rewards import IPCReward, PerformanceCounters
 from repro.constants import SELECTION_LATENCY_CYCLES
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from repro.core_model.sanitizer import StepRecord
+
+_INF = float("inf")
 
 #: Storage per arm: one single-precision float reward (rTable) plus one
 #: unsigned-int selection count (nTable) — 8 bytes total (§5.4).
@@ -161,3 +170,101 @@ class MicroArmedBandit:
         if cancel is not None:
             cancel()
         return None
+
+
+class PrefetchBanditController:
+    """One Micro-Armed Bandit stepping a prefetcher through a replay.
+
+    The agent contract every prefetch replay path shares: a bandit step
+    ends every ``step_l2_accesses`` L2 demand accesses (Table 6); the arm
+    selected at a boundary takes effect ``selection_latency_cycles`` later,
+    the previously applied arm running meanwhile (§6.1), so a latency of 0
+    applies it at the boundary itself (Figure 9's BanditIdeal); and
+    :meth:`finish` trains on the trailing partial step, or retracts it when
+    it covered zero cycles. ``apply(arm)`` reprograms the controlled unit.
+
+    The episode starts on a fresh core (zero counters). A replay loop calls
+    :meth:`on_record` after every record::
+
+        controller = PrefetchBanditController(algorithm, ensemble.set_arm, step)
+        for record in trace:
+            core.execute(record)
+            controller.on_record(stats.l2_demand_accesses, core.counters())
+        controller.finish(core.counters(), stats.l2_demand_accesses)
+
+    ``step_log`` collects the sanitizer's per-step checkpoints: one at the
+    first selection, one per boundary and one after :meth:`finish`.
+    """
+
+    def __init__(
+        self,
+        algorithm: MABAlgorithm,
+        apply: Callable[[int], None],
+        step_l2_accesses: int,
+        selection_latency_cycles: int = SELECTION_LATENCY_CYCLES,
+        step_log: Optional[List["StepRecord"]] = None,
+    ) -> None:
+        self.algorithm = algorithm
+        self.bandit = MicroArmedBandit(algorithm, selection_latency_cycles)
+        self.step_l2_accesses = step_l2_accesses
+        self.step_log = step_log
+        self._apply = apply
+        start = PerformanceCounters()
+        self.bandit.reset_counters(start)
+        self.pending = self.applied = self.bandit.begin_step(0.0)
+        apply(self.pending)
+        #: ``(cycle, arm)`` at every selection, for Figure 7's plots.
+        self.arm_trace: List[Tuple[float, int]] = [(0.0, self.pending)]
+        self.next_boundary = step_l2_accesses
+        self._log(start, 0)
+
+    def on_record(
+        self, l2_accesses: int, counters: PerformanceCounters
+    ) -> Tuple[int, float]:
+        """Advance past one replayed record; returns the next thresholds.
+
+        The returned ``(l2_threshold, cycle_threshold)`` promise that
+        another call is a no-op until the L2 demand-access count or the
+        cycle counter (both monotone) reaches one of them, so a fused
+        kernel may skip the calls in between.
+        """
+        bandit = self.bandit
+        cycle = counters.cycles
+        if self.pending != self.applied and cycle >= bandit.selection_ready_cycle:
+            self._apply(self.pending)
+            self.applied = self.pending
+        if l2_accesses >= self.next_boundary:
+            self.next_boundary = l2_accesses + self.step_l2_accesses
+            bandit.end_step(counters)
+            self.pending = bandit.begin_step(cycle)
+            self.arm_trace.append((cycle, self.pending))
+            self._log(counters, l2_accesses)
+            if cycle >= bandit.selection_ready_cycle:
+                self._apply(self.pending)
+                self.applied = self.pending
+        if self.pending != self.applied:
+            return self.next_boundary, bandit.selection_ready_cycle
+        return self.next_boundary, _INF
+
+    def finish(self, counters: PerformanceCounters, l2_accesses: int) -> None:
+        """Close the episode: flush the trailing partial step."""
+        self.bandit.flush_step(counters)
+        self._log(counters, l2_accesses)
+
+    def _log(self, counters: PerformanceCounters, l2_accesses: int) -> None:
+        if self.step_log is None:
+            return
+        from repro.core_model.sanitizer import StepRecord
+
+        instructions = counters.committed_instructions
+        cycles = counters.cycles
+        self.step_log.append(StepRecord(
+            step=len(self.step_log),
+            instructions=instructions,
+            cycles=cycles,
+            ipc=instructions / cycles if cycles else 0.0,
+            l2_demand_accesses=l2_accesses,
+            arm=self.pending,
+            reward_estimates=tuple(self.algorithm.reward_estimates()),
+            selection_counts=tuple(self.algorithm.selection_counts()),
+        ))

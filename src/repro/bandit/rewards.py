@@ -16,7 +16,7 @@ class PerformanceCounters:
     """Free-running counters sampled at bandit-step boundaries."""
 
     committed_instructions: int = 0
-    cycles: int = 0
+    cycles: float = 0
 
 
 class IPCReward:
@@ -29,14 +29,14 @@ class IPCReward:
 
     def __init__(self) -> None:
         self._last_instructions = 0
-        self._last_cycles = 0
+        self._last_cycles: float = 0
 
     def reset(self, counters: PerformanceCounters) -> None:
         """Snapshot the counters at the start of an episode."""
         self._last_instructions = counters.committed_instructions
         self._last_cycles = counters.cycles
 
-    def elapsed_cycles(self, counters: PerformanceCounters) -> int:
+    def elapsed_cycles(self, counters: PerformanceCounters) -> float:
         """Cycles accumulated since the previous boundary (no snapshot)."""
         return counters.cycles - self._last_cycles
 

@@ -24,21 +24,25 @@ re-deriving per-record state that is in fact *lane-invariant*:
 What *does* diverge per lane — L2/LLC contents, MSHR state, DRAM channel
 timing, retire/dispatch clocks — is held lane-resident: numpy ``(N,)``
 columns for the core clocks (every L1-hit record updates all lanes in a few
-vector ops) and, in the default **array kernel**, packed-int
-``(N, sets, ways)`` tag+flags arrays for the L2/LLC plus a per-lane sorted
-fill queue held as ``(N, mshr)`` structured columns — so an L1-miss record
-updates all N lanes in a handful of masked array ops on both the demand
-path and the prefetch-fill path.  Each cache line is packed as
-``block * 8 + flags`` (bit0 prefetched, bit1 used, bit2 dirty; ``-1`` =
-empty way) and way order *is* recency order (way 0 oldest), so the
-insertion-order victim choice of the scalar kernel's dicts becomes
-"evict way 0, append at way ``count - 1``".
+vector ops) plus one of two memory-side backends, both exact per-lane
+transcriptions of :func:`~repro.core_model.replay_kernel.run_replay_kernel`
+on L1-miss records (all lanes miss together, because hit/miss is shared):
 
-The previous per-lane dict transcription (PR 6) is retained for one release
-behind ``REPRO_LANE_KERNEL=dict`` as an oracle for the array path; both are
-exact per-lane transcriptions of
-:func:`~repro.core_model.replay_kernel.run_replay_kernel` on L1-miss
-records (all lanes miss together, because hit/miss is shared).
+- the **dict kernel** keeps each lane's L2/LLC sets as insertion-ordered
+  dicts and walks the lanes in a Python loop on every L1-miss record; its
+  small per-lane state wins on narrow batches;
+- the **array kernel** packs every lane's L2/LLC into ``(N, sets, ways)``
+  int arrays (``block * 8 + flags``: bit0 prefetched, bit1 used, bit2
+  dirty; ``-1`` = empty way; recency in parallel last-touch stamps) and
+  the MSHR into ``(N, mshr)`` fill-queue columns, so an L1-miss record
+  updates all N lanes in a handful of masked array ops; it wins on wide
+  batches, where the dict kernel's working set outgrows the host caches.
+
+``REPRO_LANE_KERNEL=auto`` (the default) picks the dict kernel below
+``AUTO_ARRAY_MIN_LANES`` lanes and the array kernel at or above it;
+``dict``/``array`` force one. Bandit lanes drive one
+:class:`~repro.bandit.hardware.PrefetchBanditController` each in either
+backend (:class:`_BanditLanes`).
 
 The arithmetic is bit-identical to the scalar kernel: vector adds/maxima on
 float64 columns perform the same IEEE-754 operations in the same order as
@@ -57,6 +61,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 from heapq import heappop, heappush
 from typing import (
     TYPE_CHECKING,
@@ -70,7 +75,7 @@ from typing import (
 
 import numpy as np
 
-from repro.bandit.hardware import MicroArmedBandit
+from repro.bandit.hardware import PrefetchBanditController
 from repro.bandit.rewards import PerformanceCounters
 from repro.constants import NUM_STREAM_TRACKERS, NUM_STRIDE_TRACKERS
 from repro.core_model.sanitizer import StepRecord, sanitize_enabled
@@ -146,11 +151,6 @@ def lane_kernel_mode() -> str:
     return "auto"
 
 
-def lane_kernel_enabled() -> bool:
-    """Whether a batched kernel may be used (``REPRO_LANE_KERNEL``)."""
-    return lane_kernel_mode() != "scalar"
-
-
 def resolve_lane_kernel_mode(num_lanes: int) -> str:
     """The kernel path a batch of ``num_lanes`` lanes will actually take.
 
@@ -171,9 +171,7 @@ def lane_batch_fallback_reason(
     """Why this batch cannot run through the batched kernel, or ``None``.
 
     Requires a non-empty compiled trace, known lane kinds, and in-range
-    arm ids.  Mixed stride/stream tracker geometries are fine: the shared
-    training pre-pass simulates one table pair per distinct geometry and
-    every lane reads its own group's outcomes.  The returned string is a
+    arm ids.  The returned string is a
     stable, human-readable diagnosis that the experiment runner records
     in telemetry manifests when a sweep silently falls back to the
     scalar runners; it depends only on the task inputs (never on the
@@ -199,15 +197,6 @@ def lane_batch_fallback_reason(
         elif lane.kind != "none":
             return f"unknown lane kind {lane.kind!r}"
     return None
-
-
-def lane_batch_eligible(
-    trace: object,
-    lanes: Sequence[LaneSpec],
-    params: "PrefetchBanditParams",
-) -> bool:
-    """Whether every lane can run through a batched kernel."""
-    return lane_batch_fallback_reason(trace, lanes, params) is None
 
 
 def run_lane_batch(
@@ -295,48 +284,20 @@ def _run_lanes_scalar(
 # ============================================================ shared pre-pass
 
 
-def _lane_tracker_geometry(
-    lanes: Sequence[LaneSpec],
-    params: "PrefetchBanditParams",
-) -> Tuple[List[Tuple[int, int]], np.ndarray]:
-    """``(tracker pairs, per-lane group index)`` for a lane batch.
-
-    Arm (and "none") lanes train the module-default
-    ``(NUM_STRIDE_TRACKERS, NUM_STREAM_TRACKERS)`` geometry; bandit lanes
-    train the ``params`` geometry. The ordered-unique pair list drives the
-    shared pre-pass (one table pair per distinct geometry) and the group
-    index maps each lane onto its pair's training outcomes.
-    """
-    default_pair = (NUM_STRIDE_TRACKERS, NUM_STREAM_TRACKERS)
-    pairs: List[Tuple[int, int]] = []
-    geo = np.zeros(len(lanes), dtype=np.int64)
-    for i, lane in enumerate(lanes):
-        pair = (
-            (params.num_stride_trackers, params.num_stream_trackers)
-            if lane.kind == "bandit" else default_pair
-        )
-        if pair not in pairs:
-            pairs.append(pair)
-        geo[i] = pairs.index(pair)
-    return pairs, geo
-
-
 def _shared_prepass(
     trace: CompiledTrace,
     hierarchy_config: HierarchyConfig,
     core_config: CoreConfig,
-    tracker_pairs: Sequence[Tuple[int, int]],
 ) -> Dict[str, object]:
     """Compute every lane-invariant per-record quantity, once.
 
     Produces the core index/anchor stream (vectorized), the full L1
     simulation (hit flag + victim block/dirtiness per record), and the
-    stride/stream training outcomes per L1-miss record — one outcome set
-    per tracker-geometry pair in ``tracker_pairs`` (group 0 trains inline
-    during the L1 walk; extra geometries replay the recorded miss stream,
-    which is bit-exact because training reads only ``(pc, block)``).
+    stride/stream training outcomes per L1-miss record (every lane's
+    ensemble has the same ``NUM_STRIDE_TRACKERS``/``NUM_STREAM_TRACKERS``
+    tables, so one pair trains for all of them).
     """
-    pcs, blocks, flags_l, gaps_l = trace.as_lists()
+    pcs, blocks, flags_l, _ = trace.as_lists()
     total = len(pcs)
     commit_cost = 1.0 / core_config.commit_width
     dispatch_cost = 1.0 / core_config.dispatch_width
@@ -385,12 +346,10 @@ def _shared_prepass(
     st_stride = [0] * total
     sm_ok = bytearray(total)
     sm_dir = [0] * total
-    miss_rows: List[int] = []
     # Real component instances at degree 1: training is degree-independent,
     # and a non-empty emission directly yields (ok, stride/direction).
-    num_stride_trackers, num_stream_trackers = tracker_pairs[0]
-    stride_pf = StridePrefetcher(degree=1, num_trackers=num_stride_trackers)
-    stream_pf = StreamPrefetcher(degree=1, num_trackers=num_stream_trackers)
+    stride_pf = StridePrefetcher(degree=1, num_trackers=NUM_STRIDE_TRACKERS)
+    stream_pf = StreamPrefetcher(degree=1, num_trackers=NUM_STREAM_TRACKERS)
     stride_observe = stride_pf.observe
     stream_observe = stream_pf.observe
     stores = 0
@@ -407,7 +366,6 @@ def _shared_prepass(
             hit[t] = 1
             continue
         # L1 miss: train the shared tables, record the emission outcome.
-        miss_rows.append(t)
         st = stride_observe(pcs[t], block, 0.0, False)
         if st:
             st_ok[t] = 1
@@ -423,43 +381,11 @@ def _shared_prepass(
             l1_victim_dirty[t] = 1 if cache_set.pop(victim_block) else 0
         cache_set[block] = bool(is_write)
 
-    # Extra tracker geometries: replay the recorded miss stream through a
-    # fresh table pair per geometry. Training only ever sees the L1-miss
-    # (pc, block) sequence, so the replay is bit-exact.
-    st_ok_g = [st_ok]
-    st_stride_g = [st_stride]
-    sm_ok_g = [sm_ok]
-    sm_dir_g = [sm_dir]
-    for n_stride, n_stream in tracker_pairs[1:]:
-        g_st_ok = bytearray(total)
-        g_st_stride = [0] * total
-        g_sm_ok = bytearray(total)
-        g_sm_dir = [0] * total
-        g_stride = StridePrefetcher(degree=1, num_trackers=n_stride).observe
-        g_stream = StreamPrefetcher(degree=1, num_trackers=n_stream).observe
-        for t in miss_rows:
-            block = blocks[t]
-            st = g_stride(pcs[t], block, 0.0, False)
-            if st:
-                g_st_ok[t] = 1
-                g_st_stride[t] = st[0] - block
-            sm = g_stream(pcs[t], block, 0.0, False)
-            if sm:
-                g_sm_ok[t] = 1
-                g_sm_dir[t] = sm[0] - block
-        st_ok_g.append(g_st_ok)
-        st_stride_g.append(g_st_stride)
-        sm_ok_g.append(g_sm_ok)
-        sm_dir_g.append(g_sm_dir)
-
     return {
         "total": total,
-        "pcs": pcs,
         "blocks": blocks,
         "flags": flags_l,
-        "gaps": gaps_l,
         "idx": idx.tolist(),
-        "anchor_row": anchor_l,
         "anchor_gidx": anchor_row + 1,
         "boost_arr": boost,
         "floor_blocks": floor_blocks,
@@ -468,10 +394,10 @@ def _shared_prepass(
         "hit": hit,
         "l1_victim": l1_victim,
         "l1_victim_dirty": l1_victim_dirty,
-        "st_ok": st_ok_g,
-        "st_stride": st_stride_g,
-        "sm_ok": sm_ok_g,
-        "sm_dir": sm_dir_g,
+        "st_ok": st_ok,
+        "st_stride": st_stride,
+        "sm_ok": sm_ok,
+        "sm_dir": sm_dir,
         "loads": total - stores,
         "stores": stores,
         "commit_cost": commit_cost,
@@ -520,8 +446,7 @@ def _assemble_results(
     pf_late: Sequence[int],
     pf_wrong: Sequence[int],
     pf_dropped: Sequence[int],
-    algorithms: Sequence[object],
-    arm_traces: Sequence[List[Tuple[float, int]]],
+    controllers: Dict[int, PrefetchBanditController],
 ) -> List["PrefetchRunResult"]:
     """One ``PrefetchRunResult`` per lane from the kernel's final counters.
 
@@ -552,8 +477,8 @@ def _assemble_results(
             ),
         )
         if lane.kind == "bandit":
-            arm_history = list(algorithms[i].selection_history)
-            arm_trace = arm_traces[i]
+            arm_history = list(controllers[i].algorithm.selection_history)
+            arm_trace = controllers[i].arm_trace
         elif lane.kind == "arm":
             arm_history = [lane.arm]
             arm_trace = []
@@ -572,6 +497,86 @@ def _assemble_results(
     return results
 
 
+class _BanditLanes:
+    """The ``"bandit"`` lanes of a batch, for either batched backend.
+
+    One :class:`~repro.bandit.hardware.PrefetchBanditController` per
+    bandit lane, with its hook thresholds held as ``(N,)`` float64 columns
+    (``inf`` on other lanes), so a kernel finds the lanes to call with one
+    vector compare. The kernels decide *when* controllers are called; what
+    a call does is the controller's.
+    """
+
+    def __init__(
+        self,
+        lanes: Sequence[LaneSpec],
+        params: "PrefetchBanditParams",
+        apply_arm: Callable[[int, int], None],
+        collect_logs: bool,
+    ) -> None:
+        from repro.experiments.configs import prefetch_bandit_algorithm
+
+        num_lanes = len(lanes)
+        self.controllers: Dict[int, PrefetchBanditController] = {}
+        self.step_logs: Dict[int, List[StepRecord]] = {}
+        self.hook_l2 = np.full(num_lanes, _INF)
+        self.hook_cyc = np.full(num_lanes, _INF)
+        bandit_lanes = [
+            i for i, lane in enumerate(lanes) if lane.kind == "bandit"
+        ]
+        for i in bandit_lanes:
+            step_log = self.step_logs.setdefault(i, []) if collect_logs else None
+            controller = PrefetchBanditController(
+                prefetch_bandit_algorithm(seed=lanes[i].seed, params=params),
+                partial(apply_arm, i),
+                params.step_l2_accesses,
+                params.selection_latency_cycles,
+                step_log=step_log,
+            )
+            self.controllers[i] = controller
+            # The scalar kernel's initial -inf thresholds fire the hook
+            # after the first record just to install real thresholds; with
+            # step_l2_accesses >= 1 (enforced by eligibility) anything that
+            # first fire could do — at most ending a step when record 0 is
+            # an L2 access and the step budget is 1 — is reproduced by the
+            # ordinary end-of-miss-row check, so the post-fire state is
+            # installed directly: the l2 threshold is the first boundary
+            # and no cycle threshold is armed.
+            self.hook_l2[i] = controller.next_boundary
+        #: L2 demand accesses are shared, so no lane fires below ``l2_min``;
+        #: a cycle threshold exists only while ``cyc_armed``.
+        self.l2_min = float(self.hook_l2.min()) if bandit_lanes else _INF
+        self.cyc_armed = False
+
+    def fire(self, l2da: int, retire: np.ndarray, instructions: int) -> None:
+        """Call the controller of every lane that reached a threshold."""
+        if self.cyc_armed:
+            due = (self.hook_l2 <= l2da) | (retire >= self.hook_cyc)
+        else:
+            due = self.hook_l2 <= l2da
+        rows = due.nonzero()[0]
+        if not rows.size:
+            return
+        retire_l = retire.tolist()
+        for i in rows.tolist():
+            counters = PerformanceCounters(instructions, retire_l[i])
+            limits = self.controllers[i].on_record(  # repro: ignore[R4] flushed by finish()
+                l2da, counters
+            )
+            self.hook_l2[i], self.hook_cyc[i] = limits
+        self.l2_min = float(self.hook_l2.min())
+        self.cyc_armed = bool((self.hook_cyc < _INF).any())
+
+    def finish(
+        self, instructions: int, retire: Sequence[float], l2da: int
+    ) -> None:
+        """Episode end: every controller flushes its trailing step."""
+        for i, controller in self.controllers.items():
+            controller.finish(
+                PerformanceCounters(instructions, retire[i]), l2da
+            )
+
+
 def _lane_kernel_dict(
     trace: CompiledTrace,
     lanes: List[LaneSpec],
@@ -586,24 +591,17 @@ def _lane_kernel_dict(
 ]:
     """Advance every lane through the trace in one fused pass (dict path).
 
-    This is the PR 6 kernel, kept for one release behind
-    ``REPRO_LANE_KERNEL=dict`` as an oracle for the array-resident kernel:
-    the memory side is plain per-lane dicts updated in a per-lane Python
-    loop on every L1-miss record. Returns
+    The memory side is plain per-lane dicts updated in a per-lane Python
+    loop on every L1-miss record; ``auto`` mode picks this kernel for
+    batches narrower than ``AUTO_ARRAY_MIN_LANES``. Returns
     ``(results, checkpoint_logs, bandit_step_logs)``; the logs are only
     populated when ``collect_logs`` (the sanitizer's capture).
     """
     num_lanes = len(lanes)
-    has_bandit = any(lane.kind == "bandit" for lane in lanes)
-    tracker_pairs, geo = _lane_tracker_geometry(lanes, params)
-    geo_l = geo.tolist()
-    pre = _shared_prepass(
-        trace, hierarchy_config, core_config, tracker_pairs
-    )
+    pre = _shared_prepass(trace, hierarchy_config, core_config)
     total = pre["total"]
     blocks = pre["blocks"]
     flags_l = pre["flags"]
-    gaps_l = pre["gaps"]
     idx_l = pre["idx"]
     anchor_gidx = pre["anchor_gidx"]
     boost_arr = pre["boost_arr"]
@@ -614,9 +612,9 @@ def _lane_kernel_dict(
     l1_victim = pre["l1_victim"]
     l1_victim_dirty = pre["l1_victim_dirty"]
     st_ok = pre["st_ok"]
-    st_stride_l = pre["st_stride"]
+    st_stride = pre["st_stride"]
     sm_ok = pre["sm_ok"]
-    sm_dir_l = pre["sm_dir"]
+    sm_dir = pre["sm_dir"]
     commit_cost = pre["commit_cost"]
 
     config = hierarchy_config
@@ -683,21 +681,11 @@ def _lane_kernel_dict(
             spec.next_line, spec.stride_degree, spec.stream_degree
         )
 
-    # ---- bandit lanes (real MicroArmedBandit + DUCB objects per lane;
-    # only the ensemble's degree registers are virtualized) ----
-    is_bandit = [lane.kind == "bandit" for lane in lanes]
-    bandit_lanes = [i for i, flag in enumerate(is_bandit) if flag]
-    bandits: List[Optional[MicroArmedBandit]] = [None] * num_lanes
-    algorithms: List[object] = [None] * num_lanes
-    pending = [0] * num_lanes
-    applied = [0] * num_lanes
-    next_boundary = [0] * num_lanes
-    hook_l2 = [_INF] * num_lanes
-    hook_cyc = [_INF] * num_lanes
-    arm_traces: List[List[Tuple[float, int]]] = [[] for _ in range(num_lanes)]
-    step_accesses = params.step_l2_accesses
+    bst = _BanditLanes(lanes, params, apply_arm, collect_logs)
+    for i, lane in enumerate(lanes):
+        if lane.kind == "arm":
+            apply_arm(i, lane.arm)  # type: ignore[arg-type]
 
-    step_logs: Dict[int, List[StepRecord]] = {}
     checkpoint_logs: List[List[StepRecord]] = [[] for _ in range(num_lanes)]
     if collect_logs:
         from repro.core_model.sanitizer import _CHECKPOINTS
@@ -705,79 +693,6 @@ def _lane_kernel_dict(
         cp_stride = max(1, total // _CHECKPOINTS)
     else:
         cp_stride = 0
-
-    def log_step(i: int, instructions: int, retire_i: float) -> None:
-        log = step_logs[i]
-        algorithm = algorithms[i]
-        log.append(StepRecord(
-            step=len(log),
-            instructions=instructions,
-            cycles=retire_i,
-            ipc=instructions / retire_i if retire_i else 0.0,
-            l2_demand_accesses=l2da,
-            arm=pending[i],
-            reward_estimates=tuple(algorithm.reward_estimates()),
-            selection_counts=tuple(algorithm.selection_counts()),
-        ))
-
-    if has_bandit:
-        from repro.experiments.configs import prefetch_bandit_algorithm
-
-        for i, lane in enumerate(lanes):
-            if not is_bandit[i]:
-                continue
-            algorithm = prefetch_bandit_algorithm(
-                seed=lane.seed, params=params
-            )
-            bandit = MicroArmedBandit(
-                algorithm,
-                selection_latency_cycles=params.selection_latency_cycles,
-            )
-            # Mirrors run_bandit_prefetch's episode setup on a fresh core.
-            bandit.reset_counters(PerformanceCounters(0, 0.0))
-            arm = bandit.begin_step(0.0)
-            pending[i] = arm
-            applied[i] = arm
-            apply_arm(i, arm)
-            arm_traces[i] = [(0.0, arm)]
-            next_boundary[i] = step_accesses
-            algorithms[i] = algorithm
-            bandits[i] = bandit
-            # The scalar kernel's initial -inf thresholds fire the hook
-            # after the first record just to install real thresholds; with
-            # step_l2_accesses >= 1 (enforced by eligibility) anything that
-            # first fire could do — at most ending a step when record 0 is
-            # an L2 access and the step budget is 1 — is reproduced by the
-            # ordinary end-of-miss-row threshold check, so the post-fire
-            # state is installed directly: the l2 threshold is the first
-            # boundary and no cycle threshold is armed.
-            hook_l2[i] = next_boundary[i]
-            if collect_logs:
-                step_logs[i] = []
-                log_step(i, 0, 0.0)
-
-    for i, lane in enumerate(lanes):
-        if lane.kind == "arm":
-            apply_arm(i, lane.arm)  # type: ignore[arg-type]
-
-    def fire_hook(i: int, retire_i: float, instructions: int) -> None:
-        """Per-lane transcription of run_bandit_prefetch's bandit_hook."""
-        bandit = bandits[i]
-        if pending[i] != applied[i] and retire_i >= bandit.selection_ready_cycle:
-            apply_arm(i, pending[i])
-            applied[i] = pending[i]
-        if l2da >= next_boundary[i]:
-            next_boundary[i] = l2da + step_accesses
-            bandit.end_step(PerformanceCounters(instructions, retire_i))
-            pending[i] = bandit.begin_step(retire_i)
-            arm_traces[i].append((retire_i, pending[i]))
-            if collect_logs:
-                log_step(i, instructions, retire_i)
-        hook_l2[i] = next_boundary[i]
-        hook_cyc[i] = (
-            bandit.selection_ready_cycle
-            if pending[i] != applied[i] else _INF
-        )
 
     def fill_llc(i: int, block: int, dirty: bool) -> None:
         """Per-lane transcription of the scalar kernel's fill_llc closure."""
@@ -960,30 +875,23 @@ def _lane_kernel_dict(
             victim_block_t = l1_victim[t]
             victim_wb = victim_block_t >= 0 and l1_victim_dirty[t]
             nl_cand = block + 1
-            st_d_rows = [grp[t] for grp in st_stride_l]
-            sm_d_rows = [grp[t] for grp in sm_dir_l]
-            st_hit_rows = [grp[t] for grp in st_ok]
-            sm_hit_rows = [grp[t] for grp in sm_ok]
-            cand_memo: Dict[Tuple[int, bool, int, int], List[int]] = {}
+            st_hit_t = st_ok[t]
+            sm_hit_t = sm_ok[t]
+            st_d_t = st_stride[t]
+            sm_d_t = sm_dir[t]
+            cand_memo: Dict[Tuple[bool, int, int], List[int]] = {}
+            if bst.cyc_armed:
+                # Deferred cycle-threshold fire: the scalar kernel fires
+                # on the first hit row whose retire reaches a pending
+                # selection's ready cycle, and all that fire observably
+                # does is swap the lane's degree registers (l2 accesses
+                # cannot cross a step boundary on hit rows), which are
+                # first read below. So it fires here, on the state at the
+                # end of row t-1 (rlog row t): the scalar hook never sees
+                # this row's ROB-gap retire increment.
+                bst.fire(l2da, rlog[t], idx_l[t - 1])
             # Every lane misses together: one shared demand-access bump.
-            # Nothing between here and the end-of-row hook check reads it
-            # except fire_hook, which only runs there.
             l2da += 1
-            if bandit_lanes:
-                # Deferred cycle-threshold hook: a selection that came
-                # ready by the end of the previous record only swaps the
-                # degree registers, which are first read below — l2
-                # accesses cannot cross a step boundary on hit rows, so
-                # applying the pending arm is the fire's only observable
-                # effect.  The check uses retire as of the end of row t-1
-                # (rlog row t): the scalar hook never sees this row's
-                # ROB-gap retire increment.
-                prev_retire_l = rlog[t].tolist()
-                for i in bandit_lanes:
-                    if prev_retire_l[i] >= hook_cyc[i]:
-                        apply_arm(i, pending[i])
-                        applied[i] = pending[i]
-                        hook_cyc[i] = _INF
             for i in range(num_lanes):
                 cycle_i = cycle_l[i]
                 drain_i = drain_l[i]
@@ -1063,22 +971,21 @@ def _lane_kernel_dict(
                 arm_t = lane_arm[i]
                 if arm_t is not None:
                     nl_on, st_d, sm_d = arm_t
-                    g = geo_l[i]
-                    if not st_hit_rows[g]:
+                    if not st_hit_t:
                         st_d = 0
-                    if not sm_hit_rows[g]:
+                    if not sm_hit_t:
                         sm_d = 0
                     if nl_on or st_d or sm_d:
-                        key = (g, nl_on, st_d, sm_d)
+                        key = (nl_on, st_d, sm_d)
                         candidates = cand_memo.get(key)
                         if candidates is None:
                             # EnsemblePrefetcher.observe's emission order:
                             # next-line, then deduped stride, then stream.
                             nl = [nl_cand] if nl_on else []
-                            st = ([block + st_d_rows[g] * k
+                            st = ([block + st_d_t * k
                                    for k in range(1, st_d + 1)]
                                   if st_d else [])
-                            sm = ([block + sm_d_rows[g] * k
+                            sm = ([block + sm_d_t * k
                                    for k in range(1, sm_d + 1)]
                                   if sm_d else [])
                             if not st and not sm:
@@ -1136,13 +1043,11 @@ def _lane_kernel_dict(
             rlog[t + 1] = retire
 
             # End-of-record hook thresholds, bandit lanes only: the retire
-            # value is recomputed with the same scalar add the vector path
-            # performed, so the comparison is bit-exact.
-            for i in bandit_lanes:
-                retire_i = (retire_l[i] + commit_cost if is_write
-                            else new_retire[i])
-                if l2da >= hook_l2[i] or retire_i >= hook_cyc[i]:
-                    fire_hook(i, retire_i, idx_l[t])
+            # column holds exactly the scalar hook's value, so the compare
+            # is bit-exact, and the scalar guards skip it on the many rows
+            # where no lane can fire.
+            if l2da >= bst.l2_min or bst.cyc_armed:
+                bst.fire(l2da, retire, idx_l[t])
 
             if cp_stride and ((t + 1) % cp_stride == 0 or t + 1 == total):
                 _lane_checkpoint(checkpoint_logs, t, idx_l[t], retire, l2da)
@@ -1150,15 +1055,8 @@ def _lane_kernel_dict(
     # ------------------------------------------------------------- episode end
     total_instructions = idx_l[-1] if total else 0
     retire_final = retire.tolist()
-
+    bst.finish(total_instructions, retire_final, l2da)
     for i in range(num_lanes):
-        if is_bandit[i]:
-            # Trailing partial step (run_bandit_prefetch's flush).
-            bandits[i].flush_step(
-                PerformanceCounters(total_instructions, retire_final[i])
-            )
-            if collect_logs:
-                log_step(i, total_instructions, retire_final[i])
         # hierarchy.finalize(): flush in-flight fills (heap order at +inf),
         # then count never-used prefetched L2 lines as wrong.
         heap = heaps[i]
@@ -1182,135 +1080,12 @@ def _lane_kernel_dict(
     results = _assemble_results(
         lanes, pre["loads"], pre["stores"], total, total_instructions,
         retire_final, l2da, l2dh, llcda, llcdh, dram_fills, writebacks,
-        pf_issued, pf_timely, pf_late, pf_wrong, pf_dropped,
-        algorithms, arm_traces,
+        pf_issued, pf_timely, pf_late, pf_wrong, pf_dropped, bst.controllers,
     )
-    return results, checkpoint_logs, step_logs
+    return results, checkpoint_logs, bst.step_logs
 
 
 # ===================================================== array-resident kernel
-
-
-class _BanditLanes:
-    """Bandit state for a lane batch's ``"bandit"`` lanes (array kernel).
-
-    Owns the real ``MicroArmedBandit``/DUCB objects per lane plus the hook
-    thresholds as ``(N,)`` float64 columns (``inf`` on non-bandit lanes),
-    so the kernel's end-of-row hook check is a single vector compare.
-    """
-
-    def __init__(
-        self,
-        lanes: Sequence[LaneSpec],
-        params: "PrefetchBanditParams",
-        apply_arm: Callable[[int, int], None],
-        collect_logs: bool,
-    ) -> None:
-        num_lanes = len(lanes)
-        self.step_accesses = params.step_l2_accesses
-        self.apply_arm = apply_arm
-        self.collect_logs = collect_logs
-        self.lane_indices = [
-            i for i, lane in enumerate(lanes) if lane.kind == "bandit"
-        ]
-        self.bandits: List[Optional[MicroArmedBandit]] = [None] * num_lanes
-        self.algorithms: List[object] = [None] * num_lanes
-        self.pending = [0] * num_lanes
-        self.applied = [0] * num_lanes
-        self.next_boundary = [0] * num_lanes
-        self.hook_l2 = np.full(num_lanes, _INF)
-        self.hook_cyc = np.full(num_lanes, _INF)
-        self.arm_traces: List[List[Tuple[float, int]]] = [
-            [] for _ in range(num_lanes)
-        ]
-        self.step_logs: Dict[int, List[StepRecord]] = {}
-        if not self.lane_indices:
-            return
-        from repro.experiments.configs import prefetch_bandit_algorithm
-
-        for i in self.lane_indices:
-            algorithm = prefetch_bandit_algorithm(
-                seed=lanes[i].seed, params=params
-            )
-            bandit = MicroArmedBandit(
-                algorithm,
-                selection_latency_cycles=params.selection_latency_cycles,
-            )
-            # Mirrors run_bandit_prefetch's episode setup on a fresh core.
-            bandit.reset_counters(PerformanceCounters(0, 0.0))
-            arm = bandit.begin_step(0.0)
-            self.pending[i] = arm
-            self.applied[i] = arm
-            apply_arm(i, arm)
-            self.arm_traces[i] = [(0.0, arm)]
-            self.next_boundary[i] = self.step_accesses
-            self.algorithms[i] = algorithm
-            self.bandits[i] = bandit
-            # The scalar kernel's initial -inf thresholds fire the hook
-            # after the first record just to install real thresholds; with
-            # step_l2_accesses >= 1 (enforced by eligibility) the
-            # post-fire state is installed directly: the l2 threshold is
-            # the first boundary and no cycle threshold is armed.
-            self.hook_l2[i] = self.next_boundary[i]
-            if collect_logs:
-                self.step_logs[i] = []
-                self.log_step(i, 0, 0.0, 0)
-
-    def log_step(
-        self, i: int, instructions: int, retire_i: float, l2da: int
-    ) -> None:
-        log = self.step_logs[i]
-        algorithm = self.algorithms[i]
-        log.append(StepRecord(
-            step=len(log),
-            instructions=instructions,
-            cycles=retire_i,
-            ipc=instructions / retire_i if retire_i else 0.0,
-            l2_demand_accesses=l2da,
-            arm=self.pending[i],
-            reward_estimates=tuple(algorithm.reward_estimates()),
-            selection_counts=tuple(algorithm.selection_counts()),
-        ))
-
-    def fire(
-        self, i: int, retire_i: float, instructions: int, l2da: int
-    ) -> None:
-        """Per-lane transcription of run_bandit_prefetch's bandit_hook."""
-        bandit = self.bandits[i]
-        if (
-            self.pending[i] != self.applied[i]
-            and retire_i >= bandit.selection_ready_cycle
-        ):
-            self.apply_arm(i, self.pending[i])
-            self.applied[i] = self.pending[i]
-        if l2da >= self.next_boundary[i]:
-            self.next_boundary[i] = l2da + self.step_accesses
-            bandit.end_step(PerformanceCounters(instructions, retire_i))
-            self.pending[i] = bandit.begin_step(retire_i)
-            self.arm_traces[i].append((retire_i, self.pending[i]))
-            if self.collect_logs:
-                self.log_step(i, instructions, retire_i, l2da)
-        self.hook_l2[i] = self.next_boundary[i]
-        self.hook_cyc[i] = (
-            bandit.selection_ready_cycle
-            if self.pending[i] != self.applied[i] else _INF
-        )
-
-    def apply_pending(self, i: int) -> None:
-        """Deferred cycle-threshold fire: only the arm swap is observable."""
-        self.apply_arm(i, self.pending[i])
-        self.applied[i] = self.pending[i]
-        self.hook_cyc[i] = _INF
-
-    def flush(
-        self, i: int, instructions: int, retire_i: float, l2da: int
-    ) -> None:
-        """Trailing partial step (run_bandit_prefetch's flush)."""
-        self.bandits[i].flush_step(
-            PerformanceCounters(instructions, retire_i)
-        )
-        if self.collect_logs:
-            self.log_step(i, instructions, retire_i, l2da)
 
 
 _ARANGE_CACHE: Dict[int, np.ndarray] = {}
@@ -1651,26 +1426,24 @@ class _FillQueue:
     def insert_many(
         self,
         ready_mat: np.ndarray,
-        block_mat: np.ndarray,
+        cand: np.ndarray,
         ins: np.ndarray,
         cum: np.ndarray,
         add: np.ndarray,
     ) -> None:
         """Batch-insert the ``ins``-masked prefetch fills of one record.
 
-        ``ins`` is ``(N, candidates)`` in per-lane candidate order.
-        ``ready_mat`` and ``block_mat`` match it — or collapse to 1-D
-        when the caller's values do not vary along the collapsed axis
-        (a shared candidate row: ``block_mat`` of shape ``(candidates,)``;
-        a per-lane ready cycle shared by every candidate: ``ready_mat``
-        of shape ``(N,)``), which skips materializing broadcast views on
-        the hot path. ``cum`` is the caller's inclusive running
-        candidate count along each row (its budget cursor — on ``ins``
-        positions ``cum - 1`` equals the insert's per-lane rank, since
-        the budget cut keeps a prefix), and ``add`` is the caller's
-        per-row insert count. The caller's drop budget guarantees
-        ``length`` stays within capacity; ``tail`` may overrun first,
-        which triggers an amortized compaction.
+        ``ins`` is ``(N, candidates)`` in per-lane candidate order over
+        the shared candidate row ``cand`` (shape ``(candidates,)``).
+        ``ready_mat`` matches ``ins`` — or collapses to ``(N,)`` when every
+        candidate of a lane shares one ready cycle, which skips
+        materializing a broadcast view on the hot path. ``cum`` is the
+        caller's inclusive running candidate count along each row (its
+        budget cursor — on ``ins`` positions ``cum - 1`` equals the
+        insert's per-lane rank, since the budget cut keeps a prefix), and
+        ``add`` is the caller's per-row insert count. The caller's drop
+        budget guarantees ``length`` stays within capacity; ``tail`` may
+        overrun first, which triggers an amortized compaction.
         """
         rows_idx, cand_idx = ins.nonzero()
         if not rows_idx.size:
@@ -1678,10 +1451,7 @@ class _FillQueue:
         if self.hi + int(add.max()) > self.capacity:
             self._compact()
         pos = self.tail[rows_idx] + cum[rows_idx, cand_idx] - 1
-        blocks = (
-            block_mat[cand_idx] if block_mat.ndim == 1
-            else block_mat[rows_idx, cand_idx]
-        )
+        blocks = cand[cand_idx]
         if ready_mat.ndim == 1:
             self.ready[rows_idx, pos] = ready_mat[rows_idx]
             row_min = np.where(add > 0, ready_mat, _INF)
@@ -1889,11 +1659,7 @@ def _lane_kernel_array(
     populated when ``collect_logs`` (the sanitizer's capture).
     """
     num_lanes = len(lanes)
-    tracker_pairs, geo = _lane_tracker_geometry(lanes, params)
-    single_geo = len(tracker_pairs) == 1
-    pre = _shared_prepass(
-        trace, hierarchy_config, core_config, tracker_pairs
-    )
+    pre = _shared_prepass(trace, hierarchy_config, core_config)
     total = pre["total"]
     blocks = pre["blocks"]
     flags_l = pre["flags"]
@@ -1907,9 +1673,9 @@ def _lane_kernel_array(
     l1_victim = pre["l1_victim"]
     l1_victim_dirty = pre["l1_victim_dirty"]
     st_ok = pre["st_ok"]
-    st_stride_l = pre["st_stride"]
+    st_stride = pre["st_stride"]
     sm_ok = pre["sm_ok"]
-    sm_dir_l = pre["sm_dir"]
+    sm_dir = pre["sm_dir"]
     commit_cost = pre["commit_cost"]
 
     config = hierarchy_config
@@ -2008,16 +1774,6 @@ def _lane_kernel_array(
         deg_dirty[0] = True
 
     bst = _BanditLanes(lanes, params, apply_arm, collect_logs)
-    has_bandit = bool(bst.lane_indices)
-    hook_l2v = bst.hook_l2
-    hook_cycv = bst.hook_cyc
-    # Scalar hook-threshold summaries: ``l2da`` is shared, so no lane can
-    # fire below the minimum armed boundary, and the cycle threshold only
-    # exists while some selection is pending. Both are refreshed on the
-    # (rare) records where a hook actually fired or applied, replacing
-    # two per-record (N,) compares with scalar tests.
-    hook_l2_min = float(hook_l2v.min()) if has_bandit else _INF
-    hook_cyc_fin = bool((hook_cycv < _INF).any()) if has_bandit else False
     for i, lane in enumerate(lanes):
         if lane.kind == "arm":
             apply_arm(i, lane.arm)  # type: ignore[arg-type]
@@ -2030,31 +1786,21 @@ def _lane_kernel_array(
     else:
         cp_stride = 0
 
-    if single_geo:
-        st_ok0 = st_ok[0]
-        sm_ok0 = sm_ok[0]
-        st_stride0 = st_stride_l[0]
-        sm_dir0 = sm_dir_l[0]
-
     # ---- candidate-matrix constants: the Table 7 arm registry bounds the
     # per-record candidate list at 1 next-line + max stride degree + max
-    # stream degree columns, so one reusable (N, width) buffer covers
-    # every record and dedup/validity become masks instead of per-group
-    # Python list building ----
+    # stream degree columns, so dedup/validity become masks instead of
+    # per-lane Python list building ----
     max_st_deg = max(spec.stride_degree for spec in TABLE7_ARMS)
     max_sm_deg = max(spec.stream_degree for spec in TABLE7_ARMS)
     kdeg = np.arange(1, max_st_deg + 1)
     jdeg = np.arange(1, max_sm_deg + 1)
-    cand_buf = np.empty((num_lanes, 1 + max_st_deg + max_sm_deg),
-                        dtype=np.int64)
-    jrow = _arange(max_sm_deg)[None, :]
     # Read-only constant column (callers never mutate flag vectors).
     zeros_n = np.zeros(num_lanes, dtype=np.int64)
-    # Single-geometry candidate cache: the per-record candidate offsets
-    # and validity masks depend only on (active degrees, stride value,
-    # stream direction, degree registers), so records sharing a tracker
-    # verdict reuse one (offsets, valid, min offset) entry; any register
-    # change clears the cache (see the deg_dirty refresh).
+    # Candidate cache: the per-record candidate offsets and validity
+    # masks depend only on (active degrees, stride value, stream
+    # direction, degree registers), so records sharing a tracker verdict
+    # reuse one (offsets, valid, min offset) entry; any register change
+    # clears the cache (see the deg_dirty refresh).
     cand_cache: Dict[
         Tuple[int, int, int, int], Tuple[np.ndarray, np.ndarray, int]
     ] = {}
@@ -2128,17 +1874,11 @@ def _lane_kernel_array(
             bsl = block % llc_num_sets
             victim_block_t = l1_victim[t]
             victim_wb = victim_block_t >= 0 and l1_victim_dirty[t]
+            if bst.cyc_armed:
+                # Deferred cycle-threshold fire, on the state at the end of
+                # row t-1 (see the dict kernel).
+                bst.fire(l2da, rlog[t], idx_l[t - 1])
             l2da += 1
-            if hook_cyc_fin:
-                # Deferred cycle-threshold hook: a selection that came
-                # ready by the end of the previous record only swaps the
-                # degree registers (see the dict kernel's transcription
-                # note); the check uses retire as of the end of row t-1.
-                due_apply = rlog[t] >= hook_cycv
-                if due_apply.any():
-                    for i in due_apply.nonzero()[0]:
-                        bst.apply_pending(int(i))
-                    hook_cyc_fin = bool((hook_cycv < _INF).any())
             if drain_floor is None:
                 drain_to = cycle
             else:
@@ -2293,10 +2033,10 @@ def _lane_kernel_array(
             if victim_wb:
                 _fill_l2_wb(st, all_rows, victim_block_t)
             # --- prefetch candidate emission: the ensemble's ordered
-            # list (next-line, then deduped stride, then stream) as fixed
-            # matrix columns. Invalid and duplicate slots become -1 pads,
-            # which the rank/budget step already skips, so dedup is a
-            # mask instead of per-group Python list building ---
+            # list (next-line, then deduped stride, then stream) as the
+            # columns of one candidate row all lanes share. Invalid and
+            # duplicate slots are masked off per lane, so dedup is a mask
+            # instead of per-lane Python list building ---
             if deg_dirty[0]:
                 nlb = reg_nl > 0
                 nl_any = bool(nlb.any())
@@ -2306,159 +2046,89 @@ def _lane_kernel_array(
                 est_pos = reg_st > 0
                 cand_cache.clear()
                 deg_dirty[0] = False
-            if single_geo:
-                # The shared tracker verdict is a scalar per record, so
-                # active degrees are the register maxima or nothing, and
-                # ``est``/``esm`` alias the registers wherever they are
-                # read (guarded by ``ke``/``je``, read-only).
-                ke = ke_full if st_ok0[t] else 0
-                je = je_full if sm_ok0[t] else 0
-            else:
-                st_hits = np.array(
-                    [grp[t] for grp in st_ok], dtype=np.int64
-                )[geo]
-                sm_hits = np.array(
-                    [grp[t] for grp in sm_ok], dtype=np.int64
-                )[geo]
-                est = reg_st * st_hits
-                esm = reg_sm * sm_hits
-                ke = int(est.max())
-                je = int(esm.max())
+            # The shared tracker verdict is a scalar per record, so active
+            # degrees are the register maxima or nothing.
+            ke = ke_full if st_ok[t] else 0
+            je = je_full if sm_ok[t] else 0
             if ke or je or nl_any:
                 # Stride slot k duplicates next-line iff stride*k == 1
                 # and repeats an earlier stride slot iff stride == 0;
                 # stream slots additionally dedup against every stride
                 # slot the lane's degree exposes. Equality is transitive,
                 # so comparing against dropped duplicates reproduces the
-                # dict kernels' set-based dedup verdict exactly. Column
+                # dict kernel's set-based dedup verdict exactly. Column
                 # count adapts to the record's max active degrees.
-                if single_geo:
-                    # Candidate *values* are block + per-column offsets
-                    # (the shared verdict stride/direction are record
-                    # scalars), so the offset vector and per-lane
-                    # validity mask are cached per (degrees, stride,
-                    # direction) and only the block-relative work runs
-                    # per record.
-                    sv = st_stride0[t]
-                    dv = sm_dir0[t]
-                    ck = (ke, je, int(sv) if ke else 0,
-                          int(dv) if je else 0)
-                    ent = cand_cache.get(ck)
-                    if ent is None:
-                        width = 1 + ke + je
-                        offs = np.empty(width, dtype=np.int64)
-                        offs[0] = 1
-                        valid = np.empty((num_lanes, width), dtype=bool)
-                        valid[:, 0] = nlb
-                        if ke:
-                            kd = kdeg[:ke]
-                            stc = sv * kd
-                            dup_st = (nlb[:, None] & (stc == 1)) | (
-                                (sv == 0) & (kd > 1)
-                            )
-                            offs[1:1 + ke] = stc
-                            valid[:, 1:1 + ke] = (
-                                kd <= reg_st[:, None]
-                            ) & ~dup_st
-                        if je:
-                            jd = jdeg[:je]
-                            smc = dv * jd
-                            dup_sm = (nlb[:, None] & (smc == 1)) | (
-                                (dv == 0) & (jd > 1)
-                            )
-                            if ke:
-                                eqc = np.cumsum(
-                                    smc[:, None] == stc[None, :], axis=1
-                                )
-                                dup_sm |= (
-                                    eqc[:, est_m1].T != 0
-                                ) & est_pos[:, None]
-                            offs[1 + ke:] = smc
-                            valid[:, 1 + ke:] = (
-                                jd <= reg_sm[:, None]
-                            ) & ~dup_sm
-                        # offs is a lane-invariant candidate-offset memo; its
-                        # min() reduces the candidate axis, not the lane axis.
-                        cand_cache[ck] = ent = (offs, valid, int(offs.min()))
-                    offs, valid, offs_min = ent
-                    cv_cols = block + offs
-                    # A candidate whose block id underflows below zero
-                    # is dropped exactly like a pad (the generic path's
-                    # cand >= 0 test). The cached offset minimum turns
-                    # the per-record check into scalar arithmetic.
-                    vmask = (
-                        (valid & (cv_cols >= 0)) if block + offs_min < 0
-                        else valid
-                    )
-                    in_l2 = (
-                        (l2_data[:, cv_cols % l2_num_sets] >> 3)
-                        == cv_cols[None, :, None]
-                    ).any(axis=2)
-                    nb = vmask & ~in_l2
-                    # Every lane shares the candidate row, so ``cand``
-                    # stays 1-D; downstream gathers index it by
-                    # candidate column alone.
-                    cand = cv_cols
-                    if fq.hi:
-                        # Bucket-table prefilter with tiny (C,) index
-                        # vectors: exact negatives from one gather.
-                        maybe = (fq.tab[:, cv_cols & 255] != 0) & nb
-                        if maybe.any():
-                            qr, qc = maybe.nonzero()
-                            qhit = (
-                                fq.block[qr, :fq.hi]
-                                == cv_cols[qc][:, None]
-                            ).any(axis=1)
-                            nb[qr[qhit], qc[qhit]] = False
-                else:
-                    cand = cand_buf[:, :1 + ke + je]
-                    cand[:, 0] = np.where(nlb, block + 1, -1)
-                    sv = np.array([grp[t] for grp in st_stride_l])[geo]
-                    dv = np.array([grp[t] for grp in sm_dir_l])[geo]
+                # Candidate *values* are block + per-column offsets (the
+                # verdict's stride/direction are record scalars), so the
+                # offset vector and per-lane validity mask are cached per
+                # (degrees, stride, direction) and only the block-relative
+                # work runs per record.
+                sv = st_stride[t]
+                dv = sm_dir[t]
+                ck = (ke, je, int(sv) if ke else 0, int(dv) if je else 0)
+                ent = cand_cache.get(ck)
+                if ent is None:
+                    width = 1 + ke + je
+                    offs = np.empty(width, dtype=np.int64)
+                    offs[0] = 1
+                    valid = np.empty((num_lanes, width), dtype=bool)
+                    valid[:, 0] = nlb
                     if ke:
                         kd = kdeg[:ke]
-                        stc = sv[:, None] * kd
+                        stc = sv * kd
                         dup_st = (nlb[:, None] & (stc == 1)) | (
-                            (sv == 0)[:, None] & (kd > 1)
+                            (sv == 0) & (kd > 1)
                         )
-                        cand[:, 1:1 + ke] = np.where(
-                            (kd <= est[:, None]) & ~dup_st, block + stc, -1
-                        )
+                        offs[1:1 + ke] = stc
+                        valid[:, 1:1 + ke] = (
+                            kd <= reg_st[:, None]
+                        ) & ~dup_st
                     if je:
                         jd = jdeg[:je]
-                        smc = dv[:, None] * jd
+                        smc = dv * jd
                         dup_sm = (nlb[:, None] & (smc == 1)) | (
-                            (dv == 0)[:, None] & (jd > 1)
+                            (dv == 0) & (jd > 1)
                         )
                         if ke:
                             eqc = np.cumsum(
-                                smc[:, :, None] == stc[:, None, :], axis=2
+                                smc[:, None] == stc[None, :], axis=1
                             )
                             dup_sm |= (
-                                eqc[lidx, jrow[:, :je],
-                                    np.maximum(est - 1, 0)[:, None]] != 0
-                            ) & (est > 0)[:, None]
-                        cand[:, 1 + ke:] = np.where(
-                            (jd <= esm[:, None]) & ~dup_sm, block + smc, -1
-                        )
-                    in_l2 = (
-                        (l2_data[lidx, cand % l2_num_sets] >> 3)
-                        == cand[:, :, None]
-                    ).any(axis=2)
-                    nb = (cand >= 0) & ~in_l2
-                    if fq.hi:
-                        # Bucket-table prefilter: exact negatives from an
-                        # (N, C) gather; only hits scan their queue slots.
-                        # (-1 pads gather bucket 255 but are already off
-                        # nb.)
-                        maybe = (fq.tab[lidx, cand & 255] != 0) & nb
-                        if maybe.any():
-                            qr, qc = maybe.nonzero()
-                            qhit = (
-                                fq.block[qr, :fq.hi]
-                                == cand[qr, qc][:, None]
-                            ).any(axis=1)
-                            nb[qr[qhit], qc[qhit]] = False
+                                eqc[:, est_m1].T != 0
+                            ) & est_pos[:, None]
+                        offs[1 + ke:] = smc
+                        valid[:, 1 + ke:] = (
+                            jd <= reg_sm[:, None]
+                        ) & ~dup_sm
+                    # offs is a lane-invariant candidate-offset memo; its
+                    # min() reduces the candidate axis, not the lane axis.
+                    cand_cache[ck] = ent = (offs, valid, int(offs.min()))
+                offs, valid, offs_min = ent
+                # Every lane shares the candidate row, so ``cand`` is 1-D
+                # and downstream gathers index it by column alone.
+                cand = block + offs
+                # A candidate whose block id underflows below zero is
+                # dropped. The cached offset minimum turns the per-record
+                # check into scalar arithmetic.
+                vmask = (
+                    (valid & (cand >= 0)) if block + offs_min < 0
+                    else valid
+                )
+                in_l2 = (
+                    (l2_data[:, cand % l2_num_sets] >> 3)
+                    == cand[None, :, None]
+                ).any(axis=2)
+                nb = vmask & ~in_l2
+                if fq.hi:
+                    # Bucket-table prefilter with tiny (C,) index
+                    # vectors: exact negatives from one gather.
+                    maybe = (fq.tab[:, cand & 255] != 0) & nb
+                    if maybe.any():
+                        qr, qc = maybe.nonzero()
+                        qhit = (
+                            fq.block[qr, :fq.hi] == cand[qc][:, None]
+                        ).any(axis=1)
+                        nb[qr[qhit], qc[qhit]] = False
                 # Both drop thresholds (in-flight prefetches, MSHR
                 # occupancy) only grow as a record issues, so each
                 # lane issues a prefix of its non-blocked candidates
@@ -2482,7 +2152,7 @@ def _lane_kernel_array(
                     # gather (K, ways) for the ins rows instead of
                     # scanning (N, C, ways).
                     ir, ic = ins.nonzero()
-                    cb = cand[ic] if cand.ndim == 1 else cand[ir, ic]
+                    cb = cand[ic]
                     llc_in = (
                         (llc_data[ir, cb % llc_num_sets] >> 3)
                         == cb[:, None]
@@ -2531,24 +2201,9 @@ def _lane_kernel_array(
                 llr = ready_arr
             rlog[t + 1] = retire
 
-            # End-of-record hook thresholds, bandit lanes only: the
-            # retire column already holds exactly the scalar hook's
-            # value, so the compare is bit-exact. The scalar minimum /
-            # pending-flag guards skip the vector compares on the many
-            # records where no lane can possibly fire.
-            if has_bandit and (l2da >= hook_l2_min or hook_cyc_fin):
-                if hook_cyc_fin:
-                    fire = (l2da >= hook_l2v) | (retire >= hook_cycv)
-                else:
-                    fire = hook_l2v <= l2da
-                if fire.any():
-                    retire_l = retire.tolist()
-                    instructions = idx_l[t]
-                    for i in fire.nonzero()[0]:
-                        ii = int(i)
-                        bst.fire(ii, retire_l[ii], instructions, l2da)
-                    hook_l2_min = float(hook_l2v.min())
-                    hook_cyc_fin = bool((hook_cycv < _INF).any())
+            # End-of-record hook thresholds (see the dict kernel).
+            if l2da >= bst.l2_min or bst.cyc_armed:
+                bst.fire(l2da, retire, idx_l[t])
 
             if cp_stride and ((t + 1) % cp_stride == 0 or t + 1 == total):
                 _lane_checkpoint(checkpoint_logs, t, idx_l[t], retire, l2da)
@@ -2556,9 +2211,7 @@ def _lane_kernel_array(
     # ------------------------------------------------------------- episode end
     total_instructions = idx_l[-1] if total else 0
     retire_final = retire.tolist()
-    for i in bst.lane_indices:
-        # Trailing partial step (run_bandit_prefetch's flush).
-        bst.flush(i, total_instructions, retire_final[i], l2da)
+    bst.finish(total_instructions, retire_final, l2da)
     # hierarchy.finalize(): flush in-flight fills in (ready, block)
     # order, then count never-used prefetched L2 lines as wrong (-1 empty
     # ways give (line & 3) == 3 and never match).
@@ -2569,6 +2222,6 @@ def _lane_kernel_array(
         lanes, pre["loads"], pre["stores"], total, total_instructions,
         retire_final, l2da, l2dh, llcda, llcdh, dram_fills, st.writebacks,
         pf_issued, pf_timely, pf_late, st.pf_wrong, pf_dropped,
-        bst.algorithms, bst.arm_traces,
+        bst.controllers,
     )
     return results, checkpoint_logs, bst.step_logs

@@ -28,7 +28,7 @@ Concessions to observability:
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from repro.prefetch.base import NullPrefetcher
 from repro.prefetch.pythia import PythiaPrefetcher
@@ -46,7 +46,9 @@ def run_replay_kernel(
     blocks: List[int],
     all_flags: List[int],
     gaps: List[int],
-    record_hook: Optional[Callable[["TraceCore"], None]] = None,
+    record_hook: Optional[
+        Callable[["TraceCore"], Optional[Tuple[float, float]]]
+    ] = None,
 ) -> None:
     """Replay the compiled arrays on ``core``. Caller checks eligibility."""
     hierarchy = core.hierarchy

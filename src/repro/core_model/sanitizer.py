@@ -181,8 +181,9 @@ def verify_lane_batch(
     The lane kernel (:mod:`repro.core_model.lane_kernel`) advances N
     independent replay lanes through one fused loop; this is its dynamic
     equivalence proof. Each lane is re-run through the object path
-    (``TraceCore.execute`` on a fresh stack, plus the inline bandit loop
-    for bandit lanes) and compared:
+    (``TraceCore.execute`` on a fresh stack, with a
+    :class:`~repro.bandit.hardware.PrefetchBanditController` called on
+    every record for bandit lanes) and compared:
 
     - per-checkpoint instructions / cycles / IPC / L2 demand accesses
       (same record stride the kernel checkpoints at),
@@ -199,7 +200,7 @@ def verify_lane_batch(
     # Function-local imports: sanitizer is imported by trace_core and the
     # experiment runners, so the experiment/uncore layers cannot be
     # imported at module scope without a cycle.
-    from repro.bandit.hardware import MicroArmedBandit
+    from repro.bandit.hardware import PrefetchBanditController
     from repro.core_model.trace_core import TraceCore
     from repro.experiments.configs import prefetch_bandit_algorithm
     from repro.prefetch.ensemble import EnsemblePrefetcher
@@ -212,81 +213,43 @@ def verify_lane_batch(
     for lane_index, lane in enumerate(lanes):
         kind = lane.kind  # type: ignore[attr-defined]
         context = f"lane_kernel[{kernel_mode}][lane={lane_index}:{kind}]"
-        bandit = None
-        algorithm = None
-        ensemble = None
-        if kind == "none":
-            hierarchy = CacheHierarchy(hierarchy_config)
-        elif kind == "arm":
-            ensemble = EnsemblePrefetcher()
+        ensemble = EnsemblePrefetcher()
+        if kind == "arm":
             ensemble.set_arm(lane.arm)  # type: ignore[attr-defined]
-            hierarchy = CacheHierarchy(hierarchy_config, l2_prefetcher=ensemble)
-        else:
-            ensemble = EnsemblePrefetcher(
-                num_stride_trackers=params.num_stride_trackers,
-                num_stream_trackers=params.num_stream_trackers,
-            )
-            hierarchy = CacheHierarchy(hierarchy_config, l2_prefetcher=ensemble)
+        hierarchy = CacheHierarchy(
+            hierarchy_config,
+            l2_prefetcher=None if kind == "none" else ensemble,
+        )
         core = TraceCore(hierarchy, core_config)
         stats = hierarchy.stats
 
         object_steps: List[StepRecord] = []
-        arm_trace: List[tuple] = []
-        pending_arm = applied_arm = -1
-        next_boundary = 0
-
-        def log_step() -> None:
-            object_steps.append(StepRecord(
-                step=len(object_steps),
-                instructions=core.instructions,
-                cycles=core.retire_time,
-                ipc=core.ipc,
-                l2_demand_accesses=stats.l2_demand_accesses,
-                arm=pending_arm,
-                reward_estimates=tuple(algorithm.reward_estimates()),
-                selection_counts=tuple(algorithm.selection_counts()),
-            ))
-
+        controller = None
         if kind == "bandit":
-            algorithm = prefetch_bandit_algorithm(
-                seed=lane.seed, params=params  # type: ignore[attr-defined]
+            controller = PrefetchBanditController(
+                prefetch_bandit_algorithm(
+                    seed=lane.seed, params=params  # type: ignore[attr-defined]
+                ),
+                ensemble.set_arm,
+                params.step_l2_accesses,
+                params.selection_latency_cycles,
+                step_log=object_steps,
             )
-            bandit = MicroArmedBandit(
-                algorithm,
-                selection_latency_cycles=params.selection_latency_cycles,
-            )
-            bandit.reset_counters(core.counters())
-            pending_arm = bandit.begin_step(core.retire_time)
-            applied_arm = pending_arm
-            ensemble.set_arm(pending_arm)
-            arm_trace.append((0.0, pending_arm))
-            next_boundary = params.step_l2_accesses
-            log_step()
 
         object_checkpoints: List[StepRecord] = []
         replayed = 0
         for record in records:
             core.execute(record)
             replayed += 1
-            if bandit is not None:
-                if (pending_arm != applied_arm
-                        and core.retire_time >= bandit.selection_ready_cycle):
-                    ensemble.set_arm(pending_arm)
-                    applied_arm = pending_arm
-                if stats.l2_demand_accesses >= next_boundary:
-                    next_boundary = (
-                        stats.l2_demand_accesses + params.step_l2_accesses
-                    )
-                    bandit.end_step(core.counters())
-                    pending_arm = bandit.begin_step(core.retire_time)
-                    arm_trace.append((core.retire_time, pending_arm))
-                    log_step()
+            if controller is not None:
+                controller.on_record(
+                    stats.l2_demand_accesses, core.counters()
+                )
             if replayed % stride == 0 or replayed == total:
                 object_checkpoints.append(snapshot(replayed, core))
 
-        if bandit is not None:
-            bandit.flush_step(core.counters())
-            log_step()
+        if controller is not None:
+            controller.finish(core.counters(), stats.l2_demand_accesses)
         hierarchy.finalize()
 
         compare_step_logs(
@@ -317,15 +280,16 @@ def verify_lane_batch(
                     context, -1, f"stats.{stats_field.name}",
                     kernel_value, object_value,
                 )
-        if kind == "bandit":
-            if result.arm_history != list(algorithm.selection_history):
+        if controller is not None:
+            history = list(controller.algorithm.selection_history)
+            if result.arm_history != history:
                 raise SanitizeDivergence(
-                    context, -1, "arm_history",
-                    result.arm_history, list(algorithm.selection_history),
+                    context, -1, "arm_history", result.arm_history, history,
                 )
-            if result.arm_trace != arm_trace:
+            if result.arm_trace != controller.arm_trace:
                 raise SanitizeDivergence(
-                    context, -1, "arm_trace", result.arm_trace, arm_trace
+                    context, -1, "arm_trace",
+                    result.arm_trace, controller.arm_trace,
                 )
 
 

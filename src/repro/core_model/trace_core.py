@@ -125,7 +125,9 @@ class TraceCore:
         self,
         trace: "CompiledTrace",
         max_records: Optional[int] = None,
-        record_hook: Optional[Callable[["TraceCore"], None]] = None,
+        record_hook: Optional[
+            Callable[["TraceCore"], Optional[Tuple[float, float]]]
+        ] = None,
         sanitize: Optional[bool] = None,
         shadow: Optional["TraceCore"] = None,
     ) -> None:

@@ -25,8 +25,6 @@ from repro.constants import (
     EPSILON_GREEDY_EPSILON,
     HILL_CLIMBING_DELTA_IQ_ENTRIES,
     HILL_CLIMBING_EPOCH_CYCLES,
-    NUM_STREAM_TRACKERS,
-    NUM_STRIDE_TRACKERS,
     PREFETCH_EXPLORATION_C,
     PREFETCH_GAMMA,
     PREFETCH_STEP_L2_ACCESSES,
@@ -114,8 +112,6 @@ class PrefetchBanditParams:
     exploration_c: float = PREFETCH_EXPLORATION_C
     num_arms: int = len(TABLE7_ARMS)
     step_l2_accesses: int = PREFETCH_STEP_L2_ACCESSES
-    num_stream_trackers: int = NUM_STREAM_TRACKERS
-    num_stride_trackers: int = NUM_STRIDE_TRACKERS
     rr_restart_prob_multicore: float = RR_RESTART_PROB_MULTICORE
     selection_latency_cycles: int = SELECTION_LATENCY_CYCLES
 

@@ -17,11 +17,11 @@ is the reusability argument of the paper in action.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bandit.base import BanditConfig, MABAlgorithm
 from repro.bandit.ducb import DUCB
-from repro.bandit.hardware import MicroArmedBandit
+from repro.bandit.hardware import PrefetchBanditController
 from repro.constants import PREFETCH_EXPLORATION_C
 from repro.core_model.trace_core import TraceCore
 from repro.experiments.configs import (
@@ -68,6 +68,31 @@ def joint_arm_space(
     return [JointArm(d, a) for d in l1_degrees for a in l2_arms]
 
 
+def _run_joint_bandit(
+    trace: Sequence[TraceRecord],
+    hierarchy: CacheHierarchy,
+    algorithm: MABAlgorithm,
+    apply: Callable[[int], None],
+    params: PrefetchBanditParams,
+) -> Tuple[float, List[int]]:
+    """Replay ``trace`` with one Bandit stepping a joint action space.
+
+    ``apply(arm)`` reprograms every unit the arm controls. Each selection
+    takes effect at its step boundary (selection latency 0).
+    """
+    core = TraceCore(hierarchy, CORE_CONFIG_TABLE4)
+    stats = hierarchy.stats
+    controller = PrefetchBanditController(
+        algorithm, apply, params.step_l2_accesses, selection_latency_cycles=0
+    )
+    for record in trace:
+        core.execute(record)
+        controller.on_record(stats.l2_demand_accesses, core.counters())
+    controller.finish(core.counters(), stats.l2_demand_accesses)
+    hierarchy.finalize()
+    return core.ipc, list(algorithm.selection_history)
+
+
 def run_joint_l1_l2_bandit(
     trace: Sequence[TraceRecord],
     hierarchy_config: HierarchyConfig = BASELINE_HIERARCHY_CONFIG,
@@ -77,7 +102,8 @@ def run_joint_l1_l2_bandit(
 ) -> Tuple[float, List[int]]:
     """One Bandit jointly reprogramming the L1 stride and the L2 ensemble.
 
-    Returns (IPC, arm history).
+    Models no selection latency: each selection takes effect at its step
+    boundary. Returns (IPC, arm history).
     """
     arms = joint_arm_space()
     if algorithm is None:
@@ -92,29 +118,13 @@ def run_joint_l1_l2_bandit(
     hierarchy = CacheHierarchy(
         hierarchy_config, l2_prefetcher=ensemble, l1_prefetcher=l1
     )
-    core = TraceCore(hierarchy, CORE_CONFIG_TABLE4)
-    bandit = MicroArmedBandit(
-        algorithm, selection_latency_cycles=params.selection_latency_cycles
-    )
 
     def apply(arm_index: int) -> None:
         arm = arms[arm_index]
         l1.set_degree(arm.l1_degree)
         ensemble.set_arm(arm.l2_arm)
 
-    bandit.reset_counters(core.counters())
-    apply(bandit.begin_step(0.0))
-    next_boundary = params.step_l2_accesses
-    stats = hierarchy.stats
-    for record in trace:
-        core.execute(record)
-        if stats.l2_demand_accesses >= next_boundary:
-            next_boundary = stats.l2_demand_accesses + params.step_l2_accesses
-            bandit.end_step(core.counters())
-            apply(bandit.begin_step(core.retire_time))
-    bandit.flush_step(core.counters())
-    hierarchy.finalize()
-    return core.ipc, list(algorithm.selection_history)
+    return _run_joint_bandit(trace, hierarchy, algorithm, apply, params)
 
 
 # ----------------------------------------------------------- replacement
@@ -155,7 +165,11 @@ def run_joint_prefetch_replacement_bandit(
     params: PrefetchBanditParams = PREFETCH_BANDIT_CONFIG,
     seed: int = 0,
 ) -> Tuple[float, List[int]]:
-    """One Bandit selecting (L2 ensemble arm, L2 replacement policy)."""
+    """One Bandit selecting (L2 ensemble arm, L2 replacement policy).
+
+    Models no selection latency: each selection takes effect at its step
+    boundary. Returns (IPC, arm history).
+    """
     arms = prefetch_replacement_arm_space()
     algorithm = DUCB(BanditConfig(
         num_arms=len(arms), gamma=0.98,
@@ -173,26 +187,10 @@ def run_joint_prefetch_replacement_bandit(
         "lru": LRUReplacement(),
         "srrip": SRRIP(),
     }
-    core = TraceCore(hierarchy, CORE_CONFIG_TABLE4)
-    bandit = MicroArmedBandit(
-        algorithm, selection_latency_cycles=params.selection_latency_cycles
-    )
 
     def apply(arm_index: int) -> None:
         arm = arms[arm_index]
         ensemble.set_arm(arm.l2_arm)
         l2.set_replacement(policies[arm.replacement])
 
-    bandit.reset_counters(core.counters())
-    apply(bandit.begin_step(0.0))
-    next_boundary = params.step_l2_accesses
-    stats = hierarchy.stats
-    for record in trace:
-        core.execute(record)
-        if stats.l2_demand_accesses >= next_boundary:
-            next_boundary = stats.l2_demand_accesses + params.step_l2_accesses
-            bandit.end_step(core.counters())
-            apply(bandit.begin_step(core.retire_time))
-    bandit.flush_step(core.counters())
-    hierarchy.finalize()
-    return core.ipc, list(algorithm.selection_history)
+    return _run_joint_bandit(trace, hierarchy, algorithm, apply, params)

@@ -26,7 +26,6 @@ from repro.constants import (
 from repro.experiments.configs import (
     ALT_HIERARCHY_CONFIG,
     BASELINE_HIERARCHY_CONFIG,
-    PREFETCH_BANDIT_CONFIG,
     PREFETCHER_LINEUP,
     SCALED_GAMMA,
     TABLE8_ALGORITHM_NAMES,
@@ -67,7 +66,6 @@ from repro.hwcost.area_power import (
 )
 from repro.prefetch.ensemble import TABLE7_ARMS
 from repro.prefetch.pythia import PythiaPrefetcher
-from repro.prefetch.stride import StridePrefetcher
 from repro.smt.pg_policy import (
     ALL_PG_POLICIES,
     BANDIT_PG_ARMS,
@@ -91,9 +89,6 @@ DEFAULT_TRACE_LENGTH = 30_000
 # PREFETCHER_LINEUP / TARGET_BANDIT_STEPS / SCALED_GAMMA moved to
 # repro.experiments.configs (the matrix engine needs them without importing
 # this module); re-imported above for back-compat.
-
-#: Back-compat alias — tests and older callers import the underscore name.
-_scaled_params = scaled_prefetch_params
 
 
 def _num_arms() -> int:
@@ -221,7 +216,7 @@ def table08_prefetch_tuneset(
         label_prefix="table08",
     ))
     params_by_workload = {
-        name: _scaled_params(base.stats.l2_demand_accesses)
+        name: scaled_prefetch_params(base.stats.l2_demand_accesses)
         for name, base in zip(workload_names, bases)
     }
 
@@ -321,7 +316,7 @@ def fig07_exploration_traces(
     for name in prefetch_workloads:
         trace = spec_by_name(name).trace(trace_length, seed=seed)
         base = run_fixed_prefetcher(trace, "none")
-        params = _scaled_params(base.stats.l2_demand_accesses)
+        params = scaled_prefetch_params(base.stats.l2_demand_accesses)
         best_arm, per_arm = best_static_arm(trace)
         scenario: Dict[str, Dict[str, object]] = {
             "BestStatic": {"ipc": per_arm[best_arm], "arms": [best_arm]},
@@ -396,7 +391,7 @@ def fig08_singlecore(
     )
     bases = run_parallel(base_tasks)
     params_by_workload = {
-        name: _scaled_params(base.stats.l2_demand_accesses)
+        name: scaled_prefetch_params(base.stats.l2_demand_accesses)
         for name, base in zip(member_names, bases)
     }
     tasks = prefetch_matrix_tasks(
@@ -469,7 +464,7 @@ def fig09_breakdown(
     baseline_misses = 0.0
     tasks: List[Task] = []
     for spec, base in zip(workloads, bases):
-        params = _scaled_params(base.stats.l2_demand_accesses)
+        params = scaled_prefetch_params(base.stats.l2_demand_accesses)
         baseline_misses += base.stats.llc_demand_misses
         for name in lineup:
             if name == "bandit":
@@ -553,7 +548,7 @@ def fig10_bandwidth_sweep(
     ))
     params_by_point = {
         (config.dram_mtps, spec.name):
-            _scaled_params(base.stats.l2_demand_accesses)
+            scaled_prefetch_params(base.stats.l2_demand_accesses)
         for (config, spec), base in zip(points, bases)
     }
     tasks = prefetch_matrix_tasks(
@@ -653,7 +648,7 @@ def fig08_replication_sweep(
     ])
     tasks: List[Task] = []
     for spec, base in zip(workloads, bases):
-        params = _scaled_params(base.stats.l2_demand_accesses)
+        params = scaled_prefetch_params(base.stats.l2_demand_accesses)
         tasks.append(Task(
             lane_batch_task,
             dict(spec_name=spec.name, trace_length=trace_length,
@@ -711,7 +706,7 @@ def fig10_replication_sweep(
     ])
     tasks: List[Task] = []
     for (config, spec), base in zip(points, bases):
-        params = _scaled_params(base.stats.l2_demand_accesses)
+        params = scaled_prefetch_params(base.stats.l2_demand_accesses)
         tasks.append(Task(
             lane_batch_task,
             dict(spec_name=spec.name, trace_length=trace_length,
@@ -773,7 +768,7 @@ def fig12_multilevel(
     ])
     tasks: List[Task] = []
     for spec, base in zip(workloads, bases):
-        params = _scaled_params(base.stats.l2_demand_accesses)
+        params = scaled_prefetch_params(base.stats.l2_demand_accesses)
         for combo, l2_name, l1_kind in combos:
             if l2_name is None:
                 task = Task(
@@ -796,22 +791,6 @@ def fig12_multilevel(
         for combo, _, _ in combos:
             ratios[combo].append(next(results).ipc / base.ipc)
     return {name: geometric_mean(values) for name, values in ratios.items()}
-
-
-def run_bandit_prefetch_with_l1(trace, params=None, seed: int = 0) -> float:
-    """Stride at L1 + Bandit-controlled ensemble at L2; returns IPC.
-
-    Thin wrapper over :func:`run_bandit_prefetch`'s ``l1_prefetcher``
-    support, kept for API compatibility.
-    """
-    if params is None:
-        params = PREFETCH_BANDIT_CONFIG
-    return run_bandit_prefetch(
-        trace,
-        params=params,
-        seed=seed,
-        l1_prefetcher=StridePrefetcher(degree=2),
-    ).ipc
 
 
 # =============================================================== Figure 13
@@ -898,7 +877,7 @@ def fig14_fourcore(
     tasks: List[Task] = []
     for spec, base in zip(specs, bases):
         mean_l2 = sum(base["l2_demand_accesses"]) // 4
-        params = _scaled_params(mean_l2)
+        params = scaled_prefetch_params(mean_l2)
         tasks.extend(
             Task(
                 multicore_fixed_task,

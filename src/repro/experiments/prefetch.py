@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.bandit.base import MABAlgorithm
-from repro.bandit.hardware import MicroArmedBandit
+from repro.bandit.hardware import PrefetchBanditController
 from repro.core_model.multicore import MulticoreSystem
 from repro.core_model.sanitizer import (
     StepRecord,
@@ -248,99 +248,31 @@ def run_bandit_prefetch(
         )
     if algorithm is None:
         algorithm = prefetch_bandit_algorithm(seed=seed, params=params)
-    ensemble = EnsemblePrefetcher(
-        num_stride_trackers=params.num_stride_trackers,
-        num_stream_trackers=params.num_stream_trackers,
-    )
+    ensemble = EnsemblePrefetcher()
     hierarchy = CacheHierarchy(
         hierarchy_config, l2_prefetcher=ensemble, l1_prefetcher=l1_prefetcher
     )
     core = TraceCore(hierarchy, core_config)
-    latency = 0 if ideal_latency else params.selection_latency_cycles
-    bandit = MicroArmedBandit(algorithm, selection_latency_cycles=latency)
-
-    bandit.reset_counters(core.counters())
-    pending_arm = bandit.begin_step(core.retire_time)
-    applied_arm = pending_arm
-    ensemble.set_arm(pending_arm)
-    arm_trace: List[Tuple[float, int]] = [(0.0, pending_arm)]
-    next_boundary = params.step_l2_accesses
     stats = hierarchy.stats
-
-    step_log = _step_log
-
-    def log_step(state_core: TraceCore) -> None:
-        # Sanitizer capture: the per-step state both replay paths must
-        # reproduce bit-identically. Appended at the initial selection,
-        # every step boundary, and after the trailing flush.
-        if step_log is None:
-            return
-        step_log.append(StepRecord(
-            step=len(step_log),
-            instructions=state_core.instructions,
-            cycles=state_core.retire_time,
-            ipc=state_core.ipc,
-            l2_demand_accesses=stats.l2_demand_accesses,
-            arm=pending_arm,
-            reward_estimates=tuple(algorithm.reward_estimates()),
-            selection_counts=tuple(algorithm.selection_counts()),
-        ))
-
-    log_step(core)
-
+    controller = PrefetchBanditController(
+        algorithm, ensemble.set_arm, params.step_l2_accesses,
+        0 if ideal_latency else params.selection_latency_cycles,
+        step_log=_step_log,
+    )
     if isinstance(trace, CompiledTrace):
-        # Compiled replay: the same per-record bandit logic as the object
-        # loop below, fired from the kernel's record hook. The hook returns
-        # the next (L2-access, retire-cycle) thresholds at which it can act
-        # — the step boundary and the pending arm's selection-ready cycle —
-        # so the kernel skips the state flush + call for every record in
-        # between (both quantities are monotone, and only the hook itself
-        # moves the thresholds).
-        step_accesses = params.step_l2_accesses
-        infinity = float("inf")
-
-        def bandit_hook(hook_core: TraceCore) -> Tuple[int, float]:
-            nonlocal pending_arm, applied_arm, next_boundary
-            retire_time = hook_core.retire_time
-            if pending_arm != applied_arm and retire_time >= bandit.selection_ready_cycle:
-                ensemble.set_arm(pending_arm)
-                applied_arm = pending_arm
-            if stats.l2_demand_accesses >= next_boundary:
-                next_boundary = stats.l2_demand_accesses + step_accesses
-                bandit.end_step(hook_core.counters())
-                pending_arm = bandit.begin_step(retire_time)
-                arm_trace.append((retire_time, pending_arm))
-                log_step(hook_core)
-                if ideal_latency:
-                    ensemble.set_arm(pending_arm)
-                    applied_arm = pending_arm
-            return (
-                next_boundary,
-                bandit.selection_ready_cycle
-                if pending_arm != applied_arm
-                else infinity,
-            )
-
-        core.run_compiled(trace, record_hook=bandit_hook, sanitize=False)
+        # The fused kernel skips the hook between the thresholds it returns.
+        core.run_compiled(
+            trace,
+            record_hook=lambda hook_core: controller.on_record(
+                stats.l2_demand_accesses, hook_core.counters()
+            ),
+            sanitize=False,
+        )
     else:
         for record in trace:
             core.execute(record)
-            if pending_arm != applied_arm and core.retire_time >= bandit.selection_ready_cycle:
-                ensemble.set_arm(pending_arm)
-                applied_arm = pending_arm
-            if stats.l2_demand_accesses >= next_boundary:
-                next_boundary = stats.l2_demand_accesses + params.step_l2_accesses
-                bandit.end_step(core.counters())
-                pending_arm = bandit.begin_step(core.retire_time)
-                arm_trace.append((core.retire_time, pending_arm))
-                log_step(core)
-                if ideal_latency:
-                    ensemble.set_arm(pending_arm)
-                    applied_arm = pending_arm
-    # The last begin_step() is still awaiting its reward: train on the
-    # trailing partial step (or retract it if it covered zero cycles).
-    bandit.flush_step(core.counters())
-    log_step(core)
+            controller.on_record(stats.l2_demand_accesses, core.counters())
+    controller.finish(core.counters(), stats.l2_demand_accesses)
     hierarchy.finalize()
     return PrefetchRunResult(
         ipc=core.ipc,
@@ -348,7 +280,7 @@ def run_bandit_prefetch(
         cycles=core.cycles,
         stats=stats,
         arm_history=list(algorithm.selection_history),
-        arm_trace=arm_trace,
+        arm_trace=controller.arm_trace,
         records=len(trace),
     )
 
@@ -431,41 +363,29 @@ def run_multicore_bandit(
     num_cores = len(traces)
     ensembles = [EnsemblePrefetcher() for _ in range(num_cores)]
     system = MulticoreSystem(num_cores, hierarchy_config, core_config, ensembles)
-    bandits: List[MicroArmedBandit] = []
-    boundaries: List[int] = []
-    pending: List[int] = []
-    for index in range(num_cores):
-        algorithm = prefetch_bandit_algorithm(
-            seed=seed * num_cores + index,
-            multicore=rr_restart,
-            params=params,
+    controllers = [
+        PrefetchBanditController(
+            prefetch_bandit_algorithm(
+                seed=seed * num_cores + index,
+                multicore=rr_restart,
+                params=params,
+            ),
+            ensembles[index].set_arm,
+            params.step_l2_accesses,
+            params.selection_latency_cycles,
         )
-        bandit = MicroArmedBandit(
-            algorithm, selection_latency_cycles=params.selection_latency_cycles
-        )
-        core = system.cores[index]
-        bandit.reset_counters(core.counters())
-        arm = bandit.begin_step(core.retire_time)
-        ensembles[index].set_arm(arm)
-        bandits.append(bandit)
-        boundaries.append(params.step_l2_accesses)
-        pending.append(arm)
-
-    step = params.step_l2_accesses
+        for index in range(num_cores)
+    ]
 
     def hook(core_index: int, core: TraceCore) -> None:
         stats = system.hierarchies[core_index].stats
-        bandit = bandits[core_index]
-        if pending[core_index] != ensembles[core_index].arm_id and (
-            core.retire_time >= bandit.selection_ready_cycle
-        ):
-            ensembles[core_index].set_arm(pending[core_index])
-        if stats.l2_demand_accesses >= boundaries[core_index]:
-            boundaries[core_index] = stats.l2_demand_accesses + step
-            bandit.end_step(core.counters())
-            pending[core_index] = bandit.begin_step(core.retire_time)
+        controllers[core_index].on_record(
+            stats.l2_demand_accesses, core.counters()
+        )
 
     system.run(traces, per_record_hook=hook)
-    for index, bandit in enumerate(bandits):
-        bandit.flush_step(system.cores[index].counters())
+    for controller, core, hierarchy in zip(
+        controllers, system.cores, system.hierarchies
+    ):
+        controller.finish(core.counters(), hierarchy.stats.l2_demand_accesses)
     return system.total_ipc(), system

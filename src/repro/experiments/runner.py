@@ -844,55 +844,3 @@ def best_static_arm_tasks(
         )
         for arm in range(num_arms)
     ]
-
-
-def parallel_best_static_arm(
-    spec_name: str,
-    trace_length: int,
-    seed: int = 0,
-    hierarchy_config: HierarchyConfig = BASELINE_HIERARCHY_CONFIG,
-    num_arms: Optional[int] = None,
-) -> Tuple[int, Dict[int, float]]:
-    """:func:`repro.experiments.prefetch.best_static_arm` as a task fanout.
-
-    Returns the same ``(best arm, per-arm IPC)`` pair, computed through the
-    active execution context (parallel + cached when configured). With the
-    lane kernel enabled (the default) the 11-arm fan-out collapses into a
-    single batched task — one kernel invocation instead of 11 pool tasks —
-    with bit-identical per-arm results either way.
-    """
-    from repro.core_model.lane_kernel import LaneSpec, lane_kernel_enabled
-
-    if lane_kernel_enabled():
-        if num_arms is None:
-            from repro.prefetch.ensemble import TABLE7_ARMS
-
-            num_arms = len(TABLE7_ARMS)
-        lanes = tuple(LaneSpec("arm", arm=arm) for arm in range(num_arms))
-        task = Task(
-            lane_batch_task,
-            dict(
-                spec_name=spec_name,
-                trace_length=trace_length,
-                lanes=lanes,
-                seed=seed,
-                hierarchy_config=hierarchy_config,
-            ),
-            label=f"{spec_name}:arms0-{num_arms - 1}",
-        )
-        payload = run_parallel([task])[0]
-        per_arm = {
-            arm: result.ipc
-            for arm, result in enumerate(payload["results"])
-        }
-        best = max(per_arm, key=per_arm.__getitem__)
-        return best, per_arm
-
-    tasks = best_static_arm_tasks(
-        spec_name, trace_length, seed, hierarchy_config, num_arms
-    )
-    results = run_parallel(tasks)
-    per_arm = {task.kwargs["arm"]: result.ipc
-               for task, result in zip(tasks, results)}
-    best = max(per_arm, key=per_arm.__getitem__)
-    return best, per_arm

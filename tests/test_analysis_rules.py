@@ -331,6 +331,36 @@ class TestStepHygieneRule:
         )
         assert findings == []
 
+    def test_flags_unfinished_controller_loop(self):
+        findings = lint(
+            """
+            def replay(controller, core, trace, stats):
+                for record in trace:
+                    core.execute(record)
+                    controller.on_record(
+                        stats.l2_demand_accesses, core.counters()
+                    )
+            """,
+            rules=self.RULES,
+        )
+        assert codes(findings) == ["R4"]
+        assert "finish()" in findings[0].message
+
+    def test_controller_finish_resolves(self):
+        findings = lint(
+            """
+            def replay(controller, core, trace, stats):
+                for record in trace:
+                    core.execute(record)
+                    controller.on_record(
+                        stats.l2_demand_accesses, core.counters()
+                    )
+                controller.finish(core.counters(), stats.l2_demand_accesses)
+            """,
+            rules=self.RULES,
+        )
+        assert findings == []
+
     def test_prefetcher_observe_is_not_a_trigger(self):
         # Prefetcher.observe(pc, block, cycle, hit) is a different protocol
         # from MABAlgorithm.observe(reward); only the 1-argument form counts.

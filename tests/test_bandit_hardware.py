@@ -8,6 +8,7 @@ from repro.bandit.hardware import (
     BYTES_PER_ARM,
     BanditHardwareModel,
     MicroArmedBandit,
+    PrefetchBanditController,
 )
 from repro.bandit.rewards import IPCReward, PerformanceCounters
 
@@ -163,3 +164,51 @@ class TestFlushStep:
             arm = algorithm.select_arm()
             assert 0 <= arm < 3
             algorithm.observe(1.0)
+
+
+class TestPrefetchBanditController:
+    @pytest.mark.parametrize("latency", [500, 0])
+    def test_step_contract(self, latency):
+        algorithm = DUCB(BanditConfig(num_arms=3, seed=0))
+        applied = []
+        log = []
+        controller = PrefetchBanditController(
+            algorithm, applied.append, step_l2_accesses=10,
+            selection_latency_cycles=latency, step_log=log,
+        )
+        first = controller.pending
+        assert applied == [first]
+        inf = float("inf")
+        # Below the step boundary a call is a no-op until access 10.
+        assert controller.on_record(9, PerformanceCounters(50, 100.0)) == (
+            10, inf
+        )
+        # Boundary at cycle 200: the step trains and a new arm is selected.
+        limits = controller.on_record(10, PerformanceCounters(100, 200.0))
+        second = controller.pending
+        assert second != first  # round-robin phase
+        assert controller.arm_trace == [(0.0, first), (200.0, second)]
+        if latency:
+            # The previous arm keeps running until cycle 200 + 500.
+            assert limits == (20, 700.0)
+            assert applied == [first]
+            assert controller.on_record(
+                12, PerformanceCounters(110, 699.0)
+            ) == (20, 700.0)
+            assert applied == [first]
+            assert controller.on_record(
+                12, PerformanceCounters(120, 700.0)
+            ) == (20, inf)
+        else:
+            # A zero latency applies the selection at the boundary itself.
+            assert limits == (20, inf)
+        assert applied == [first, second]
+        # A boundary on the last record opens a step that covers zero
+        # cycles: finish() retracts its selection instead of training.
+        controller.on_record(20, PerformanceCounters(130, 800.0))
+        assert len(algorithm.selection_history) == 3
+        controller.finish(PerformanceCounters(130, 800.0), 20)
+        assert algorithm.selection_history == [first, second]
+        assert [record.l2_demand_accesses for record in log] == [
+            0, 10, 20, 20
+        ]

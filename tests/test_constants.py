@@ -12,7 +12,7 @@ from repro.experiments.configs import (
     PrefetchBanditParams,
     SMTBanditParams,
 )
-from repro.prefetch.ensemble import TABLE7_ARMS
+from repro.prefetch.ensemble import TABLE7_ARMS, EnsemblePrefetcher
 from repro.smt.bandit_control import SMTBanditConfig
 from repro.smt.hill_climbing import HillClimbingConfig
 
@@ -72,8 +72,6 @@ class TestDataclassDefaultsMatchRegistry:
         assert params.exploration_c == constants.PREFETCH_EXPLORATION_C
         assert params.num_arms == constants.PREFETCH_NUM_ARMS
         assert params.step_l2_accesses == constants.PREFETCH_STEP_L2_ACCESSES
-        assert params.num_stride_trackers == constants.NUM_STRIDE_TRACKERS
-        assert params.num_stream_trackers == constants.NUM_STREAM_TRACKERS
         assert (
             params.rr_restart_prob_multicore
             == constants.RR_RESTART_PROB_MULTICORE
@@ -82,6 +80,11 @@ class TestDataclassDefaultsMatchRegistry:
             params.selection_latency_cycles
             == constants.SELECTION_LATENCY_CYCLES
         )
+
+    def test_ensemble_trackers(self):
+        ensemble = EnsemblePrefetcher()
+        assert ensemble.stride.num_trackers == constants.NUM_STRIDE_TRACKERS
+        assert ensemble.stream.num_trackers == constants.NUM_STREAM_TRACKERS
 
     def test_smt_params(self):
         params = SMTBanditParams()

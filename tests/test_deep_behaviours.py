@@ -2,7 +2,7 @@
 mispredict redirects, gap scaling, and step scaling."""
 
 
-from repro.experiments.figures import _scaled_params
+from repro.experiments.configs import scaled_prefetch_params
 from repro.smt.pg_policy import CHOI_POLICY, PGPolicy
 from repro.smt.pipeline import SMTPipeline
 from repro.uncore.hierarchy import CacheHierarchy, HierarchyConfig
@@ -63,15 +63,15 @@ class TestGapScaling:
 
 class TestStepScaling:
     def test_scaled_params_targets_step_count(self):
-        params = _scaled_params(10_000)
+        params = scaled_prefetch_params(10_000)
         assert params.step_l2_accesses == 10_000 // 200
 
     def test_floor_applies(self):
-        params = _scaled_params(100)
+        params = scaled_prefetch_params(100)
         assert params.step_l2_accesses == 25
 
     def test_table6_constants_otherwise_kept(self):
-        params = _scaled_params(10_000)
+        params = scaled_prefetch_params(10_000)
         assert params.exploration_c == 0.04
         assert params.num_arms == 11
 

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import pytest
 
 from repro.experiments.configs import PREFETCH_BANDIT_CONFIG
-from repro.experiments.prefetch import best_static_arm
 from repro.experiments.runner import (
     CACHE_SCHEMA_VERSION,
     ExecutionContext,
@@ -23,12 +22,10 @@ from repro.experiments.runner import (
     bandit_prefetch_task,
     fixed_arm_task,
     get_context,
-    parallel_best_static_arm,
     run_parallel,
     task_key,
     use_context,
 )
-from repro.workloads.suites import spec_by_name
 
 
 def _double(*, value):
@@ -337,16 +334,6 @@ class TestExperimentTasks:
             assert record.cache_hit is expect_hit
             assert record.lane_kernel == "dict"
             assert record.lane_fallback is None
-
-    def test_parallel_best_static_arm_matches_serial(self):
-        trace = spec_by_name("mcf06").trace(self.TRACE_LENGTH, seed=0)
-        expected = best_static_arm(trace)
-        with use_context(ExecutionContext(jobs=1)):
-            serial = parallel_best_static_arm("mcf06", self.TRACE_LENGTH)
-        with use_context(ExecutionContext(jobs=4)):
-            parallel = parallel_best_static_arm("mcf06", self.TRACE_LENGTH)
-        assert serial == expected
-        assert parallel == expected
 
     def test_bandit_task_algorithm_lineup(self):
         result = bandit_prefetch_task(

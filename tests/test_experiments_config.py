@@ -1,6 +1,6 @@
 """Tests for the experiment configuration tables (Tables 4/5/6/7)."""
 
-
+from repro.constants import NUM_STREAM_TRACKERS
 from repro.experiments.configs import (
     ALT_HIERARCHY_CONFIG,
     BASELINE_HIERARCHY_CONFIG,
@@ -55,7 +55,7 @@ class TestTable6:
         assert PREFETCH_BANDIT_CONFIG.exploration_c == 0.04
         assert PREFETCH_BANDIT_CONFIG.num_arms == 11
         assert PREFETCH_BANDIT_CONFIG.step_l2_accesses == 1000
-        assert PREFETCH_BANDIT_CONFIG.num_stream_trackers == 64
+        assert NUM_STREAM_TRACKERS == 64
         assert PREFETCH_BANDIT_CONFIG.rr_restart_prob_multicore == 0.001
 
     def test_smt_column(self):

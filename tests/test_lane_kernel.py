@@ -9,9 +9,7 @@ from repro.core_model.lane_kernel import (
     AUTO_ARRAY_MIN_LANES,
     LANE_KERNEL_ENV,
     LaneSpec,
-    lane_batch_eligible,
     lane_batch_fallback_reason,
-    lane_kernel_enabled,
     lane_kernel_mode,
     resolve_lane_kernel_mode,
     run_lane_batch,
@@ -72,30 +70,29 @@ class TestBitIdentity:
     def test_matches_scalar_runners_lane_by_lane(self, trace, monkeypatch,
                                                  hierarchy_config, mode):
         monkeypatch.setenv(LANE_KERNEL_ENV, mode)
-        assert lane_batch_eligible(trace, LANES, PARAMS)
+        assert lane_batch_fallback_reason(trace, LANES, PARAMS) is None
         batch = run_lane_batch(
             trace, LANES, hierarchy_config, CORE_CONFIG_TABLE4, PARAMS
         )
         for lane, got in zip(LANES, batch):
             assert got == _scalar_reference(trace, lane, hierarchy_config)
 
-    def test_mixed_tracker_geometry_matches_scalar(self, trace, monkeypatch):
-        """Per-lane tracker geometry is an array column, not a restriction."""
-        monkeypatch.setenv(LANE_KERNEL_ENV, "array")
-        params = dataclasses.replace(PARAMS, num_stride_trackers=2)
-        lanes = [LaneSpec("arm", arm=3), LaneSpec("bandit", seed=0)]
-        assert lane_batch_eligible(trace, lanes, params)
+    @pytest.mark.parametrize("mode", ["array", "dict"])
+    def test_selection_ready_on_hit_row_matches_scalar(self, monkeypatch,
+                                                       mode):
+        """On soplex06 pending selections come ready on L1-hit rows, which
+        the kernels apply by a deferred fire at the next miss row."""
+        monkeypatch.setenv(LANE_KERNEL_ENV, mode)
+        trace = compiled_trace_for("soplex06", TRACE_LENGTH, seed=0)
+        lanes = [LaneSpec("bandit", seed=seed) for seed in range(4)]
         batch = run_lane_batch(
             trace, lanes, BASELINE_HIERARCHY_CONFIG, CORE_CONFIG_TABLE4,
-            params,
+            PARAMS,
         )
-        assert batch[0] == run_fixed_arm(
-            trace, 3, BASELINE_HIERARCHY_CONFIG, CORE_CONFIG_TABLE4
-        )
-        assert batch[1] == run_bandit_prefetch(
-            trace, hierarchy_config=BASELINE_HIERARCHY_CONFIG,
-            core_config=CORE_CONFIG_TABLE4, params=params, seed=0,
-        )
+        for lane, got in zip(lanes, batch):
+            assert got == _scalar_reference(
+                trace, lane, BASELINE_HIERARCHY_CONFIG
+            )
 
     def test_disabled_env_falls_back_to_identical_results(self, trace,
                                                           monkeypatch):
@@ -105,7 +102,7 @@ class TestBitIdentity:
             PARAMS,
         )
         monkeypatch.setenv(LANE_KERNEL_ENV, "0")
-        assert not lane_kernel_enabled()
+        assert lane_kernel_mode() == "scalar"
         scalar = run_lane_batch(
             trace, LANES, BASELINE_HIERARCHY_CONFIG, CORE_CONFIG_TABLE4,
             PARAMS,
@@ -133,7 +130,6 @@ class TestAutoRouting:
     def test_default_mode_is_auto(self, monkeypatch):
         monkeypatch.delenv(LANE_KERNEL_ENV, raising=False)
         assert lane_kernel_mode() == "auto"
-        assert lane_kernel_enabled()
 
     def test_auto_resolves_by_batch_width(self, monkeypatch):
         monkeypatch.delenv(LANE_KERNEL_ENV, raising=False)
@@ -153,17 +149,17 @@ class TestAutoRouting:
 class TestEligibilityRouting:
     def test_raw_record_traces_are_ineligible(self, trace):
         records = trace.to_records()
-        assert not lane_batch_eligible(records, LANES, PARAMS)
+        assert lane_batch_fallback_reason(records, LANES, PARAMS) is not None
 
     def test_out_of_range_arm_is_ineligible(self, trace):
         lanes = [LaneSpec("arm", arm=99)]
-        assert not lane_batch_eligible(trace, lanes, PARAMS)
+        assert lane_batch_fallback_reason(trace, lanes, PARAMS) is not None
 
     def test_zero_step_budget_bandit_is_ineligible(self, trace):
         params = dataclasses.replace(PARAMS, step_l2_accesses=0)
-        assert not lane_batch_eligible(
+        assert lane_batch_fallback_reason(
             trace, [LaneSpec("bandit", seed=0)], params
-        )
+        ) is not None
 
     def test_fallback_reason_names_the_cause(self, trace):
         assert lane_batch_fallback_reason(trace, LANES, PARAMS) is None
