@@ -36,9 +36,9 @@ built from all scanned files at once:
   ``# repro: cache-invariant[NAME]`` for provably path-equivalent gates),
   no ``None``-defaulted worker parameters substituted downstream with a
   module constant the key never saw.
-- **R12 worker purity** — a fixpoint effect system
-  (:mod:`repro.analysis.effects`) classifies every function as pure /
-  reads-env / writes-global / does-IO / spawns-RNG; functions reachable
+- **R12 worker purity** — the effect layer
+  (:mod:`repro.analysis.effects`) lists each function's env reads,
+  module-global writes and unseeded RNG constructions; functions reachable
   from a pool submission site must not write module-level state or
   construct unseeded RNGs (deliberate per-process memos are acknowledged
   with ``# repro: ignore[R12]``).

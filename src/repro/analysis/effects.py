@@ -3,13 +3,11 @@
 Built on the symbol table and call graph, this layer answers two questions
 about the functions the experiment runner ships to pool workers:
 
-- *What does this function (and everything it can reach) touch besides its
-  arguments?* :func:`direct_effects` extracts per-function effect sites —
-  environment-variable reads, module-global writes, unseeded RNG
-  construction, and I/O — and :func:`classify_effects` propagates them to
-  a fixpoint over the call graph, classifying every function as ``pure``
-  or some combination of ``reads-env`` / ``writes-global`` / ``does-io`` /
-  ``spawns-rng``.
+- *What does this function touch besides its arguments?*
+  :func:`direct_effects` extracts per-function effect sites —
+  environment-variable reads, module-global writes and unseeded RNG
+  construction — and :func:`reachable_functions` gives the call tree a
+  worker can reach, so a rule checks the sites of every function in it.
 - *Which functions are workers at all?* :func:`find_worker_roots` collects
   every function submitted to the parallel engine — the first argument of
   a ``Task(...)`` construction or of an executor ``.submit(...)`` call —
@@ -31,7 +29,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.callgraph import CallGraph
 from repro.analysis.core import ParsedModule
@@ -46,22 +44,6 @@ _WAIVER_RE = re.compile(
 ENV_READ = "env-read"
 GLOBAL_WRITE = "global-write"
 RNG_UNSEEDED = "rng-unseeded"
-IO = "io"
-
-#: Classification labels produced by :func:`classify_effects`.
-LABELS = {
-    ENV_READ: "reads-env",
-    GLOBAL_WRITE: "writes-global",
-    RNG_UNSEEDED: "spawns-rng",
-    IO: "does-io",
-}
-PURE = "pure"
-
-#: Builtin / pathlib calls treated as I/O (informational classification).
-_IO_NAMES = frozenset({"open", "print", "input"})
-_IO_ATTRS = frozenset({
-    "write_text", "write_bytes", "read_text", "read_bytes", "unlink",
-})
 
 #: RNG constructors whose *argument-less* form draws a nondeterministic
 #: per-process seed (matched on the resolved qualified name).
@@ -311,12 +293,6 @@ def _function_effects(
                 ):
                     if not node.args and not node.keywords:
                         add(RNG_UNSEEDED, node, resolved)
-            if isinstance(node.func, ast.Name) and node.func.id in _IO_NAMES:
-                add(IO, node, node.func.id)
-            elif isinstance(node.func, ast.Attribute) and (
-                node.func.attr in _IO_ATTRS
-            ):
-                add(IO, node, node.func.attr)
         elif isinstance(node, ast.Subscript) and isinstance(
             node.ctx, ast.Load
         ):
@@ -355,61 +331,6 @@ def direct_effects(project: Project) -> Dict[str, List[EffectSite]]:
     return {
         qname: _function_effects(project, info)
         for qname, info in project.functions.items()
-    }
-
-
-# ---------------------------------------------------------------- fixpoint
-
-
-def classify_effects(
-    project: Project,
-    graph: CallGraph,
-    effects: Optional[Dict[str, List[EffectSite]]] = None,
-) -> Dict[str, FrozenSet[str]]:
-    """Transitive effect labels for every function, to a fixpoint.
-
-    A function's label set is the union of its direct effects, its nested
-    defs', and every resolved callee's — iterated until stable, so cycles
-    (mutual recursion) converge instead of recursing. Functions with no
-    label are classified :data:`PURE`.
-    """
-    if effects is None:
-        effects = direct_effects(project)
-    labels: Dict[str, Set[str]] = {
-        qname: {LABELS[s.kind] for s in sites}
-        for qname, sites in effects.items()
-    }
-    callees: Dict[str, Set[str]] = {qname: set() for qname in labels}
-    for qname in labels:
-        parent = qname.rsplit(".", 1)[0]
-        if parent in callees:
-            callees[parent].add(qname)
-    for caller, sites in graph.by_caller.items():
-        if caller not in callees:
-            continue
-        for site in sites:
-            callee = site.callee
-            if callee is None:
-                continue
-            if callee in project.classes:
-                callee = f"{callee}.__init__"
-            if callee in labels:
-                callees[caller].add(callee)
-
-    changed = True
-    while changed:
-        changed = False
-        for qname, targets in callees.items():
-            merged = labels[qname]
-            before = len(merged)
-            for target in targets:
-                merged |= labels[target]
-            if len(merged) != before:
-                changed = True
-
-    return {
-        qname: frozenset(merged) if merged else frozenset({PURE})
-        for qname, merged in labels.items()
     }
 
 

@@ -238,10 +238,10 @@ class CacheKeyCompletenessRule(ProjectRule):
 class WorkerPurityRule(ProjectRule):
     """R12: pool workers must not mutate shared state or spawn ambient RNG.
 
-    A fixpoint effect system (:mod:`repro.analysis.effects`) classifies
-    every function as pure / reads-env / writes-global / does-IO /
-    spawns-RNG; any function reachable from a pool submission site that
-    *writes a module-level binding* is flagged — the write lands in the
+    The effect layer (:mod:`repro.analysis.effects`) lists every
+    function's module-global writes and unseeded RNG constructions; any
+    function reachable from a pool submission site that *writes a
+    module-level binding* is flagged — the write lands in the
     worker process and silently vanishes (or, under a fork start method,
     leaks between tasks). Unseeded RNG construction in a worker's call
     tree is likewise flagged: every stream must trace to ``derive_seed``

@@ -21,28 +21,34 @@ re-deriving per-record state that is in fact *lane-invariant*:
   with what stride/direction; a lane's candidate list is then a pure
   function of its current arm degrees.
 
-What *does* diverge per lane — L2/LLC contents, MSHR state, DRAM channel
-timing, retire/dispatch clocks — is held lane-resident: numpy ``(N,)``
-columns for the core clocks (every L1-hit record updates all lanes in a few
-vector ops) plus one of two memory-side backends, both exact per-lane
-transcriptions of :func:`~repro.core_model.replay_kernel.run_replay_kernel`
-on L1-miss records (all lanes miss together, because hit/miss is shared):
+One driver, :func:`_lane_kernel`, owns everything core-side or
+lane-invariant: the pre-pass, the ``(N,)`` retire/dispatch columns and
+their ROB floors, the L1-hit rows (a few vector ops for all lanes), the
+bandit hooks, the sanitizer checkpoints and the episode end. What diverges
+per lane — L2/LLC contents, MSHR state, DRAM channel timing — lives in a
+*memory side*, an exact per-lane transcription of
+:func:`~repro.core_model.replay_kernel.run_replay_kernel` on L1-miss
+records (all lanes miss together, because hit/miss is shared). A memory
+side is a factory returning three closures: ``apply_arm(i, arm)`` loads
+lane ``i``'s degree registers, ``miss_row(t, cycle, drain_to)`` runs
+L1-miss record ``t`` on every lane and returns its demand-ready column,
+and ``finish()`` drains the MSHRs and returns the per-lane counters.
 
-- the **dict kernel** keeps each lane's L2/LLC sets as insertion-ordered
+- :func:`_dict_memory` keeps each lane's L2/LLC sets as insertion-ordered
   dicts and walks the lanes in a Python loop on every L1-miss record; its
   small per-lane state wins on narrow batches;
-- the **array kernel** packs every lane's L2/LLC into ``(N, sets, ways)``
+- :func:`_array_memory` packs every lane's L2/LLC into ``(N, sets, ways)``
   int arrays (``block * 8 + flags``: bit0 prefetched, bit1 used, bit2
   dirty; ``-1`` = empty way; recency in parallel last-touch stamps) and
   the MSHR into ``(N, mshr)`` fill-queue columns, so an L1-miss record
   updates all N lanes in a handful of masked array ops; it wins on wide
-  batches, where the dict kernel's working set outgrows the host caches.
+  batches, where the dict side's working set outgrows the host caches.
 
-``REPRO_LANE_KERNEL=auto`` (the default) picks the dict kernel below
-``AUTO_ARRAY_MIN_LANES`` lanes and the array kernel at or above it;
+``REPRO_LANE_KERNEL=auto`` (the default) picks the dict side below
+``AUTO_ARRAY_MIN_LANES`` lanes and the array side at or above it;
 ``dict``/``array`` force one. Bandit lanes drive one
-:class:`~repro.bandit.hardware.PrefetchBanditController` each in either
-backend (:class:`_BanditLanes`).
+:class:`~repro.bandit.hardware.PrefetchBanditController` each
+(:class:`_BanditLanes`).
 
 The arithmetic is bit-identical to the scalar kernel: vector adds/maxima on
 float64 columns perform the same IEEE-754 operations in the same order as
@@ -65,9 +71,11 @@ from functools import partial
 from heapq import heappop, heappush
 from typing import (
     TYPE_CHECKING,
+    Any,
     Callable,
     Dict,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -122,11 +130,11 @@ class LaneSpec:
             raise ValueError("arm lanes require an arm index")
 
 
-#: Lane count at or above which ``auto`` mode routes a batch to the
-#: array kernel. Below it the dict kernel's small per-lane state beats
-#: the array path's per-record dispatch floor; above it the dict path's
+#: Lane count at or above which ``auto`` mode gives a batch the array
+#: memory side. Below it the dict side's small per-lane state beats the
+#: array side's per-record dispatch floor; above it the dict side's
 #: working set blows out the host caches and scales superlinearly while
-#: the array path stays linear in lanes (both are bit-identical, so the
+#: the array side stays linear in lanes (both are bit-identical, so the
 #: cutover is purely a performance choice).
 AUTO_ARRAY_MIN_LANES = 128
 
@@ -134,9 +142,9 @@ AUTO_ARRAY_MIN_LANES = 128
 def lane_kernel_mode() -> str:
     """The lane-kernel path selected by ``REPRO_LANE_KERNEL``.
 
-    ``"auto"`` (the default) picks per batch: the array-resident kernel
-    for wide batches (>= ``AUTO_ARRAY_MIN_LANES`` lanes) and the dict
-    kernel for narrow ones. ``"array"`` / ``"dict"`` force one batched
+    ``"auto"`` (the default) picks a memory side per batch: the array
+    side for wide batches (>= ``AUTO_ARRAY_MIN_LANES`` lanes) and the dict
+    side for narrow ones. ``"array"`` / ``"dict"`` force one batched
     path; ``"scalar"`` (also ``0``/``false``/``no``/``off``) forces the
     scalar runner fallback.
     """
@@ -208,11 +216,12 @@ def run_lane_batch(
 ) -> List["PrefetchRunResult"]:
     """Replay ``trace`` through every lane; one result per lane, in order.
 
-    Dispatches to the array kernel (wide batches), the dict kernel
-    (narrow batches, or ``REPRO_LANE_KERNEL=dict``), or — when disabled
-    or ineligible — the scalar runners (`run_fixed_prefetcher`/
-    `run_fixed_arm`/`run_bandit_prefetch`) lane by lane. Results are
-    bit-identical every way; under ``REPRO_SANITIZE=1`` the kernel paths
+    Runs the batched kernel with the array memory side (wide batches) or
+    the dict side (narrow batches, or ``REPRO_LANE_KERNEL=dict``), or —
+    when disabled or ineligible — the scalar runners
+    (`run_fixed_prefetcher`/`run_fixed_arm`/`run_bandit_prefetch`) lane
+    by lane. Results are bit-identical every way; under
+    ``REPRO_SANITIZE=1`` the batched kernel
     additionally replay every lane through the object path and assert
     lane-by-lane equivalence (see
     :func:`repro.core_model.sanitizer.verify_lane_batch`).
@@ -234,9 +243,9 @@ def run_lane_batch(
             trace, lanes, hierarchy_config, core_config, params
         )
     sanitize = sanitize_enabled()
-    kernel = _lane_kernel_dict if mode == "dict" else _lane_kernel_array
-    results, checkpoints, step_logs = kernel(
-        trace, lanes, hierarchy_config, core_config, params,
+    memory = _dict_memory if mode == "dict" else _array_memory
+    results, checkpoints, step_logs = _lane_kernel(
+        trace, lanes, hierarchy_config, core_config, params, memory,
         collect_logs=sanitize,
     )
     if sanitize:
@@ -288,7 +297,7 @@ def _shared_prepass(
     trace: CompiledTrace,
     hierarchy_config: HierarchyConfig,
     core_config: CoreConfig,
-) -> Dict[str, object]:
+) -> Dict[str, Any]:
     """Compute every lane-invariant per-record quantity, once.
 
     Produces the core index/anchor stream (vectorized), the full L1
@@ -405,7 +414,8 @@ def _shared_prepass(
     }
 
 
-# ================================================================ the kernel
+
+# ================================================================ the driver
 
 
 def _lane_checkpoint(
@@ -428,6 +438,37 @@ def _lane_checkpoint(
         ))
 
 
+class _LaneCounters(NamedTuple):
+    """A memory side's per-lane counters at episode end, one list each."""
+
+    l2_demand_hits: List[int]
+    llc_demand_accesses: List[int]
+    llc_demand_hits: List[int]
+    dram_demand_fills: List[int]
+    writebacks: List[int]
+    issued: List[int]
+    timely: List[int]
+    late: List[int]
+    wrong: List[int]
+    dropped: List[int]
+
+
+#: A memory side's closures. ``apply_arm(i, arm)`` loads lane ``i``'s
+#: degree registers (a lane never given an arm is a ``"none"`` lane).
+#: ``miss_row(t, cycle, drain_to)`` runs L1-miss record ``t`` on every lane
+#: (MSHR drain up to ``drain_to``, L2/in-flight/LLC/DRAM probe, L1-victim
+#: writeback, prefetch emission) and returns a fresh demand-ready column.
+#: ``finish()`` drains every fill, counts never-used prefetches as wrong
+#: and returns the per-lane counters.
+_MemorySide = Tuple[
+    Callable[[int, int], None],
+    Callable[[int, np.ndarray, np.ndarray], np.ndarray],
+    Callable[[], _LaneCounters],
+]
+#: Builds a memory side from ``(num_lanes, hierarchy config, pre-pass)``.
+_MemoryFactory = Callable[[int, HierarchyConfig, Dict[str, Any]], _MemorySide]
+
+
 def _assemble_results(
     lanes: List[LaneSpec],
     loads: int,
@@ -436,55 +477,38 @@ def _assemble_results(
     total_instructions: int,
     retire_final: List[float],
     l2da: int,
-    l2dh: Sequence[int],
-    llcda: Sequence[int],
-    llcdh: Sequence[int],
-    dram_fills: Sequence[int],
-    writebacks: Sequence[int],
-    pf_issued: Sequence[int],
-    pf_timely: Sequence[int],
-    pf_late: Sequence[int],
-    pf_wrong: Sequence[int],
-    pf_dropped: Sequence[int],
+    counters: _LaneCounters,
     controllers: Dict[int, PrefetchBanditController],
 ) -> List["PrefetchRunResult"]:
-    """One ``PrefetchRunResult`` per lane from the kernel's final counters.
-
-    Counter sequences may be plain lists or numpy columns; every value is
-    cast to a builtin so the results pickle/serialize identically to the
-    scalar runners' output.
-    """
+    """One ``PrefetchRunResult`` per lane from the kernel's final counters."""
     from repro.experiments.prefetch import PrefetchRunResult
 
     results: List[PrefetchRunResult] = []
     for i, lane in enumerate(lanes):
-        retire_i = float(retire_final[i])
+        retire_i = retire_final[i]
         stats = HierarchyStats(
             loads=loads,
             stores=stores,
             l2_demand_accesses=l2da,
-            l2_demand_hits=int(l2dh[i]),
-            llc_demand_accesses=int(llcda[i]),
-            llc_demand_hits=int(llcdh[i]),
-            dram_demand_fills=int(dram_fills[i]),
-            writebacks=int(writebacks[i]),
+            l2_demand_hits=counters.l2_demand_hits[i],
+            llc_demand_accesses=counters.llc_demand_accesses[i],
+            llc_demand_hits=counters.llc_demand_hits[i],
+            dram_demand_fills=counters.dram_demand_fills[i],
+            writebacks=counters.writebacks[i],
             prefetch=PrefetchOutcome(
-                issued=int(pf_issued[i]),
-                timely=int(pf_timely[i]),
-                late=int(pf_late[i]),
-                wrong=int(pf_wrong[i]),
-                dropped=int(pf_dropped[i]),
+                issued=counters.issued[i],
+                timely=counters.timely[i],
+                late=counters.late[i],
+                wrong=counters.wrong[i],
+                dropped=counters.dropped[i],
             ),
         )
+        arm_trace: List[Tuple[float, int]] = []
         if lane.kind == "bandit":
             arm_history = list(controllers[i].algorithm.selection_history)
             arm_trace = controllers[i].arm_trace
-        elif lane.kind == "arm":
-            arm_history = [lane.arm]
-            arm_trace = []
         else:
-            arm_history = []
-            arm_trace = []
+            arm_history = [lane.arm] if lane.kind == "arm" else []
         results.append(PrefetchRunResult(
             ipc=total_instructions / retire_i if retire_i else 0.0,
             instructions=total_instructions,
@@ -498,13 +522,13 @@ def _assemble_results(
 
 
 class _BanditLanes:
-    """The ``"bandit"`` lanes of a batch, for either batched backend.
+    """The ``"bandit"`` lanes of a batch.
 
     One :class:`~repro.bandit.hardware.PrefetchBanditController` per
     bandit lane, with its hook thresholds held as ``(N,)`` float64 columns
-    (``inf`` on other lanes), so a kernel finds the lanes to call with one
-    vector compare. The kernels decide *when* controllers are called; what
-    a call does is the controller's.
+    (``inf`` on other lanes), so the driver finds the lanes to call with
+    one vector compare. The driver decides *when* controllers are called;
+    what a call does is the controller's.
     """
 
     def __init__(
@@ -577,30 +601,31 @@ class _BanditLanes:
             )
 
 
-def _lane_kernel_dict(
+def _lane_kernel(
     trace: CompiledTrace,
     lanes: List[LaneSpec],
     hierarchy_config: HierarchyConfig,
     core_config: CoreConfig,
     params: "PrefetchBanditParams",
+    memory_factory: _MemoryFactory,
     collect_logs: bool = False,
 ) -> Tuple[
     List["PrefetchRunResult"],
     List[List[StepRecord]],
     Dict[int, List[StepRecord]],
 ]:
-    """Advance every lane through the trace in one fused pass (dict path).
+    """Advance every lane through the trace in one fused pass.
 
-    The memory side is plain per-lane dicts updated in a per-lane Python
-    loop on every L1-miss record; ``auto`` mode picks this kernel for
-    batches narrower than ``AUTO_ARRAY_MIN_LANES``. Returns
-    ``(results, checkpoint_logs, bandit_step_logs)``; the logs are only
-    populated when ``collect_logs`` (the sanitizer's capture).
+    The core side runs here; ``memory_factory`` (:func:`_dict_memory` or
+    :func:`_array_memory`) builds the per-lane memory state and returns
+    its ``(apply_arm, miss_row, finish)`` closures (see
+    :data:`_MemorySide`). Returns ``(results, checkpoint_logs,
+    bandit_step_logs)``; the logs are only populated when
+    ``collect_logs`` (the sanitizer's capture).
     """
     num_lanes = len(lanes)
     pre = _shared_prepass(trace, hierarchy_config, core_config)
     total = pre["total"]
-    blocks = pre["blocks"]
     flags_l = pre["flags"]
     idx_l = pre["idx"]
     anchor_gidx = pre["anchor_gidx"]
@@ -609,15 +634,152 @@ def _lane_kernel_dict(
     gap_retire = pre["gap_retire"]
     gap_dispatch = pre["gap_dispatch"]
     hit = pre["hit"]
+    commit_cost = pre["commit_cost"]
+    dispatch_cost = pre["dispatch_cost"]
+    l1_latency = hierarchy_config.l1_latency
+
+    apply_arm, miss_row, finish = memory_factory(
+        num_lanes, hierarchy_config, pre
+    )
+    bst = _BanditLanes(lanes, params, apply_arm, collect_logs)
+    for i, lane in enumerate(lanes):
+        if lane.kind == "arm":
+            apply_arm(i, lane.arm)  # type: ignore[arg-type]
+
+    checkpoint_logs: List[List[StepRecord]] = [[] for _ in range(num_lanes)]
+    if collect_logs:
+        from repro.core_model.sanitizer import _CHECKPOINTS
+
+        cp_stride = max(1, total // _CHECKPOINTS)
+    else:
+        cp_stride = 0
+
+    # ---- per-lane core clocks as (N,) float64 columns; rlog[t + 1] is the
+    # retire-time column after row t, and row 0 is a permanent zero row so
+    # the no-anchor floor gathers 0.0 and every row takes the same maximum ----
+    # repro: dtype[retire: float64]
+    # repro: dtype[dispatch: float64]
+    # repro: dtype[llr: float64]
+    # repro: dtype[rlog: float64]
+    retire = np.zeros(num_lanes)
+    dispatch = np.zeros(num_lanes)
+    llr = np.zeros(num_lanes)  # last_load_ready
+    rlog = np.zeros((total + 1, num_lanes))
+    # Latest dependent-hit cycle since the last miss row (None if none).
+    drain_floor: Optional[np.ndarray] = None
+    # Every lane misses L1 together, so L2 demand accesses are a single
+    # shared counter, not a per-lane column.
+    l2da = 0
+
+    maximum = np.maximum
+    num_blocks = len(floor_blocks)
+    for b in range(num_blocks):
+        blk_s = floor_blocks[b]
+        blk_e = floor_blocks[b + 1] if b + 1 < num_blocks else total
+        # Every anchor in the block precedes blk_s (the pre-pass block
+        # builder guarantees it), so the gathered rlog rows are final and
+        # the whole block's retire floors cost two vector ops.
+        floors = rlog[anchor_gidx[blk_s:blk_e]]
+        floors += boost_arr[blk_s:blk_e, None]
+        for t in range(blk_s, blk_e):
+            gap_d = gap_dispatch[t]
+            if gap_d:
+                retire += gap_retire[t]
+                dispatch += gap_d
+            dispatch += dispatch_cost
+            maximum(dispatch, floors[t - blk_s], out=dispatch)
+
+            rflags = flags_l[t]
+            is_write = rflags & 1
+            if hit[t]:
+                if is_write:
+                    retire += commit_cost
+                else:
+                    if rflags & 2:  # FLAG_DEPENDENT
+                        cycle = maximum(dispatch, llr)
+                        # The scalar kernel drains the MSHR up to every
+                        # record's cycle. A dependent hit can run past
+                        # the next miss row's cycle, so it raises that
+                        # row's drain bound. (Other hit rows run at the
+                        # monotone dispatch clock and never do.)
+                        if drain_floor is None:
+                            drain_floor = cycle
+                        else:
+                            maximum(drain_floor, cycle, out=drain_floor)
+                    else:
+                        cycle = dispatch
+                    ready = cycle + l1_latency
+                    llr = ready
+                    retire += commit_cost
+                    maximum(retire, ready, out=retire)
+            else:
+                # L1 miss on every lane: the memory side takes over.
+                if not is_write and rflags & 2:  # FLAG_DEPENDENT
+                    cycle = maximum(dispatch, llr)
+                else:
+                    cycle = dispatch
+                if drain_floor is None:
+                    drain_to = cycle
+                else:
+                    drain_to = maximum(cycle, drain_floor)
+                    drain_floor = None
+                if bst.cyc_armed:
+                    # Deferred cycle-threshold fire: the scalar kernel
+                    # fires on the first hit row whose retire reaches a
+                    # pending selection's ready cycle, and all that fire
+                    # observably does is swap the lane's degree registers
+                    # (l2 accesses cannot cross a step boundary on hit
+                    # rows), which miss_row reads first. So it fires here,
+                    # on the state at the end of row t-1 (rlog row t): the
+                    # scalar hook never sees this row's ROB-gap increment.
+                    bst.fire(l2da, rlog[t], idx_l[t - 1])
+                l2da += 1
+                ready = miss_row(t, cycle, drain_to)
+                if is_write:
+                    retire += commit_cost
+                else:
+                    retire = maximum(ready, retire + commit_cost)
+                    llr = ready
+                # End-of-record hook thresholds, bandit lanes only: the
+                # retire column holds exactly the scalar hook's value, so
+                # the compare is bit-exact, and the scalar guards skip it
+                # on the many rows where no lane can fire.
+                if l2da >= bst.l2_min or bst.cyc_armed:
+                    bst.fire(l2da, retire, idx_l[t])
+            rlog[t + 1] = retire
+            if cp_stride and ((t + 1) % cp_stride == 0 or t + 1 == total):
+                _lane_checkpoint(checkpoint_logs, t, idx_l[t], retire, l2da)
+
+    # ------------------------------------------------------------- episode end
+    total_instructions = idx_l[-1] if total else 0
+    retire_final = retire.tolist()
+    bst.finish(total_instructions, retire_final, l2da)
+    results = _assemble_results(
+        lanes, pre["loads"], pre["stores"], total, total_instructions,
+        retire_final, l2da, finish(), bst.controllers,
+    )
+    return results, checkpoint_logs, bst.step_logs
+
+
+# =========================================================== dict memory side
+
+
+def _dict_memory(
+    num_lanes: int, config: HierarchyConfig, pre: Dict[str, Any]
+) -> _MemorySide:
+    """Per-lane Python state, walked lane by lane on every L1-miss row.
+
+    Each lane's MSHR is a ready-cycle heap; ``auto`` picks this side below
+    ``AUTO_ARRAY_MIN_LANES`` lanes.
+    """
+    blocks = pre["blocks"]
     l1_victim = pre["l1_victim"]
     l1_victim_dirty = pre["l1_victim_dirty"]
     st_ok = pre["st_ok"]
     st_stride = pre["st_stride"]
     sm_ok = pre["sm_ok"]
     sm_dir = pre["sm_dir"]
-    commit_cost = pre["commit_cost"]
 
-    config = hierarchy_config
     l1_latency = config.l1_latency
     l2_latency = config.l2_latency
     llc_latency = config.llc_latency
@@ -640,6 +802,9 @@ def _lane_kernel_dict(
     # lines are packed small ints (bit0 prefetched, bit1 used, bit2 dirty)
     # and LLC lines a bare dirty bool (its other flags are never read), so
     # cache fills allocate nothing ----
+    # repro: dtype[line: int bits<=3]
+    # repro: dtype[victim: int bits<=3]
+    # repro: dtype[l2_line: int bits<=3]
     l2_sets = [
         [{} for _ in range(l2_num_sets)] for _ in range(num_lanes)
     ]  # type: List[List[Dict[int, int]]]
@@ -649,14 +814,11 @@ def _lane_kernel_dict(
     # In-flight fills: block -> ready cycle, negated for prefetch fills
     # (ready cycles are strictly positive, so the sign carries is_pf).
     inflight: List[Dict[int, float]] = [dict() for _ in range(num_lanes)]
-    heaps: List[list] = [[] for _ in range(num_lanes)]
+    heaps: List[List[Tuple[float, int]]] = [[] for _ in range(num_lanes)]
     nfr = [_INF] * num_lanes  # next MSHR fill-ready cycle, per lane
     ipf = [0] * num_lanes  # in-flight prefetch count
     dram_free = [0.0] * num_lanes  # DRAM channel-free cycle
 
-    # Every lane misses L1 together, so L2 demand accesses are a single
-    # shared counter, not a per-lane column.
-    l2da = 0
     l2dh = [0] * num_lanes
     llcda = [0] * num_lanes
     llcdh = [0] * num_lanes
@@ -671,28 +833,13 @@ def _lane_kernel_dict(
     # ---- per-lane prefetcher configuration (EnsemblePrefetcher.set_arm
     # collapses to one packed (next_line, stride_deg, stream_deg) register
     # tuple; "none" lanes carry None and never observe) ----
-    lane_arm: List[Optional[Tuple[bool, int, int]]] = [
-        None if lane.kind == "none" else (False, 0, 0) for lane in lanes
-    ]
+    lane_arm: List[Optional[Tuple[bool, int, int]]] = [None] * num_lanes
 
     def apply_arm(i: int, arm_id: int) -> None:
         spec = TABLE7_ARMS[arm_id]
         lane_arm[i] = (
             spec.next_line, spec.stride_degree, spec.stream_degree
         )
-
-    bst = _BanditLanes(lanes, params, apply_arm, collect_logs)
-    for i, lane in enumerate(lanes):
-        if lane.kind == "arm":
-            apply_arm(i, lane.arm)  # type: ignore[arg-type]
-
-    checkpoint_logs: List[List[StepRecord]] = [[] for _ in range(num_lanes)]
-    if collect_logs:
-        from repro.core_model.sanitizer import _CHECKPOINTS
-
-        cp_stride = max(1, total // _CHECKPOINTS)
-    else:
-        cp_stride = 0
 
     def fill_llc(i: int, block: int, dirty: bool) -> None:
         """Per-lane transcription of the scalar kernel's fill_llc closure."""
@@ -787,305 +934,193 @@ def _lane_kernel_dict(
                 cache_set[fill_block] = False
         nfr[i] = heap[0][0] if heap else _INF
 
-    # ---- per-lane core clocks as (N,) float64 columns; rlog[t + 1] is the
-    # retire-time column after row t, and row 0 is a permanent zero row so
-    # the no-anchor floor gathers 0.0 and every row takes the same maximum ----
-    # repro: dtype[retire: float64]
-    # repro: dtype[dispatch: float64]
-    # repro: dtype[llr: float64]
-    # repro: dtype[rlog: float64]
-    # Packed L2 line flags: bit0 prefetched, bit1 used, bit2 dirty.
-    # repro: dtype[line: int bits<=3]
-    # repro: dtype[victim: int bits<=3]
-    # repro: dtype[l2_line: int bits<=3]
-    retire = np.zeros(num_lanes)
-    dispatch = np.zeros(num_lanes)
-    llr = np.zeros(num_lanes)  # last_load_ready
-    rlog = np.zeros((total + 1, num_lanes))
-    # Latest dependent-hit cycle since the last miss row (None if none).
-    drain_floor: Optional[np.ndarray] = None
-
-    dispatch_cost = pre["dispatch_cost"]
-    maximum = np.maximum
-    num_blocks = len(floor_blocks)
-    for b in range(num_blocks):
-        blk_s = floor_blocks[b]
-        blk_e = floor_blocks[b + 1] if b + 1 < num_blocks else total
-        # Every anchor in the block precedes blk_s (the pre-pass block
-        # builder guarantees it), so the gathered rlog rows are final and
-        # the whole block's retire floors cost two vector ops.
-        floors = rlog[anchor_gidx[blk_s:blk_e]]
-        floors += boost_arr[blk_s:blk_e, None]
-        for t in range(blk_s, blk_e):
-            gap_d = gap_dispatch[t]
-            if gap_d:
-                retire += gap_retire[t]
-                dispatch += gap_d
-            dispatch += dispatch_cost
-            maximum(dispatch, floors[t - blk_s], out=dispatch)
-
-            rflags = flags_l[t]
-            is_write = rflags & 1
-            if hit[t]:
-                if is_write:
-                    retire += commit_cost
+    def miss_row(
+        t: int, cycle: np.ndarray, drain_to: np.ndarray
+    ) -> np.ndarray:
+        """L1-miss record ``t`` on every lane, one lane at a time."""
+        block = blocks[t]
+        bs2 = block % l2_num_sets
+        bsl = block % llc_num_sets
+        cycle_l = cycle.tolist()
+        # The driver passes ``cycle`` itself when no dependent hit raised
+        # the drain bound.
+        drain_l = cycle_l if drain_to is cycle else drain_to.tolist()
+        ready_l = [0.0] * num_lanes
+        victim_block_t = l1_victim[t]
+        victim_wb = victim_block_t >= 0 and l1_victim_dirty[t]
+        nl_cand = block + 1
+        st_hit_t = st_ok[t]
+        sm_hit_t = sm_ok[t]
+        st_d_t = st_stride[t]
+        sm_d_t = sm_dir[t]
+        cand_memo: Dict[Tuple[bool, int, int], List[int]] = {}
+        for i in range(num_lanes):
+            cycle_i = cycle_l[i]
+            drain_i = drain_l[i]
+            if nfr[i] <= drain_i:
+                # Deferred MSHR drain: fills that came ready during the
+                # hit rows since this lane's last miss are unobservable
+                # until this probe, and the ready-heap preserves their
+                # completion order, so draining them here is exact.
+                drain_mshr(i, drain_i)
+            l2_cycle = cycle_i + l1_latency
+            l2_sets_i = l2_sets[i]
+            llc_sets_i = llc_sets[i]
+            l2_set = l2_sets_i[bs2]
+            l2_line = l2_set.pop(block, None)
+            inflight_i = inflight[i]
+            if l2_line is not None:
+                l2dh[i] += 1
+                if l2_line & 1:
+                    pf_timely[i] += 1
+                    l2_set[block] = (l2_line | 2) & ~1
                 else:
-                    if rflags & 2:  # FLAG_DEPENDENT
-                        cycle = maximum(dispatch, llr)
-                        # The scalar kernel drains the MSHR up to every
-                        # record's cycle. A dependent hit can run past
-                        # the next miss row's cycle, so it raises that
-                        # row's drain bound. (Other hit rows run at the
-                        # monotone dispatch clock and never do.)
-                        if drain_floor is None:
-                            drain_floor = cycle
-                        else:
-                            maximum(drain_floor, cycle, out=drain_floor)
-                    else:
-                        cycle = dispatch
-                    ready = cycle + l1_latency
-                    llr = ready
-                    retire += commit_cost
-                    maximum(retire, ready, out=retire)
-                rlog[t + 1] = retire
-                if cp_stride and ((t + 1) % cp_stride == 0 or t + 1 == total):
-                    _lane_checkpoint(
-                        checkpoint_logs, t, idx_l[t], retire, l2da
-                    )
-                continue
-
-            # L1 miss on every lane: per-lane memory-side transcription.
-            if not is_write and rflags & 2:  # FLAG_DEPENDENT
-                cycle = maximum(dispatch, llr)
+                    l2_set[block] = l2_line | 2
+                ready_i = l2_cycle + l2_latency
             else:
-                cycle = dispatch
-            block = blocks[t]
-            bs2 = block % l2_num_sets
-            bsl = block % llc_num_sets
-            cycle_l = cycle.tolist()
-            if drain_floor is None:
-                drain_l = cycle_l
-            else:
-                drain_l = maximum(cycle, drain_floor).tolist()
-                drain_floor = None
-            retire_l = retire.tolist()
-            ready_l = cycle_l  # overwritten per lane below (loads only)
-            if not is_write:
-                ready_l = [0.0] * num_lanes
-            victim_block_t = l1_victim[t]
-            victim_wb = victim_block_t >= 0 and l1_victim_dirty[t]
-            nl_cand = block + 1
-            st_hit_t = st_ok[t]
-            sm_hit_t = sm_ok[t]
-            st_d_t = st_stride[t]
-            sm_d_t = sm_dir[t]
-            cand_memo: Dict[Tuple[bool, int, int], List[int]] = {}
-            if bst.cyc_armed:
-                # Deferred cycle-threshold fire: the scalar kernel fires
-                # on the first hit row whose retire reaches a pending
-                # selection's ready cycle, and all that fire observably
-                # does is swap the lane's degree registers (l2 accesses
-                # cannot cross a step boundary on hit rows), which are
-                # first read below. So it fires here, on the state at the
-                # end of row t-1 (rlog row t): the scalar hook never sees
-                # this row's ROB-gap retire increment.
-                bst.fire(l2da, rlog[t], idx_l[t - 1])
-            # Every lane misses together: one shared demand-access bump.
-            l2da += 1
-            for i in range(num_lanes):
-                cycle_i = cycle_l[i]
-                drain_i = drain_l[i]
-                if nfr[i] <= drain_i:
-                    # Deferred MSHR drain: fills that came ready during the
-                    # hit rows since this lane's last miss are unobservable
-                    # until this probe, and the ready-heap preserves their
-                    # completion order, so draining them here is exact.
-                    drain_mshr(i, drain_i)
-                l2_cycle = cycle_i + l1_latency
-                l2_sets_i = l2_sets[i]
-                llc_sets_i = llc_sets[i]
-                l2_set = l2_sets_i[bs2]
-                l2_line = l2_set.pop(block, None)
-                inflight_i = inflight[i]
-                if l2_line is not None:
-                    l2dh[i] += 1
-                    if l2_line & 1:
-                        pf_timely[i] += 1
-                        l2_set[block] = (l2_line | 2) & ~1
-                    else:
-                        l2_set[block] = l2_line | 2
-                    ready_i = l2_cycle + l2_latency
+                entry = inflight_i.get(block)
+                if entry is not None:
+                    if entry < 0:
+                        pf_late[i] += 1
+                        entry = -entry
+                        inflight_i[block] = entry
+                        ipf[i] -= 1
+                    l2_ready = l2_cycle + l2_latency
+                    ready_i = entry if entry > l2_ready else l2_ready
                 else:
-                    entry = inflight_i.get(block)
-                    if entry is not None:
-                        if entry < 0:
-                            pf_late[i] += 1
-                            entry = -entry
-                            inflight_i[block] = entry
-                            ipf[i] -= 1
-                        l2_ready = l2_cycle + l2_latency
-                        ready_i = entry if entry > l2_ready else l2_ready
-                    else:
-                        llc_cycle = l2_cycle + l2_latency
-                        llcda[i] += 1
-                        llc_set = llc_sets_i[bsl]
-                        llc_line = llc_set.pop(block, None)
-                        if llc_line is not None:
-                            llc_set[block] = llc_line
-                            llcdh[i] += 1
-                            ready_i = llc_cycle + llc_latency
-                            # fill_l2(block, 0): the block just missed
-                            # this set, so no existing-line check.
-                            if len(l2_set) >= l2_ways:
-                                for victim_block in l2_set:
-                                    break
-                                victim = l2_set.pop(victim_block)
-                                if victim & 1 and not victim & 2:
-                                    pf_wrong[i] += 1
-                                l2_set[block] = 0
-                                if victim & 4:
-                                    fill_llc(i, victim_block, True)
-                            else:
-                                l2_set[block] = 0
+                    llc_cycle = l2_cycle + l2_latency
+                    llcda[i] += 1
+                    llc_set = llc_sets_i[bsl]
+                    llc_line = llc_set.pop(block, None)
+                    if llc_line is not None:
+                        llc_set[block] = llc_line
+                        llcdh[i] += 1
+                        ready_i = llc_cycle + llc_latency
+                        # fill_l2(block, 0): the block just missed
+                        # this set, so no existing-line check.
+                        if len(l2_set) >= l2_ways:
+                            for victim_block in l2_set:
+                                break
+                            victim = l2_set.pop(victim_block)
+                            if victim & 1 and not victim & 2:
+                                pf_wrong[i] += 1
+                            l2_set[block] = 0
+                            if victim & 4:
+                                fill_llc(i, victim_block, True)
                         else:
-                            request = llc_cycle + llc_latency
+                            l2_set[block] = 0
+                    else:
+                        request = llc_cycle + llc_latency
+                        channel_free = dram_free[i]
+                        start = (request if request > channel_free
+                                 else channel_free)
+                        dram_free[i] = start + dram_line_cost
+                        ready_i = start + dram_latency
+                        dram_fills[i] += 1
+                        if len(inflight_i) < mshr_capacity:
+                            inflight_i[block] = ready_i
+                            heappush(heaps[i], (ready_i, block))
+                            if ready_i < nfr[i]:
+                                nfr[i] = ready_i
+                        else:
+                            # MSHR pressure: untracked immediate fill.
+                            fill_l2(i, block, 0)
+                            fill_llc(i, block, False)
+            # L1 fill is shared state (pre-pass); only a dirty victim's
+            # L2 writeback diverges per lane.
+            if victim_wb:
+                fill_l2(i, victim_block_t, 4)
+            arm_t = lane_arm[i]
+            if arm_t is not None:
+                nl_on, st_d, sm_d = arm_t
+                if not st_hit_t:
+                    st_d = 0
+                if not sm_hit_t:
+                    sm_d = 0
+                if nl_on or st_d or sm_d:
+                    key = (nl_on, st_d, sm_d)
+                    candidates = cand_memo.get(key)
+                    if candidates is None:
+                        # EnsemblePrefetcher.observe's emission order:
+                        # next-line, then deduped stride, then stream.
+                        nl = [nl_cand] if nl_on else []
+                        st = ([block + st_d_t * k
+                               for k in range(1, st_d + 1)]
+                              if st_d else [])
+                        sm = ([block + sm_d_t * k
+                               for k in range(1, sm_d + 1)]
+                              if sm_d else [])
+                        if not st and not sm:
+                            candidates = nl
+                        else:
+                            candidates = list(nl)
+                            seen = set(nl)
+                            for cand in st:
+                                if cand not in seen:
+                                    seen.add(cand)
+                                    candidates.append(cand)
+                            for cand in sm:
+                                if cand not in seen:
+                                    seen.add(cand)
+                                    candidates.append(cand)
+                        cand_memo[key] = candidates
+                    for cand in candidates:
+                        if cand < 0 or cand in l2_sets_i[
+                            cand % l2_num_sets
+                        ] or cand in inflight_i:
+                            continue
+                        if (ipf[i] >= max_inflight_prefetches
+                                or len(inflight_i) >= mshr_capacity):
+                            pf_dropped[i] += 1
+                            continue
+                        pf_issued[i] += 1
+                        if cand in llc_sets_i[cand % llc_num_sets]:
+                            pf_ready = cycle_i + l2_latency + llc_latency
+                        else:
+                            request = cycle_i + l2_latency + llc_latency
                             channel_free = dram_free[i]
                             start = (request if request > channel_free
                                      else channel_free)
                             dram_free[i] = start + dram_line_cost
-                            ready_i = start + dram_latency
-                            dram_fills[i] += 1
-                            if len(inflight_i) < mshr_capacity:
-                                inflight_i[block] = ready_i
-                                heappush(heaps[i], (ready_i, block))
-                                if ready_i < nfr[i]:
-                                    nfr[i] = ready_i
-                            else:
-                                # MSHR pressure: untracked immediate fill.
-                                fill_l2(i, block, 0)
-                                fill_llc(i, block, False)
-                # L1 fill is shared state (pre-pass); only a dirty victim's
-                # L2 writeback diverges per lane.
-                if victim_wb:
-                    fill_l2(i, victim_block_t, 4)
-                arm_t = lane_arm[i]
-                if arm_t is not None:
-                    nl_on, st_d, sm_d = arm_t
-                    if not st_hit_t:
-                        st_d = 0
-                    if not sm_hit_t:
-                        sm_d = 0
-                    if nl_on or st_d or sm_d:
-                        key = (nl_on, st_d, sm_d)
-                        candidates = cand_memo.get(key)
-                        if candidates is None:
-                            # EnsemblePrefetcher.observe's emission order:
-                            # next-line, then deduped stride, then stream.
-                            nl = [nl_cand] if nl_on else []
-                            st = ([block + st_d_t * k
-                                   for k in range(1, st_d + 1)]
-                                  if st_d else [])
-                            sm = ([block + sm_d_t * k
-                                   for k in range(1, sm_d + 1)]
-                                  if sm_d else [])
-                            if not st and not sm:
-                                candidates = nl
-                            else:
-                                candidates = list(nl)
-                                seen = set(nl)
-                                for cand in st:
-                                    if cand not in seen:
-                                        seen.add(cand)
-                                        candidates.append(cand)
-                                for cand in sm:
-                                    if cand not in seen:
-                                        seen.add(cand)
-                                        candidates.append(cand)
-                            cand_memo[key] = candidates
-                        for cand in candidates:
-                            if cand < 0 or cand in l2_sets_i[
-                                cand % l2_num_sets
-                            ] or cand in inflight_i:
-                                continue
-                            if (ipf[i] >= max_inflight_prefetches
-                                    or len(inflight_i) >= mshr_capacity):
-                                pf_dropped[i] += 1
-                                continue
-                            pf_issued[i] += 1
-                            if cand in llc_sets_i[cand % llc_num_sets]:
-                                pf_ready = cycle_i + l2_latency + llc_latency
-                            else:
-                                request = cycle_i + l2_latency + llc_latency
-                                channel_free = dram_free[i]
-                                start = (request if request > channel_free
-                                         else channel_free)
-                                dram_free[i] = start + dram_line_cost
-                                pf_ready = start + dram_latency
-                            inflight_i[cand] = -pf_ready
-                            heappush(heaps[i], (pf_ready, cand))
-                            if pf_ready < nfr[i]:
-                                nfr[i] = pf_ready
-                            ipf[i] += 1
-                # On write rows ready_l aliases cycle_l; cycle_l[i] was
-                # already consumed, so the stray write is harmless.
-                ready_l[i] = ready_i
-            if is_write:
-                retire += commit_cost
-            else:
-                new_retire = [0.0] * num_lanes
-                for i in range(num_lanes):
-                    next_retire = retire_l[i] + commit_cost
-                    ready_i = ready_l[i]
-                    new_retire[i] = (ready_i if ready_i > next_retire
-                                     else next_retire)
-                retire = np.array(new_retire, dtype=np.float64)
-                llr = np.array(ready_l, dtype=np.float64)
-            rlog[t + 1] = retire
+                            pf_ready = start + dram_latency
+                        inflight_i[cand] = -pf_ready
+                        heappush(heaps[i], (pf_ready, cand))
+                        if pf_ready < nfr[i]:
+                            nfr[i] = pf_ready
+                        ipf[i] += 1
+            ready_l[i] = ready_i
+        return np.array(ready_l, dtype=np.float64)
 
-            # End-of-record hook thresholds, bandit lanes only: the retire
-            # column holds exactly the scalar hook's value, so the compare
-            # is bit-exact, and the scalar guards skip it on the many rows
-            # where no lane can fire.
-            if l2da >= bst.l2_min or bst.cyc_armed:
-                bst.fire(l2da, retire, idx_l[t])
+    def finish() -> _LaneCounters:
+        for i in range(num_lanes):
+            # hierarchy.finalize(): flush in-flight fills (heap order at
+            # +inf), then count never-used prefetched L2 lines as wrong.
+            heap = heaps[i]
+            inflight_i = inflight[i]
+            while heap:
+                fill_block = heappop(heap)[1]
+                entry = inflight_i.pop(fill_block, None)
+                if entry is None:
+                    continue
+                if entry < 0:
+                    ipf[i] -= 1
+                    fill_l2(i, fill_block, 1)
+                else:
+                    fill_l2(i, fill_block, 0)
+                fill_llc(i, fill_block, False)
+            for cache_set in l2_sets[i]:
+                for line in cache_set.values():
+                    if line & 1 and not line & 2:
+                        pf_wrong[i] += 1
+        return _LaneCounters(
+            l2dh, llcda, llcdh, dram_fills, writebacks,
+            pf_issued, pf_timely, pf_late, pf_wrong, pf_dropped,
+        )
 
-            if cp_stride and ((t + 1) % cp_stride == 0 or t + 1 == total):
-                _lane_checkpoint(checkpoint_logs, t, idx_l[t], retire, l2da)
-
-    # ------------------------------------------------------------- episode end
-    total_instructions = idx_l[-1] if total else 0
-    retire_final = retire.tolist()
-    bst.finish(total_instructions, retire_final, l2da)
-    for i in range(num_lanes):
-        # hierarchy.finalize(): flush in-flight fills (heap order at +inf),
-        # then count never-used prefetched L2 lines as wrong.
-        heap = heaps[i]
-        inflight_i = inflight[i]
-        while heap:
-            fill_block = heappop(heap)[1]
-            entry = inflight_i.pop(fill_block, None)
-            if entry is None:
-                continue
-            if entry < 0:
-                ipf[i] -= 1
-                fill_l2(i, fill_block, 1)
-            else:
-                fill_l2(i, fill_block, 0)
-            fill_llc(i, fill_block, False)
-        for cache_set in l2_sets[i]:
-            for line in cache_set.values():
-                if line & 1 and not line & 2:
-                    pf_wrong[i] += 1
-
-    results = _assemble_results(
-        lanes, pre["loads"], pre["stores"], total, total_instructions,
-        retire_final, l2da, l2dh, llcda, llcdh, dram_fills, writebacks,
-        pf_issued, pf_timely, pf_late, pf_wrong, pf_dropped, bst.controllers,
-    )
-    return results, checkpoint_logs, bst.step_logs
+    return apply_arm, miss_row, finish
 
 
-# ===================================================== array-resident kernel
+# ========================================================== array memory side
 
 
 _ARANGE_CACHE: Dict[int, np.ndarray] = {}
@@ -1114,14 +1149,14 @@ def _fill_rows(
 ) -> np.ndarray:
     """Generic cache fill over flattened ``(lane row, set index)`` keys.
 
-    Mirrors the dict kernels' fill closures under the stamp-LRU layout:
+    Mirrors the dict side's fill closures under the stamp-LRU layout:
     way positions are stable and recency lives in the ``sflat``
     last-touch stamps, so a hit touch and an insert are single-element
     scatters instead of O(ways) MRU shifts. An existing line absorbs
     only the incoming dirty bit; an absent line lands at way ``count``
     (sets fill left to right and lines are never invalidated) or
     replaces the argmin-stamp way of a full set — the least recently
-    touched line, exactly the dict kernels' move-to-end victim, because
+    touched line, exactly the dict side's move-to-end victim, because
     stamps are assigned from one monotone counter per touch event.
     ``flat``/``cflat``/``sflat`` are the ``(N * sets, ...)`` views of a
     level's line, count, and stamp arrays and ``keys`` is ``row *
@@ -1198,7 +1233,7 @@ class _ArrayState:
     pf_wrong: np.ndarray  #: (N,) prefetched-but-never-used eviction count
     #: Monotone touch counter: every vectorized touch event (fill wave,
     #: demand hit batch) stamps the ways it touches with a fresh value,
-    #: so argmin(stamp) over a full set is the dict kernels' LRU victim.
+    #: so argmin(stamp) over a full set is the dict side's LRU victim.
     ctr: int = 0
 
 
@@ -1228,7 +1263,7 @@ def _fill_llc_rows(
         # Unbuffered adds: drain waves may carry one lane twice (distinct
         # sets), and fancy-index += would drop the duplicate. Repeated
         # adds of the same constant are order-independent, so this stays
-        # bit-identical to the dict kernel's sequential accounting.
+        # bit-identical to the dict side's sequential accounting.
         wrows = rows[dirty]
         np.add.at(st.writebacks, wrows, 1)
         np.add.at(st.dram_free, wrows, st.dram_line_cost)
@@ -1342,7 +1377,7 @@ class _FillQueue:
     scatter (no per-drain compaction), and slots are reclaimed wholesale
     by an amortized :meth:`_compact` only when an insert would overrun
     capacity. The drain orders extracted fills by lexicographic
-    ``(ready, block)`` *value* — exactly the dict kernel's heap order —
+    ``(ready, block)`` *value* — exactly the dict side's heap order —
     so storage order never matters. ``length`` counts real entries (the
     MSHR occupancy check), ``nfr`` caches each row's minimum ready cycle
     (``+inf`` when empty), and ``hi == max(tail)`` bounds scans.
@@ -1527,15 +1562,15 @@ def _drain_ready_fills(
 ) -> None:
     """Complete every in-flight fill that is ready by ``cycle``.
 
-    One-shot transcription of the dict kernel's drain_mshr. A fill only
+    One-shot transcription of the dict side's drain_mshr. A fill only
     touches its own (lane, set) line array and its accounting adds
-    commute, so the completion order the dict kernel's heap imposes
+    commute, so the completion order the dict side's heap imposes
     matters only *within* a (lane, set) pair. The drain therefore
     extracts every due fill at once and applies each cache level in
     occurrence-rank waves: fills are sorted by the heap's (ready, block)
     order, each wave carries at most one fill per (lane, set), and ranks
     replay the per-set order exactly. Dirty L2 victims spill into the
-    LLC sequenced with the dict kernel's interleaving — the victim of
+    LLC sequenced with the dict side's interleaving — the victim of
     fill k lands before fill k's own LLC line. ``cycle=None`` drains
     everything (hierarchy finalize).
     """
@@ -1615,7 +1650,7 @@ def _drain_ready_fills(
         dirty = dirty[order]
         victims = victims[order]
     if have_dirty:
-        # The dict kernel writes fill k's dirty victim to the LLC right
+        # The dict side writes fill k's dirty victim to the LLC right
         # before fill k's own line: merge by interleave sequence keys
         # (victim of fill k → 2k, fill k itself → 2k+1).
         seq = _arange(k)
@@ -1636,49 +1671,22 @@ def _drain_ready_fills(
         _fill_llc_rows(st, lrows[m], lblocks[m], lflags[m], keys=lkeys[m])
 
 
-def _lane_kernel_array(
-    trace: CompiledTrace,
-    lanes: List[LaneSpec],
-    hierarchy_config: HierarchyConfig,
-    core_config: CoreConfig,
-    params: "PrefetchBanditParams",
-    collect_logs: bool = False,
-) -> Tuple[
-    List["PrefetchRunResult"],
-    List[List[StepRecord]],
-    Dict[int, List[StepRecord]],
-]:
-    """Advance every lane through the trace in one fused pass (array path).
+def _array_memory(
+    num_lanes: int, config: HierarchyConfig, pre: Dict[str, Any]
+) -> _MemorySide:
+    """Array-resident state: an L1-miss row updates all N lanes at once.
 
-    The memory side lives in packed ``(N, sets, ways)`` line arrays plus
-    an ``(N, mshr)`` sorted fill queue, so an L1-miss record updates all N
-    lanes in a handful of masked array ops — no per-lane Python loop on
-    the demand or prefetch-fill paths. Bit-identical lane-by-lane to
-    ``_lane_kernel_dict`` and the scalar runners. Returns
-    ``(results, checkpoint_logs, bandit_step_logs)``; the logs are only
-    populated when ``collect_logs`` (the sanitizer's capture).
+    No per-lane Python loop runs on the demand or prefetch-fill paths;
+    ``auto`` picks this side at or above ``AUTO_ARRAY_MIN_LANES`` lanes.
     """
-    num_lanes = len(lanes)
-    pre = _shared_prepass(trace, hierarchy_config, core_config)
-    total = pre["total"]
     blocks = pre["blocks"]
-    flags_l = pre["flags"]
-    idx_l = pre["idx"]
-    anchor_gidx = pre["anchor_gidx"]
-    boost_arr = pre["boost_arr"]
-    floor_blocks = pre["floor_blocks"]
-    gap_retire = pre["gap_retire"]
-    gap_dispatch = pre["gap_dispatch"]
-    hit = pre["hit"]
     l1_victim = pre["l1_victim"]
     l1_victim_dirty = pre["l1_victim_dirty"]
     st_ok = pre["st_ok"]
     st_stride = pre["st_stride"]
     sm_ok = pre["sm_ok"]
     sm_dir = pre["sm_dir"]
-    commit_cost = pre["commit_cost"]
 
-    config = hierarchy_config
     l1_latency = config.l1_latency
     l2_latency = config.l2_latency
     llc_latency = config.llc_latency
@@ -1742,9 +1750,7 @@ def _lane_kernel_array(
     fq = _FillQueue.create(num_lanes, mshr_capacity)
     nfr = fq.nfr  # per-lane next fill-ready cycle (updated in place)
 
-    # Every lane misses L1 together, so L2 demand accesses are a single
-    # shared counter; everything else is an (N,) column.
-    l2da = 0
+    # Per-lane counters as (N,) columns (L2 demand accesses are shared).
     l2dh = np.zeros(num_lanes, dtype=np.int64)
     llcda = np.zeros(num_lanes, dtype=np.int64)
     llcdh = np.zeros(num_lanes, dtype=np.int64)
@@ -1762,29 +1768,24 @@ def _lane_kernel_array(
     reg_sm = np.zeros(num_lanes, dtype=np.int64)
 
     # Arm switches are rare (one lane per bandit step) next to miss
-    # records, so degree-register reductions (max degree, next-line mask)
-    # are cached and recomputed only when a register actually changed.
-    deg_dirty = [True]
+    # records, so degree-register reductions (next-line mask, max
+    # degrees) are cached and recomputed on the first miss row after a
+    # register actually changed.
+    deg_dirty = True
+    nlb: np.ndarray
+    nl_any: bool
+    ke_full: int
+    je_full: int
+    est_m1: np.ndarray
+    est_pos: np.ndarray
 
     def apply_arm(i: int, arm_id: int) -> None:
+        nonlocal deg_dirty
         spec = TABLE7_ARMS[arm_id]
         reg_nl[i] = 1 if spec.next_line else 0
         reg_st[i] = spec.stride_degree
         reg_sm[i] = spec.stream_degree
-        deg_dirty[0] = True
-
-    bst = _BanditLanes(lanes, params, apply_arm, collect_logs)
-    for i, lane in enumerate(lanes):
-        if lane.kind == "arm":
-            apply_arm(i, lane.arm)  # type: ignore[arg-type]
-
-    checkpoint_logs: List[List[StepRecord]] = [[] for _ in range(num_lanes)]
-    if collect_logs:
-        from repro.core_model.sanitizer import _CHECKPOINTS
-
-        cp_stride = max(1, total // _CHECKPOINTS)
-    else:
-        cp_stride = 0
+        deg_dirty = True
 
     # ---- candidate-matrix constants: the Table 7 arm registry bounds the
     # per-record candidate list at 1 next-line + max stride degree + max
@@ -1804,424 +1805,345 @@ def _lane_kernel_array(
     cand_cache: Dict[
         Tuple[int, int, int, int], Tuple[np.ndarray, np.ndarray, int]
     ] = {}
-
-    # ---- per-lane core clocks as (N,) float64 columns; rlog[t + 1] is
-    # the retire column after row t, and row 0 is a permanent zero row so
-    # the no-anchor floor gathers 0.0 (see the dict kernel) ----
-    # repro: dtype[retire: float64]
-    # repro: dtype[dispatch: float64]
-    # repro: dtype[llr: float64]
-    # repro: dtype[rlog: float64]
-    # repro: dtype[ready_arr: float64]
-    retire = np.zeros(num_lanes)
-    dispatch = np.zeros(num_lanes)
-    llr = np.zeros(num_lanes)  # last_load_ready
-    rlog = np.zeros((total + 1, num_lanes))
-    # Latest dependent-hit cycle since the last miss row (see the dict
-    # kernel: it raises the next miss row's MSHR drain bound).
-    drain_floor: Optional[np.ndarray] = None
-
-    dispatch_cost = pre["dispatch_cost"]
     maximum = np.maximum
     all_rows = _arange(num_lanes)
     lidx = all_rows[:, None]
-    num_blocks = len(floor_blocks)
-    for b in range(num_blocks):
-        blk_s = floor_blocks[b]
-        blk_e = floor_blocks[b + 1] if b + 1 < num_blocks else total
-        floors = rlog[anchor_gidx[blk_s:blk_e]]
-        floors += boost_arr[blk_s:blk_e, None]
-        for t in range(blk_s, blk_e):
-            gap_d = gap_dispatch[t]
-            if gap_d:
-                retire += gap_retire[t]
-                dispatch += gap_d
-            dispatch += dispatch_cost
-            maximum(dispatch, floors[t - blk_s], out=dispatch)
+    # repro: dtype[ready_arr: float64]
 
-            rflags = flags_l[t]
-            is_write = rflags & 1
-            if hit[t]:
-                if is_write:
-                    retire += commit_cost
+    def miss_row(
+        t: int, cycle: np.ndarray, drain_to: np.ndarray
+    ) -> np.ndarray:
+        """L1-miss record ``t`` on every lane, as masked column ops."""
+        nonlocal llcda, dram_fills, pf_issued, pf_dropped
+        nonlocal deg_dirty, nlb, nl_any, ke_full, je_full, est_m1, est_pos
+        block = blocks[t]
+        bs2 = block % l2_num_sets
+        bsl = block % llc_num_sets
+        victim_block_t = l1_victim[t]
+        victim_wb = victim_block_t >= 0 and l1_victim_dirty[t]
+        if fq.hi and (nfr <= drain_to).any():
+            # Deferred MSHR drain, exactly the dict side's: fills
+            # that came ready during hit rows are unobservable until
+            # this probe, and the queue preserves completion order.
+            _drain_ready_fills(st, fq, drain_to)
+        l2_cycle = cycle + l1_latency
+        ready_arr = np.empty(num_lanes)
+        # --- L2 probe: one shared set index, all lanes at once ---
+        set2 = l2_data[:, bs2]
+        match2 = (set2 >> 3) == block
+        l2hit = match2.any(axis=1)
+        hrows = l2hit.nonzero()[0]
+        if hrows.size:
+            pos = match2[hrows].argmax(axis=1)
+            old = set2[hrows, pos]
+            was_pf = (old & 1) != 0
+            if was_pf.any():
+                pf_timely[hrows[was_pf]] += 1
+            # Demand touch on the packed value: set used (bit1),
+            # clear prefetched (bit0), keep block and dirty. The
+            # way stays put — only its recency stamp moves.
+            set2[hrows, pos] = (old | 2) ^ (old & 1)
+            st.ctr += 1
+            l2_stamp[hrows, bs2, pos] = st.ctr
+            l2dh[hrows] += 1
+            ready_arr[hrows] = l2_cycle[hrows] + l2_latency
+        # The thrash shape — every lane misses every level — skips
+        # each subset gather below (``*_all`` flags) and operates on
+        # whole columns instead.
+        if hrows.size:
+            mrows = (~l2hit).nonzero()[0]
+            m_all = False
+        else:
+            mrows = all_rows
+            m_all = True
+        if mrows.size:
+            if m_all:
+                l2_ready_m = l2_cycle + l2_latency
+            else:
+                l2_ready_m = l2_cycle[mrows] + l2_latency
+            # --- in-flight (MSHR) probe: the bucket table rules out
+            # membership with one (N,) gather; only bucket-colliding
+            # rows scan their queue slots ---
+            qf_size = 0
+            if fq.hi:
+                qtcol = fq.tab[:, block & 255]
+                qmay = (qtcol != 0) if m_all else (qtcol[mrows] != 0)
+                qmr = qmay.nonzero()[0]
+                if qmr.size:
+                    qmatch = fq.block[mrows[qmr], :fq.hi] == block
+                    qf_inner = qmatch.any(axis=1).nonzero()[0]
+                    qf = qmr[qf_inner]
+                    qf_size = qf.size
+            if qf_size:
+                prows = mrows[qf]
+                qpos = qmatch[qf_inner].argmax(axis=1)
+                entry = fq.ready[prows, qpos]
+                conv = fq.pf[prows, qpos]
+                cv = conv.nonzero()[0]
+                if cv.size:
+                    # Prefetch-to-demand conversion flips only the pf
+                    # flag; the (ready, block) sort key is untouched.
+                    pf_late[prows[cv]] += 1
+                    st.ipf[prows[cv]] -= 1
+                    fq.pf[prows[cv], qpos[cv]] = False
+                ready_arr[prows] = maximum(entry, l2_ready_m[qf])
+                qfound = np.zeros(mrows.shape[0], dtype=bool)
+                qfound[qf] = True
+                rem = (~qfound).nonzero()[0]
+                r2 = mrows[rem]
+                # Same expression as l2_ready, reused bit-for-bit.
+                llc_cycle = l2_ready_m[rem]
+                r_all = False
+            else:
+                r2 = mrows
+                llc_cycle = l2_ready_m
+                r_all = m_all
+            if r2.size:
+                setl = llc_data[:, bsl]
+                if r_all:
+                    llcda += 1
+                    matchl = (setl >> 3) == block
                 else:
-                    if rflags & 2:  # FLAG_DEPENDENT
-                        cycle = maximum(dispatch, llr)
-                        if drain_floor is None:
-                            drain_floor = cycle
-                        else:
-                            maximum(drain_floor, cycle, out=drain_floor)
-                    else:
-                        cycle = dispatch
-                    ready = cycle + l1_latency
-                    llr = ready
-                    retire += commit_cost
-                    maximum(retire, ready, out=retire)
-                rlog[t + 1] = retire
-                if cp_stride and ((t + 1) % cp_stride == 0 or t + 1 == total):
-                    _lane_checkpoint(
-                        checkpoint_logs, t, idx_l[t], retire, l2da
+                    llcda[r2] += 1
+                    matchl = (setl[r2] >> 3) == block
+                llc_hit = matchl.any(axis=1)
+                lh = llc_hit.nonzero()[0]
+                if lh.size:
+                    lrows = r2[lh]
+                    pos = matchl[lh].argmax(axis=1)
+                    # An LLC demand touch leaves the packed line
+                    # as-is; only its recency stamp moves.
+                    st.ctr += 1
+                    llc_stamp[lrows, bsl, pos] = st.ctr
+                    llcdh[lrows] += 1
+                    ready_arr[lrows] = llc_cycle[lh] + llc_latency
+                    # fill_l2(block, 0): the block just missed this
+                    # L2 set, so the fill takes the insert path.
+                    _fill_l2_rows(
+                        st, lrows,
+                        np.full(lh.size, block, dtype=np.int64),
+                        zeros_n[:lh.size],
                     )
-                continue
-
-            # L1 miss on every lane: vectorized memory-side transcription.
-            if not is_write and rflags & 2:  # FLAG_DEPENDENT
-                cycle = maximum(dispatch, llr)
-            else:
-                cycle = dispatch
-            block = blocks[t]
-            bs2 = block % l2_num_sets
-            bsl = block % llc_num_sets
-            victim_block_t = l1_victim[t]
-            victim_wb = victim_block_t >= 0 and l1_victim_dirty[t]
-            if bst.cyc_armed:
-                # Deferred cycle-threshold fire, on the state at the end of
-                # row t-1 (see the dict kernel).
-                bst.fire(l2da, rlog[t], idx_l[t - 1])
-            l2da += 1
-            if drain_floor is None:
-                drain_to = cycle
-            else:
-                drain_to = maximum(cycle, drain_floor)
-                drain_floor = None
-            if fq.hi and (nfr <= drain_to).any():
-                # Deferred MSHR drain, exactly the dict kernel's: fills
-                # that came ready during hit rows are unobservable until
-                # this probe, and the queue preserves completion order.
-                _drain_ready_fills(st, fq, drain_to)
-            l2_cycle = cycle + l1_latency
-            ready_arr = np.empty(num_lanes)
-            # --- L2 probe: one shared set index, all lanes at once ---
-            set2 = l2_data[:, bs2]
-            match2 = (set2 >> 3) == block
-            l2hit = match2.any(axis=1)
-            hrows = l2hit.nonzero()[0]
-            if hrows.size:
-                pos = match2[hrows].argmax(axis=1)
-                old = set2[hrows, pos]
-                was_pf = (old & 1) != 0
-                if was_pf.any():
-                    pf_timely[hrows[was_pf]] += 1
-                # Demand touch on the packed value: set used (bit1),
-                # clear prefetched (bit0), keep block and dirty. The
-                # way stays put — only its recency stamp moves.
-                set2[hrows, pos] = (old | 2) ^ (old & 1)
-                st.ctr += 1
-                l2_stamp[hrows, bs2, pos] = st.ctr
-                l2dh[hrows] += 1
-                ready_arr[hrows] = l2_cycle[hrows] + l2_latency
-            # The thrash shape — every lane misses every level — skips
-            # each subset gather below (``*_all`` flags) and operates on
-            # whole columns instead.
-            if hrows.size:
-                mrows = (~l2hit).nonzero()[0]
-                m_all = False
-            else:
-                mrows = all_rows
-                m_all = True
-            if mrows.size:
-                if m_all:
-                    l2_ready_m = l2_cycle + l2_latency
+                    lm = (~llc_hit).nonzero()[0]
+                    r3 = r2[lm]
+                    request = llc_cycle[lm] + llc_latency
+                    d_all = False
                 else:
-                    l2_ready_m = l2_cycle[mrows] + l2_latency
-                # --- in-flight (MSHR) probe: the bucket table rules out
-                # membership with one (N,) gather; only bucket-colliding
-                # rows scan their queue slots ---
-                qf_size = 0
-                if fq.hi:
-                    qtcol = fq.tab[:, block & 255]
-                    qmay = (qtcol != 0) if m_all else (qtcol[mrows] != 0)
-                    qmr = qmay.nonzero()[0]
-                    if qmr.size:
-                        qmatch = fq.block[mrows[qmr], :fq.hi] == block
-                        qf_inner = qmatch.any(axis=1).nonzero()[0]
-                        qf = qmr[qf_inner]
-                        qf_size = qf.size
-                if qf_size:
-                    prows = mrows[qf]
-                    qpos = qmatch[qf_inner].argmax(axis=1)
-                    entry = fq.ready[prows, qpos]
-                    conv = fq.pf[prows, qpos]
-                    cv = conv.nonzero()[0]
-                    if cv.size:
-                        # Prefetch-to-demand conversion flips only the pf
-                        # flag; the (ready, block) sort key is untouched.
-                        pf_late[prows[cv]] += 1
-                        st.ipf[prows[cv]] -= 1
-                        fq.pf[prows[cv], qpos[cv]] = False
-                    ready_arr[prows] = maximum(entry, l2_ready_m[qf])
-                    qfound = np.zeros(mrows.shape[0], dtype=bool)
-                    qfound[qf] = True
-                    rem = (~qfound).nonzero()[0]
-                    r2 = mrows[rem]
-                    # Same expression as l2_ready, reused bit-for-bit.
-                    llc_cycle = l2_ready_m[rem]
-                    r_all = False
-                else:
-                    r2 = mrows
-                    llc_cycle = l2_ready_m
-                    r_all = m_all
-                if r2.size:
-                    setl = llc_data[:, bsl]
-                    if r_all:
-                        llcda += 1
-                        matchl = (setl >> 3) == block
+                    r3 = r2
+                    request = llc_cycle + llc_latency
+                    d_all = r_all
+                if r3.size:
+                    if d_all:
+                        start = maximum(request, st.dram_free)
+                        np.add(start, dram_line_cost, out=st.dram_free)
+                        ready3 = start + dram_latency
+                        ready_arr = ready3
+                        dram_fills += 1
+                        roomy = fq.length < mshr_capacity
                     else:
-                        llcda[r2] += 1
-                        matchl = (setl[r2] >> 3) == block
-                    llc_hit = matchl.any(axis=1)
-                    lh = llc_hit.nonzero()[0]
-                    if lh.size:
-                        lrows = r2[lh]
-                        pos = matchl[lh].argmax(axis=1)
-                        # An LLC demand touch leaves the packed line
-                        # as-is; only its recency stamp moves.
-                        st.ctr += 1
-                        llc_stamp[lrows, bsl, pos] = st.ctr
-                        llcdh[lrows] += 1
-                        ready_arr[lrows] = llc_cycle[lh] + llc_latency
-                        # fill_l2(block, 0): the block just missed this
-                        # L2 set, so the fill takes the insert path.
+                        start = maximum(request, st.dram_free[r3])
+                        st.dram_free[r3] = start + dram_line_cost
+                        ready3 = start + dram_latency
+                        ready_arr[r3] = ready3
+                        dram_fills[r3] += 1
+                        roomy = fq.length[r3] < mshr_capacity
+                    if roomy.all():
+                        fq.insert(r3, ready3, block, False)
+                    else:
+                        rr = roomy.nonzero()[0]
+                        if rr.size:
+                            fq.insert(r3[rr], ready3[rr], block, False)
+                        # MSHR pressure: untracked immediate fill.
+                        fr = r3[(~roomy).nonzero()[0]]
                         _fill_l2_rows(
-                            st, lrows,
-                            np.full(lh.size, block, dtype=np.int64),
-                            zeros_n[:lh.size],
+                            st, fr,
+                            np.full(fr.size, block, dtype=np.int64),
+                            zeros_n[:fr.size],
                         )
-                        lm = (~llc_hit).nonzero()[0]
-                        r3 = r2[lm]
-                        request = llc_cycle[lm] + llc_latency
-                        d_all = False
-                    else:
-                        r3 = r2
-                        request = llc_cycle + llc_latency
-                        d_all = r_all
-                    if r3.size:
-                        if d_all:
-                            start = maximum(request, st.dram_free)
-                            np.add(start, dram_line_cost, out=st.dram_free)
-                            ready3 = start + dram_latency
-                            ready_arr = ready3
-                            dram_fills += 1
-                            roomy = fq.length < mshr_capacity
-                        else:
-                            start = maximum(request, st.dram_free[r3])
-                            st.dram_free[r3] = start + dram_line_cost
-                            ready3 = start + dram_latency
-                            ready_arr[r3] = ready3
-                            dram_fills[r3] += 1
-                            roomy = fq.length[r3] < mshr_capacity
-                        if roomy.all():
-                            fq.insert(r3, ready3, block, False)
-                        else:
-                            rr = roomy.nonzero()[0]
-                            if rr.size:
-                                fq.insert(r3[rr], ready3[rr], block, False)
-                            # MSHR pressure: untracked immediate fill.
-                            fr = r3[(~roomy).nonzero()[0]]
-                            _fill_l2_rows(
-                                st, fr,
-                                np.full(fr.size, block, dtype=np.int64),
-                                zeros_n[:fr.size],
-                            )
-                            _fill_llc_rows(
-                                st, fr,
-                                np.full(fr.size, block, dtype=np.int64),
-                                zeros_n[:fr.size],
-                            )
-            # L1 fill is shared state (pre-pass); only a dirty victim's
-            # L2 writeback diverges per lane.
-            if victim_wb:
-                _fill_l2_wb(st, all_rows, victim_block_t)
-            # --- prefetch candidate emission: the ensemble's ordered
-            # list (next-line, then deduped stride, then stream) as the
-            # columns of one candidate row all lanes share. Invalid and
-            # duplicate slots are masked off per lane, so dedup is a mask
-            # instead of per-lane Python list building ---
-            if deg_dirty[0]:
-                nlb = reg_nl > 0
-                nl_any = bool(nlb.any())
-                ke_full = int(reg_st.max())
-                je_full = int(reg_sm.max())
-                est_m1 = np.maximum(reg_st - 1, 0)
-                est_pos = reg_st > 0
-                cand_cache.clear()
-                deg_dirty[0] = False
-            # The shared tracker verdict is a scalar per record, so active
-            # degrees are the register maxima or nothing.
-            ke = ke_full if st_ok[t] else 0
-            je = je_full if sm_ok[t] else 0
-            if ke or je or nl_any:
-                # Stride slot k duplicates next-line iff stride*k == 1
-                # and repeats an earlier stride slot iff stride == 0;
-                # stream slots additionally dedup against every stride
-                # slot the lane's degree exposes. Equality is transitive,
-                # so comparing against dropped duplicates reproduces the
-                # dict kernel's set-based dedup verdict exactly. Column
-                # count adapts to the record's max active degrees.
-                # Candidate *values* are block + per-column offsets (the
-                # verdict's stride/direction are record scalars), so the
-                # offset vector and per-lane validity mask are cached per
-                # (degrees, stride, direction) and only the block-relative
-                # work runs per record.
-                sv = st_stride[t]
-                dv = sm_dir[t]
-                ck = (ke, je, int(sv) if ke else 0, int(dv) if je else 0)
-                ent = cand_cache.get(ck)
-                if ent is None:
-                    width = 1 + ke + je
-                    offs = np.empty(width, dtype=np.int64)
-                    offs[0] = 1
-                    valid = np.empty((num_lanes, width), dtype=bool)
-                    valid[:, 0] = nlb
+                        _fill_llc_rows(
+                            st, fr,
+                            np.full(fr.size, block, dtype=np.int64),
+                            zeros_n[:fr.size],
+                        )
+        # L1 fill is shared state (pre-pass); only a dirty victim's
+        # L2 writeback diverges per lane.
+        if victim_wb:
+            _fill_l2_wb(st, all_rows, victim_block_t)
+        # --- prefetch candidate emission: the ensemble's ordered
+        # list (next-line, then deduped stride, then stream) as the
+        # columns of one candidate row all lanes share. Invalid and
+        # duplicate slots are masked off per lane, so dedup is a mask
+        # instead of per-lane Python list building ---
+        if deg_dirty:
+            nlb = reg_nl > 0
+            nl_any = bool(nlb.any())
+            ke_full = int(reg_st.max())
+            je_full = int(reg_sm.max())
+            est_m1 = np.maximum(reg_st - 1, 0)
+            est_pos = reg_st > 0
+            cand_cache.clear()
+            deg_dirty = False
+        # The shared tracker verdict is a scalar per record, so active
+        # degrees are the register maxima or nothing.
+        ke = ke_full if st_ok[t] else 0
+        je = je_full if sm_ok[t] else 0
+        if ke or je or nl_any:
+            # Stride slot k duplicates next-line iff stride*k == 1
+            # and repeats an earlier stride slot iff stride == 0;
+            # stream slots additionally dedup against every stride
+            # slot the lane's degree exposes. Equality is transitive,
+            # so comparing against dropped duplicates reproduces the
+            # dict side's set-based dedup verdict exactly. Column
+            # count adapts to the record's max active degrees.
+            # Candidate *values* are block + per-column offsets (the
+            # verdict's stride/direction are record scalars), so the
+            # offset vector and per-lane validity mask are cached per
+            # (degrees, stride, direction) and only the block-relative
+            # work runs per record.
+            sv = st_stride[t]
+            dv = sm_dir[t]
+            ck = (ke, je, int(sv) if ke else 0, int(dv) if je else 0)
+            ent = cand_cache.get(ck)
+            if ent is None:
+                width = 1 + ke + je
+                offs = np.empty(width, dtype=np.int64)
+                offs[0] = 1
+                valid = np.empty((num_lanes, width), dtype=bool)
+                valid[:, 0] = nlb
+                if ke:
+                    kd = kdeg[:ke]
+                    stc = sv * kd
+                    dup_st = (nlb[:, None] & (stc == 1)) | (
+                        (sv == 0) & (kd > 1)
+                    )
+                    offs[1:1 + ke] = stc
+                    valid[:, 1:1 + ke] = (
+                        kd <= reg_st[:, None]
+                    ) & ~dup_st
+                if je:
+                    jd = jdeg[:je]
+                    smc = dv * jd
+                    dup_sm = (nlb[:, None] & (smc == 1)) | (
+                        (dv == 0) & (jd > 1)
+                    )
                     if ke:
-                        kd = kdeg[:ke]
-                        stc = sv * kd
-                        dup_st = (nlb[:, None] & (stc == 1)) | (
-                            (sv == 0) & (kd > 1)
+                        eqc = np.cumsum(
+                            smc[:, None] == stc[None, :], axis=1
                         )
-                        offs[1:1 + ke] = stc
-                        valid[:, 1:1 + ke] = (
-                            kd <= reg_st[:, None]
-                        ) & ~dup_st
-                    if je:
-                        jd = jdeg[:je]
-                        smc = dv * jd
-                        dup_sm = (nlb[:, None] & (smc == 1)) | (
-                            (dv == 0) & (jd > 1)
-                        )
-                        if ke:
-                            eqc = np.cumsum(
-                                smc[:, None] == stc[None, :], axis=1
-                            )
-                            dup_sm |= (
-                                eqc[:, est_m1].T != 0
-                            ) & est_pos[:, None]
-                        offs[1 + ke:] = smc
-                        valid[:, 1 + ke:] = (
-                            jd <= reg_sm[:, None]
-                        ) & ~dup_sm
-                    # offs is a lane-invariant candidate-offset memo; its
-                    # min() reduces the candidate axis, not the lane axis.
-                    cand_cache[ck] = ent = (offs, valid, int(offs.min()))
-                offs, valid, offs_min = ent
-                # Every lane shares the candidate row, so ``cand`` is 1-D
-                # and downstream gathers index it by column alone.
-                cand = block + offs
-                # A candidate whose block id underflows below zero is
-                # dropped. The cached offset minimum turns the per-record
-                # check into scalar arithmetic.
-                vmask = (
-                    (valid & (cand >= 0)) if block + offs_min < 0
-                    else valid
-                )
-                in_l2 = (
-                    (l2_data[:, cand % l2_num_sets] >> 3)
-                    == cand[None, :, None]
-                ).any(axis=2)
-                nb = vmask & ~in_l2
-                if fq.hi:
-                    # Bucket-table prefilter with tiny (C,) index
-                    # vectors: exact negatives from one gather.
-                    maybe = (fq.tab[:, cand & 255] != 0) & nb
-                    if maybe.any():
-                        qr, qc = maybe.nonzero()
-                        qhit = (
-                            fq.block[qr, :fq.hi] == cand[qc][:, None]
-                        ).any(axis=1)
-                        nb[qr[qhit], qc[qhit]] = False
-                # Both drop thresholds (in-flight prefetches, MSHR
-                # occupancy) only grow as a record issues, so each
-                # lane issues a prefix of its non-blocked candidates
-                # and drops the rest — a rank-vs-budget test.
-                budget = np.minimum(
-                    max_inflight_prefetches - st.ipf,
-                    mshr_capacity - fq.length,
-                )
-                cum_nb = np.cumsum(nb, axis=1)
-                ins = nb & (cum_nb <= budget[:, None])
-                # The budget cut keeps a per-lane prefix of the
-                # non-blocked candidates, so the insert count is
-                # min(total, budget) — no second (N, C) reduction.
-                tot_nb = cum_nb[:, -1]
-                ins_n = np.minimum(tot_nb, budget)
-                pf_dropped += tot_nb - ins_n
-                pf_issued += ins_n
-                st.ipf += ins_n
-                if ins_n.any():
-                    # The LLC probe only matters for issued prefetches:
-                    # gather (K, ways) for the ins rows instead of
-                    # scanning (N, C, ways).
-                    ir, ic = ins.nonzero()
-                    cb = cand[ic]
-                    llc_in = (
-                        (llc_data[ir, cb % llc_num_sets] >> 3)
-                        == cb[:, None]
+                        dup_sm |= (
+                            eqc[:, est_m1].T != 0
+                        ) & est_pos[:, None]
+                    offs[1 + ke:] = smc
+                    valid[:, 1 + ke:] = (
+                        jd <= reg_sm[:, None]
+                    ) & ~dup_sm
+                # offs is a lane-invariant candidate-offset memo; its
+                # min() reduces the candidate axis, not the lane axis.
+                cand_cache[ck] = ent = (offs, valid, int(offs.min()))
+            offs, valid, offs_min = ent
+            # Every lane shares the candidate row, so ``cand`` is 1-D
+            # and downstream gathers index it by column alone.
+            cand = block + offs
+            # A candidate whose block id underflows below zero is
+            # dropped. The cached offset minimum turns the per-record
+            # check into scalar arithmetic.
+            vmask = (
+                (valid & (cand >= 0)) if block + offs_min < 0
+                else valid
+            )
+            in_l2 = (
+                (l2_data[:, cand % l2_num_sets] >> 3)
+                == cand[None, :, None]
+            ).any(axis=2)
+            nb = vmask & ~in_l2
+            if fq.hi:
+                # Bucket-table prefilter with tiny (C,) index
+                # vectors: exact negatives from one gather.
+                maybe = (fq.tab[:, cand & 255] != 0) & nb
+                if maybe.any():
+                    qr, qc = maybe.nonzero()
+                    qhit = (
+                        fq.block[qr, :fq.hi] == cand[qc][:, None]
                     ).any(axis=1)
-                    request = (cycle + l2_latency) + llc_latency
-                    dram_c = np.zeros(ins.shape, dtype=bool)
-                    dram_c[ir, ic] = ~llc_in
-                    nd = dram_c.sum(axis=1)
-                    maxrank = int(nd.max())
-                    if maxrank:
-                        # A lane's k-th DRAM prefetch starts exactly one
-                        # line-transfer after its (k-1)-th: once the
-                        # first start clears max(request, dram_free),
-                        # every later max() resolves to the channel-free
-                        # side, so the chain is iterative adds (kept
-                        # iterative for float bit-identity with the
-                        # scalar path).
-                        starts = np.empty((num_lanes, maxrank))
-                        col = maximum(request, st.dram_free)
-                        starts[:, 0] = col
-                        for rr in range(1, maxrank):
-                            col = col + dram_line_cost
-                            starts[:, rr] = col
-                        # Off-candidate slots gather a wrapped column
-                        # (cumsum - 1 == -1 before the first DRAM
-                        # prefetch); the where() masks them out.
-                        drank = np.cumsum(dram_c, axis=1) - 1
-                        ready_mat = np.where(
-                            dram_c,
-                            starts[lidx, drank] + dram_latency,
-                            request[:, None],
-                        )
-                        has = (nd > 0).nonzero()[0]
-                        st.dram_free[has] = (
-                            starts[has, nd[has] - 1] + dram_line_cost
-                        )
-                    else:
-                        # No DRAM prefetch this record: every insert of a
-                        # lane shares its request cycle, kept 1-D.
-                        ready_mat = request
-                    fq.insert_many(ready_mat, cand, ins, cum_nb, ins_n)
-            if is_write:
-                retire += commit_cost
-            else:
-                retire = maximum(ready_arr, retire + commit_cost)
-                llr = ready_arr
-            rlog[t + 1] = retire
+                    nb[qr[qhit], qc[qhit]] = False
+            # Both drop thresholds (in-flight prefetches, MSHR
+            # occupancy) only grow as a record issues, so each
+            # lane issues a prefix of its non-blocked candidates
+            # and drops the rest — a rank-vs-budget test.
+            budget = np.minimum(
+                max_inflight_prefetches - st.ipf,
+                mshr_capacity - fq.length,
+            )
+            cum_nb = np.cumsum(nb, axis=1)
+            ins = nb & (cum_nb <= budget[:, None])
+            # The budget cut keeps a per-lane prefix of the
+            # non-blocked candidates, so the insert count is
+            # min(total, budget) — no second (N, C) reduction.
+            tot_nb = cum_nb[:, -1]
+            ins_n = np.minimum(tot_nb, budget)
+            pf_dropped += tot_nb - ins_n
+            pf_issued += ins_n
+            st.ipf += ins_n
+            if ins_n.any():
+                # The LLC probe only matters for issued prefetches:
+                # gather (K, ways) for the ins rows instead of
+                # scanning (N, C, ways).
+                ir, ic = ins.nonzero()
+                cb = cand[ic]
+                llc_in = (
+                    (llc_data[ir, cb % llc_num_sets] >> 3)
+                    == cb[:, None]
+                ).any(axis=1)
+                request = (cycle + l2_latency) + llc_latency
+                dram_c = np.zeros(ins.shape, dtype=bool)
+                dram_c[ir, ic] = ~llc_in
+                nd = dram_c.sum(axis=1)
+                maxrank = int(nd.max())
+                if maxrank:
+                    # A lane's k-th DRAM prefetch starts exactly one
+                    # line-transfer after its (k-1)-th: once the
+                    # first start clears max(request, dram_free),
+                    # every later max() resolves to the channel-free
+                    # side, so the chain is iterative adds (kept
+                    # iterative for float bit-identity with the
+                    # scalar path).
+                    starts = np.empty((num_lanes, maxrank))
+                    col = maximum(request, st.dram_free)
+                    starts[:, 0] = col
+                    for rr in range(1, maxrank):
+                        col = col + dram_line_cost
+                        starts[:, rr] = col
+                    # Off-candidate slots gather a wrapped column
+                    # (cumsum - 1 == -1 before the first DRAM
+                    # prefetch); the where() masks them out.
+                    drank = np.cumsum(dram_c, axis=1) - 1
+                    ready_mat = np.where(
+                        dram_c,
+                        starts[lidx, drank] + dram_latency,
+                        request[:, None],
+                    )
+                    has = (nd > 0).nonzero()[0]
+                    st.dram_free[has] = (
+                        starts[has, nd[has] - 1] + dram_line_cost
+                    )
+                else:
+                    # No DRAM prefetch this record: every insert of a
+                    # lane shares its request cycle, kept 1-D.
+                    ready_mat = request
+                fq.insert_many(ready_mat, cand, ins, cum_nb, ins_n)
+        return ready_arr
 
-            # End-of-record hook thresholds (see the dict kernel).
-            if l2da >= bst.l2_min or bst.cyc_armed:
-                bst.fire(l2da, retire, idx_l[t])
+    def finish() -> _LaneCounters:
+        # hierarchy.finalize(): flush in-flight fills in (ready, block)
+        # order, then count never-used prefetched L2 lines as wrong (-1
+        # empty ways give (line & 3) == 3 and never match).
+        _drain_ready_fills(st, fq, None)
+        st.pf_wrong += ((l2_data & 3) == 1).sum(axis=(1, 2))
+        return _LaneCounters(
+            l2dh.tolist(), llcda.tolist(), llcdh.tolist(),
+            dram_fills.tolist(), st.writebacks.tolist(), pf_issued.tolist(),
+            pf_timely.tolist(), pf_late.tolist(), st.pf_wrong.tolist(),
+            pf_dropped.tolist(),
+        )
 
-            if cp_stride and ((t + 1) % cp_stride == 0 or t + 1 == total):
-                _lane_checkpoint(checkpoint_logs, t, idx_l[t], retire, l2da)
-
-    # ------------------------------------------------------------- episode end
-    total_instructions = idx_l[-1] if total else 0
-    retire_final = retire.tolist()
-    bst.finish(total_instructions, retire_final, l2da)
-    # hierarchy.finalize(): flush in-flight fills in (ready, block)
-    # order, then count never-used prefetched L2 lines as wrong (-1 empty
-    # ways give (line & 3) == 3 and never match).
-    _drain_ready_fills(st, fq, None)
-    st.pf_wrong += ((l2_data & 3) == 1).sum(axis=(1, 2))
-
-    results = _assemble_results(
-        lanes, pre["loads"], pre["stores"], total, total_instructions,
-        retire_final, l2da, l2dh, llcda, llcdh, dram_fills, st.writebacks,
-        pf_issued, pf_timely, pf_late, st.pf_wrong, pf_dropped,
-        bst.controllers,
-    )
-    return results, checkpoint_logs, bst.step_logs
+    return apply_arm, miss_row, finish

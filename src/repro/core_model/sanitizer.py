@@ -191,7 +191,7 @@ def verify_lane_batch(
       (reward estimates and selection counts, bit for bit),
     - the final hierarchy stats, the result scalars, and the arm trace.
 
-    ``kernel_mode`` names the kernel variant under test (``"array"`` or
+    ``kernel_mode`` names the memory side under test (``"array"`` or
     ``"dict"``) so a divergence report says which implementation failed.
 
     Raises :class:`SanitizeDivergence` naming the lane, step and field at

@@ -245,10 +245,15 @@ SMT_BANDIT_TABLE6 = SMTBanditParams()
 def scaled_hill_climbing(
     epoch_cycles: int = 1000,
     params: SMTBanditParams = SMT_BANDIT_TABLE6,
+    config: SMTConfig = SMT_CONFIG_TABLE5,
 ) -> HillClimbingConfig:
-    """Hill-Climbing config with a simulation-scaled epoch length."""
+    """Hill-Climbing config with a simulation-scaled epoch length.
+
+    The two threads' allowances partition ``config``'s issue queue, the
+    one gating compares them with.
+    """
     return HillClimbingConfig(
-        iq_size=SMT_CONFIG_TABLE5.iq_size,
+        iq_size=config.iq_size,
         delta=params.delta_iq_entries,
         epoch_cycles=epoch_cycles,
     )

@@ -629,11 +629,12 @@ def fig08_replication_sweep(
     independently seeded bandit episodes replay as *one* batched lane task
     (:func:`repro.experiments.runner.lane_batch_task`): a single kernel
     invocation instead of ``11 + replicates`` pool tasks. Wide replication
-    sweeps (``11 + replicates >= 128`` lanes) route to the array-resident
-    kernel, narrow ones to the dict kernel — bit-identical either way, with
-    the chosen kernel recorded per task in the run manifest. Returns, per
-    workload, the best static arm and the bandit's normalized-IPC spread
-    across seeds, plus an ``"all"`` entry with cross-workload gmeans.
+    sweeps (``11 + replicates >= 128`` lanes) take the kernel's
+    array-resident memory side, narrow ones its dict side — bit-identical
+    either way, with the chosen side recorded per task in the run
+    manifest. Returns, per workload, the best static arm and the bandit's
+    normalized-IPC spread across seeds, plus an ``"all"`` entry with
+    cross-workload gmeans.
     """
     if workloads is None:
         workloads = tune_specs()

@@ -38,7 +38,8 @@ import os
 import pickle
 import tempfile
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import lru_cache
@@ -204,10 +205,13 @@ class TaskExecutionError(RuntimeError):
         detail = f"task {label!r}"
         if key:
             detail += f" (key {key[:12]}…)"
-        super().__init__(
-            f"{detail} failed in pool worker: "
-            f"{type(error).__name__}: {error}"
-        )
+        if isinstance(error, BrokenProcessPool):
+            # A dead worker fails every unfinished task alike, so the one
+            # named is the first unfinished, not necessarily the culprit.
+            where = "was unfinished when the process pool broke"
+        else:
+            where = "failed in pool worker"
+        super().__init__(f"{detail} {where}: {type(error).__name__}: {error}")
         self.task = task
         self.task_key = key
 
@@ -555,34 +559,34 @@ def run_parallel(
         return results
 
     with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
-        futures = {
-            pool.submit(_execute_timed, task.fn, dict(task.kwargs)):
-                (index, key, task)
-            for index, key, task in pending
-        }
-        # Buffer completions and finish() strictly in submission order, so
-        # the telemetry (and therefore the run manifest's ``tasks`` list) is
-        # deterministic regardless of worker completion order.
-        completed: Dict[int, Tuple[Any, float]] = {}
-        outstanding = set(futures)
+        futures = [
+            pool.submit(_execute_timed, task.fn, dict(task.kwargs))
+            for _, _, task in pending
+        ]
         try:
-            while outstanding:
-                done, outstanding = wait(
-                    outstanding, return_when=FIRST_COMPLETED
-                )
-                for future in done:
-                    index, key, task = futures[future]
-                    try:
-                        completed[index] = future.result()
-                    except Exception as error:
-                        raise TaskExecutionError(task, key, error) from error
-        except BaseException:
-            for future in outstanding:
+            wait(futures, return_when=FIRST_EXCEPTION)
+        finally:
+            # After a failure (or an interrupt) tasks not yet started are
+            # cancelled; leaving the block waits for the running ones.
+            for future in futures:
                 future.cancel()
-            raise
-    for index, key, task in pending:
-        value, seconds = completed[index]
-        finish(index, key, task, value, seconds)
+    # finish() strictly in submission order, so the telemetry (and therefore
+    # the run manifest's ``tasks`` list) is deterministic regardless of
+    # worker completion order, and work that finished before a failure is
+    # cached and recorded before the failure is raised.
+    failed: Optional[Tuple[Task, Optional[str], BaseException]] = None
+    for (index, key, task), future in zip(pending, futures):
+        if future.cancelled():
+            continue
+        error = future.exception()
+        if error is None:
+            value, seconds = future.result()
+            finish(index, key, task, value, seconds)
+        elif failed is None:
+            failed = (task, key, error)
+    if failed is not None:
+        task, key, error = failed
+        raise TaskExecutionError(task, key, error) from error
     return results
 
 

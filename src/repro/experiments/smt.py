@@ -101,7 +101,7 @@ def run_smt_static(
         )
     if sanitize:
         return _run_smt_static_sanitized(mix, policy, scale, config, seed)
-    hc_config = scaled_hill_climbing(scale.epoch_cycles)
+    hc_config = scaled_hill_climbing(scale.epoch_cycles, config=config)
     ipc = run_static_policy(
         pipeline, policy, scale.total_epochs, hc_config,
         use_kernel=use_kernel, epoch_log=_epoch_log,
@@ -171,7 +171,7 @@ def run_smt_bandit(
     controller_config = SMTBanditConfig(
         step_epochs=scale.step_epochs,
         step_epochs_rr=scale.step_epochs_rr,
-        hill_climbing=scaled_hill_climbing(scale.epoch_cycles),
+        hill_climbing=scaled_hill_climbing(scale.epoch_cycles, config=config),
         seed=seed,
     )
     controller = BanditFetchController(

@@ -1,9 +1,8 @@
 """Tests for the effect/provenance layer and the rules built on it.
 
 Covers worker-root discovery (``Task(...)`` and ``.submit(...)`` shapes),
-per-function effect extraction, the fixpoint classifier (including cycle
-convergence), ``cache-invariant`` waiver parsing, None-default
-substitution threading, and the project rules R11 (cache-key
+per-function effect extraction, ``cache-invariant`` waiver parsing,
+None-default substitution threading, and the project rules R11 (cache-key
 completeness) and R12 (worker purity) — positive and negative cases each.
 """
 
@@ -11,9 +10,7 @@ from repro.analysis.callgraph import build_callgraph
 from repro.analysis.effects import (
     ENV_READ,
     GLOBAL_WRITE,
-    PURE,
     RNG_UNSEEDED,
-    classify_effects,
     direct_effects,
     find_worker_roots,
     none_default_substitutions,
@@ -97,17 +94,6 @@ FILES = {
             return inner(n)
 
 
-        def ping(n):
-            if n <= 0:
-                return 0
-            return pong(n - 1)
-
-
-        def pong(n):
-            print(n)
-            return ping(n)
-
-
         def schedule(pool):
             tasks = [
                 Task(clean_worker, {"n": 1}),
@@ -183,31 +169,6 @@ class TestDirectEffects:
             s.kind == ENV_READ and s.detail == "REPRO_INNER"
             for s in effects["pkg.tasks.nested_worker.inner"]
         )
-
-
-# --------------------------------------------------------------- fixpoint
-
-
-class TestClassifyEffects:
-    def test_pure_and_labelled(self, tmp_path):
-        project, graph = _analysis(tmp_path)
-        labels = classify_effects(project, graph)
-        assert labels["pkg.tasks.clean_worker"] == frozenset({PURE})
-        assert "reads-env" in labels["pkg.tasks.env_worker"]
-        assert "writes-global" in labels["pkg.tasks.memo_worker"]
-        assert "spawns-rng" in labels["pkg.tasks.rng_worker"]
-
-    def test_nested_defs_propagate_to_parent(self, tmp_path):
-        project, graph = _analysis(tmp_path)
-        labels = classify_effects(project, graph)
-        assert "reads-env" in labels["pkg.tasks.nested_worker"]
-
-    def test_cycle_converges(self, tmp_path):
-        project, graph = _analysis(tmp_path)
-        labels = classify_effects(project, graph)
-        # ping <-> pong is a call cycle; both inherit pong's print.
-        assert "does-io" in labels["pkg.tasks.ping"]
-        assert "does-io" in labels["pkg.tasks.pong"]
 
 
 # ----------------------------------------------------------- reachability

@@ -10,7 +10,8 @@ bit-identical results:
   hierarchies: 1-16 sets of 1-4 ways at every level, single-entry MSHRs
   and prefetch budgets, and DRAM from 150 to 9600 MT/s.
 - **SMT.** The fused cycle kernel against the ``SMTPipeline`` object path
-  over evaluation mixes, all 64 PG policies, random epoch lengths, and
+  over evaluation mixes, all 64 PG policies, random pipeline configs
+  (widths, queue and register-file sizes), random epoch lengths, and
   epoch budgets that leave a partial bandit step at the end.
 
 The lane kernels have their own tri-path test in
@@ -34,6 +35,7 @@ from repro.experiments.prefetch import (
 from repro.experiments.smt import SMTScale, run_smt_bandit, run_smt_static
 from repro.prefetch.ensemble import TABLE7_ARMS
 from repro.smt.pg_policy import ALL_PG_POLICIES
+from repro.smt.pipeline import SMTConfig
 from repro.workloads.compiled import compiled_trace_for
 from repro.workloads.smt import smt_eval_mixes
 
@@ -130,6 +132,26 @@ def _smt_scales(draw):
     )
 
 
+WIDTH = st.integers(1, 10)
+QUEUE = st.integers(8, 96)
+
+#: Pipeline configs. Every IQ holds two minimum Hill-Climbing allowances
+#: (8 entries each) and every IRF two threads' 32 architectural registers.
+SMT_CONFIGS = st.builds(
+    SMTConfig,
+    fetch_width=WIDTH,
+    decode_width=WIDTH,
+    issue_width=WIDTH,
+    commit_width=WIDTH,
+    iq_size=st.integers(16, 128),
+    rob_size=st.integers(32, 256),
+    lq_size=QUEUE,
+    sq_size=QUEUE,
+    irf_size=st.integers(80, 220),
+    fetchq_capacity=st.integers(2, 32),
+)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     mix=st.sampled_from(smt_eval_mixes()),
@@ -138,17 +160,21 @@ def _smt_scales(draw):
         st.sampled_from(ALL_PG_POLICIES), min_size=2, max_size=6, unique=True
     ),
     scale=_smt_scales(),
+    config=SMT_CONFIGS,
     seed=st.integers(0, 3),
 )
-def test_smt_kernel_matches_object_path(mix, policy, arms, scale, seed):
+def test_smt_kernel_matches_object_path(mix, policy, arms, scale, config,
+                                        seed):
     static = [
-        run_smt_static(mix, policy, scale, seed=seed, use_kernel=use_kernel)
+        run_smt_static(
+            mix, policy, scale, config, seed=seed, use_kernel=use_kernel
+        )
         for use_kernel in (True, False)
     ]
     assert static[0] == static[1]
     bandit = [
         run_smt_bandit(
-            mix, scale, arms=arms, seed=seed, use_kernel=use_kernel
+            mix, scale, config, arms=arms, seed=seed, use_kernel=use_kernel
         )
         for use_kernel in (True, False)
     ]

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from dataclasses import dataclass
 
@@ -41,6 +42,17 @@ def _sleepy_double(*, value):
 
 def _boom(*, value):
     raise ValueError(f"kaboom {value}")
+
+
+def _late_boom(*, value):
+    # Sleep first so every other task of the batch has finished.
+    time.sleep(0.5)
+    raise RuntimeError(f"kaboom {value}")
+
+
+def _late_worker_death(*, value):
+    time.sleep(0.5)
+    os._exit(3)  # kills the worker: the pool breaks
 
 
 def _dict_payload(*, n):
@@ -223,6 +235,24 @@ class TestRunParallel:
                          telemetry=RunTelemetry())
         assert "detonator" in str(excinfo.value)
         assert isinstance(excinfo.value.__cause__, ValueError)
+
+    @pytest.mark.parametrize("failing", [_late_boom, _late_worker_death])
+    def test_pool_failure_keeps_finished_results(self, tmp_path, failing):
+        """Results that finished before a failure are cached and recorded."""
+        cache = ResultCache(tmp_path)
+        tasks = [Task(_double, {"value": v}, label=f"t{v}") for v in range(4)]
+        tasks[2] = Task(failing, {"value": 2}, label="failing")
+        telemetry = RunTelemetry()
+        with pytest.raises(TaskExecutionError) as excinfo:
+            run_parallel(tasks, jobs=2, cache=cache, telemetry=telemetry)
+        assert "'failing'" in str(excinfo.value)
+        broke = isinstance(excinfo.value.__cause__, BrokenProcessPool)
+        assert broke == (failing is _late_worker_death)
+        assert ("process pool broke" in str(excinfo.value)) == broke
+        for v in (0, 1, 3):
+            assert cache.get(tasks[v].key()) == (True, v * 2)
+        assert len(cache) == 3
+        assert [r.label for r in telemetry.tasks] == ["t0", "t1", "t3"]
 
     def test_dict_payload_records_count_in_telemetry(self):
         telemetry = RunTelemetry()

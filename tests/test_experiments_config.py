@@ -1,5 +1,7 @@
 """Tests for the experiment configuration tables (Tables 4/5/6/7)."""
 
+import dataclasses
+
 from repro.constants import NUM_STREAM_TRACKERS
 from repro.experiments.configs import (
     ALT_HIERARCHY_CONFIG,
@@ -81,6 +83,8 @@ class TestTable6:
         assert config.epoch_cycles == 500
         assert config.iq_size == 97
         assert config.delta == 2.0
+        narrow = dataclasses.replace(SMT_CONFIG_TABLE5, iq_size=32)
+        assert scaled_hill_climbing(500, config=narrow).iq_size == 32
 
 
 class TestTable7:

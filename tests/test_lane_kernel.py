@@ -214,20 +214,21 @@ class TestSanitizedBatch:
         )
         assert sanitized == plain
 
-    def test_sanitizer_catches_kernel_skew(self, trace, monkeypatch):
+    @pytest.mark.parametrize("mode", ["dict", "array"])
+    def test_sanitizer_catches_kernel_skew(self, trace, monkeypatch, mode):
         """A perturbed lane kernel must be caught lane-by-lane."""
         import repro.core_model.lane_kernel as lk
 
-        monkeypatch.setenv(LANE_KERNEL_ENV, "array")
+        monkeypatch.setenv(LANE_KERNEL_ENV, mode)
         monkeypatch.setenv(SANITIZE_ENV, "1")
-        real_kernel = lk._lane_kernel_array
+        real_kernel = lk._lane_kernel
 
         def skewed(*args, **kwargs):
             results, checkpoints, step_logs = real_kernel(*args, **kwargs)
             bad = dataclasses.replace(results[-1], cycles=results[-1].cycles + 1.0)
             return results[:-1] + [bad], checkpoints, step_logs
 
-        monkeypatch.setattr(lk, "_lane_kernel_array", skewed)
+        monkeypatch.setattr(lk, "_lane_kernel", skewed)
         with pytest.raises(SanitizeDivergence):
             run_lane_batch(
                 trace, LANES, BASELINE_HIERARCHY_CONFIG, CORE_CONFIG_TABLE4,

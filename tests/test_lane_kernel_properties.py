@@ -1,13 +1,13 @@
-"""Randomized tri-path bit-identity properties for the lane kernels.
+"""Randomized tri-path bit-identity properties for the lane kernel.
 
-The batched array kernel, the narrow-batch dict kernel, and the scalar
-runners are three implementations of the same replay semantics; every
-divergence is a bug in exactly one of them. These tests drive all three
-over randomized small traces and deliberately hostile hierarchy
-geometries — tiny set counts so eviction order matters from the first few
-records, single-digit MSHR budgets so fills supersede and stall, and
-aggressive prefetch arms so wrong-victim accounting triggers — and demand
-bit-identical results lane by lane.
+The batched kernel with its array memory side, with its narrow-batch dict
+side, and the scalar runners are three implementations of the same replay
+semantics; every divergence is a bug in exactly one of them. These tests
+drive all three over randomized small traces and deliberately hostile
+hierarchy geometries — tiny set counts so eviction order matters from the
+first few records, single-digit MSHR budgets so fills supersede and stall,
+and aggressive prefetch arms so wrong-victim accounting triggers — and
+demand bit-identical results lane by lane.
 """
 
 import dataclasses
