@@ -2,11 +2,8 @@
 
 Built on top of the symbol table (:mod:`repro.analysis.symbols`), the call
 graph records every call site whose target resolves to a project (or
-recognizably external) qualified name, indexed both ways: by caller (what
-does this function invoke?) and by callee (who invokes this function, and
-with which argument expressions?). The latter is what drives R8's
-seed-provenance dataflow: a seed received as a parameter is classified by
-classifying the matching argument at every recorded call site.
+recognizably external) qualified name, indexed by caller (what does this
+function invoke?) — which is how R11 walks a worker's call tree.
 """
 
 from __future__ import annotations
@@ -15,7 +12,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.symbols import FunctionInfo, Project, iter_scopes
+from repro.analysis.symbols import Project, iter_scopes
 
 #: Scope pseudo-name for calls made at module level.
 MODULE_SCOPE = "<module>"
@@ -38,13 +35,10 @@ class CallSite:
 class CallGraph:
     sites: List[CallSite] = field(default_factory=list)
     by_caller: Dict[str, List[CallSite]] = field(default_factory=dict)
-    callers_of: Dict[str, List[CallSite]] = field(default_factory=dict)
 
     def add(self, site: CallSite) -> None:
         self.sites.append(site)
         self.by_caller.setdefault(site.caller, []).append(site)
-        if site.callee is not None:
-            self.callers_of.setdefault(site.callee, []).append(site)
 
 
 def _scope_of(
@@ -82,28 +76,3 @@ def build_callgraph(project: Project) -> CallGraph:
             callee = project.resolve_call(module_name, node.func, self_class)
             graph.add(CallSite(scope_qname, module_name, callee, node))
     return graph
-
-
-def argument_for_param(
-    site: CallSite, info: FunctionInfo, param: str
-) -> Optional[ast.expr]:
-    """The argument expression bound to ``param`` at ``site``, if static.
-
-    Returns ``None`` when the binding cannot be determined (``*args`` /
-    ``**kwargs`` forwarding, or the parameter takes its default).
-    """
-    try:
-        index = info.params.index(param)
-    except ValueError:
-        return None
-    call = site.node
-    for keyword in call.keywords:
-        if keyword.arg is None:
-            return None  # **kwargs forwarding hides the binding
-        if keyword.arg == param:
-            return keyword.value
-    if any(isinstance(arg, ast.Starred) for arg in call.args):
-        return None
-    if index < len(call.args):
-        return call.args[index]
-    return None

@@ -17,7 +17,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.analysis.rules import Rule
 
 #: Trailing-comment suppression marker: ``# repro: ignore`` silences every
-#: rule on that line, ``# repro: ignore[R1,R4]`` only the listed rules.
+#: rule on that line, ``# repro: ignore[R1,R11]`` only the listed rules.
 _SUPPRESS_RE = re.compile(r"#\s*repro:\s*ignore(?:\[([A-Z0-9,\s]+)\])?")
 
 
@@ -31,15 +31,6 @@ class Finding:
     col: int
     message: str
     source_line: str
-
-    def key(self) -> str:
-        """Stable identity for baseline matching.
-
-        Keyed on the rule, the file, and the *text* of the offending line
-        (not its number), so unrelated edits above a baselined finding do
-        not resurrect it.
-        """
-        return f"{self.rule}|{self.path}|{self.source_line}"
 
     def format(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
@@ -87,6 +78,16 @@ def parse_module(path: Path, display_path: Optional[str] = None) -> ParsedModule
     )
 
 
+def relative_display_path(file_path: Path, root: Optional[Path]) -> str:
+    """``file_path`` relative to ``root`` when it lies under it."""
+    if root is not None:
+        try:
+            return file_path.resolve().relative_to(root.resolve()).as_posix()
+        except ValueError:
+            pass
+    return file_path.as_posix()
+
+
 def iter_python_files(paths: Sequence[Path]) -> List[Path]:
     """Expand files/directories into a sorted list of ``.py`` files."""
     found: List[Path] = []
@@ -112,57 +113,26 @@ def check_module(module: ParsedModule, rules: Iterable["Rule"]) -> List[Finding]
 
 
 def default_rules() -> tuple["Rule", ...]:
-    """Fresh instances of the full default rule set.
-
-    Per-module rules come first (R1–R5, then R13), then the project rules.
-    """
-    from repro.analysis.dtype_rules import DtypeContractRule
+    """Fresh instances of the full rule set: R1, then the project rule R11."""
     from repro.analysis.project_rules import PROJECT_RULES
     from repro.analysis.rules import ALL_RULES
 
-    return (*ALL_RULES, DtypeContractRule(), *PROJECT_RULES)
-
-
-def _module_pass_worker(
-    path_str: str, display: str, codes: tuple[str, ...]
-) -> List[Finding]:
-    """Parse one file and run the named per-module rules over it.
-
-    Runs in a pool worker, so it takes only picklable inputs: rule
-    instances are reconstructed from their codes via
-    :func:`default_rules`. Pure by construction — no environment reads,
-    no module state — which is exactly what R12 demands of it.
-    """
-    from repro.analysis.project_rules import ProjectRule
-
-    rules = [
-        rule for rule in default_rules()
-        if rule.code in codes and not isinstance(rule, ProjectRule)
-    ]
-    module = parse_module(Path(path_str), display)
-    return check_module(module, rules)
+    return (*ALL_RULES, *PROJECT_RULES)
 
 
 def run_analysis(
     paths: Sequence[Path],
     rules: Optional[Sequence["Rule"]] = None,
     root: Optional[Path] = None,
-    cache_dir: Optional[Path] = None,
-    jobs: int = 1,
 ) -> List[Finding]:
     """Lint every Python file under ``paths``; returns all findings.
 
-    Runs in two passes: the per-module rules (R1–R5, R13) file by file,
-    then — if any project rule is selected — the inter-procedural pass
-    (R8, R11, R12) over the whole file set at once, via the project
-    symbol table.
+    Runs in two passes: the per-module rule (R1) file by file, then — if
+    R11 is selected — the inter-procedural pass over the whole file set at
+    once, via the project symbol table.
 
-    ``root`` controls how paths are displayed/keyed (relative to it when
-    given), which keeps baseline keys machine-independent.
-    ``cache_dir`` enables the on-disk symbol-table cache
-    (see :func:`repro.analysis.symbols.build_project`). ``jobs > 1``
-    fans the parse/lint of the per-module pass (and the symbol-table
-    parse) out over a process pool; results are order-stable either way.
+    ``root`` controls how paths are displayed (relative to it when given),
+    which keeps reports machine-independent.
     """
     from repro.analysis.project_rules import ProjectRule
 
@@ -171,40 +141,15 @@ def run_analysis(
     module_rules = [r for r in rules if not isinstance(r, ProjectRule)]
     project_rules = [r for r in rules if isinstance(r, ProjectRule)]
 
-    displays: List[tuple[Path, str]] = []
-    for file_path in iter_python_files(paths):
-        display = file_path
-        if root is not None:
-            try:
-                display = file_path.resolve().relative_to(root.resolve())
-            except ValueError:
-                display = file_path
-        displays.append((file_path, display.as_posix()))
-
     findings: List[Finding] = []
-    registry = {rule.code for rule in default_rules()}
-    codes = tuple(rule.code for rule in module_rules)
-    if jobs > 1 and all(code in registry for code in codes):
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_module_pass_worker, str(file_path), display, codes)
-                for file_path, display in displays
-            ]
-            for future in futures:
-                findings.extend(future.result())
-    else:
-        for file_path, display in displays:
-            module = parse_module(file_path, display)
-            findings.extend(check_module(module, module_rules))
+    for file_path in iter_python_files(paths):
+        module = parse_module(file_path, relative_display_path(file_path, root))
+        findings.extend(check_module(module, module_rules))
 
     if project_rules:
         from repro.analysis.symbols import build_project
 
-        project = build_project(
-            paths, root=root, cache_dir=cache_dir, jobs=jobs
-        )
+        project = build_project(paths, root=root)
         for rule in project_rules:
             for finding in rule.check_project(project):
                 owner = project.module_for_path(finding.path)

@@ -1,23 +1,22 @@
-"""Inter-procedural effect and provenance inference (R11/R12's engine).
+"""Inter-procedural effect and provenance inference (R11's engine).
 
 Built on the symbol table and call graph, this layer answers two questions
 about the functions the experiment runner ships to pool workers:
 
-- *What does this function touch besides its arguments?*
-  :func:`direct_effects` extracts per-function effect sites —
-  environment-variable reads, module-global writes and unseeded RNG
-  construction — and :func:`reachable_functions` gives the call tree a
-  worker can reach, so a rule checks the sites of every function in it.
+- *What does this function read besides its arguments?*
+  :func:`direct_effects` extracts per-function environment-variable
+  reads, and :func:`reachable_functions` gives the call tree a worker can
+  reach, so the rule checks the reads of every function in it.
 - *Which functions are workers at all?* :func:`find_worker_roots` collects
   every function submitted to the parallel engine — the first argument of
   a ``Task(...)`` construction or of an executor ``.submit(...)`` call —
-  so the rules can restrict themselves to code that actually crosses a
-  process boundary.
+  so the rule restricts itself to code that actually crosses a process
+  boundary.
 
 An effect that is *known* not to influence a task's result can be waived
 at the site with ``# repro: cache-invariant[NAME]`` (on the reading line
-or the line above); ``NAME`` is the environment variable or global being
-read, or ``*`` for everything on that line. The canonical examples are the
+or the line above); ``NAME`` is the environment variable being read, or
+``*`` for everything on that line. The canonical examples are the
 ``REPRO_LANE_KERNEL``/``REPRO_SMT_KERNEL``/``REPRO_SANITIZE`` gates, whose
 two implementation paths are bit-identical by construction (sanitizer-
 verified), and ``REPRO_TRACE_CACHE_DIR``, which only relocates a
@@ -40,26 +39,19 @@ _WAIVER_RE = re.compile(
     r"#\s*repro:\s*cache-invariant\[([A-Za-z0-9_.\-*,\s]+)\]"
 )
 
-#: Effect-site kinds (``EffectSite.kind``).
+#: Effect-site kind (``EffectSite.kind``).
 ENV_READ = "env-read"
-GLOBAL_WRITE = "global-write"
-RNG_UNSEEDED = "rng-unseeded"
-
-#: RNG constructors whose *argument-less* form draws a nondeterministic
-#: per-process seed (matched on the resolved qualified name).
-_RNG_CTORS = ("random.Random",)
-_RNG_CTOR_SUFFIXES = (".default_rng",)
 
 
 @dataclass(frozen=True)
 class EffectSite:
     """One effectful operation, attributed to its enclosing function."""
 
-    kind: str  #: :data:`ENV_READ` / :data:`GLOBAL_WRITE` / ...
+    kind: str  #: :data:`ENV_READ`
     module: str  #: dotted module name the site appears in
     function: str  #: qualified name of the enclosing function
     node: ast.AST
-    detail: str  #: env var name, global qname, or callee — for messages
+    detail: str  #: env var name, for messages
 
 
 @dataclass(frozen=True)
@@ -107,8 +99,8 @@ def find_worker_roots(project: Project, graph: CallGraph) -> List[WorkerRoot]:
     Two submission shapes are recognized: ``Task(fn, ...)`` where the call
     target resolves to a project class named ``Task``, and
     ``<executor>.submit(fn, ...)`` — the raw ``ProcessPoolExecutor``
-    protocol the engine itself (and the analyzer's own parallel driver)
-    uses. The submitted expression must resolve to a project function.
+    protocol the engine itself uses. The submitted expression must resolve
+    to a project function.
     """
     roots: List[WorkerRoot] = []
     for site in graph.sites:
@@ -214,44 +206,12 @@ def _env_var_name(project: Project, module: str, arg: ast.expr) -> str:
     return "<dynamic>"
 
 
-def _local_names(node: ast.AST) -> Set[str]:
-    """Names bound locally in one function body (nested defs excluded)."""
-    names: Set[str] = set()
-    assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    args = node.args
-    for arg in (
-        *args.posonlyargs, *args.args, *args.kwonlyargs,
-        *([args.vararg] if args.vararg else []),
-        *([args.kwarg] if args.kwarg else []),
-    ):
-        names.add(arg.arg)
-
-    def visit(parent: ast.AST) -> None:
-        for child in ast.iter_child_nodes(parent):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                names.add(child.name)
-                continue
-            if isinstance(child, ast.Name) and isinstance(
-                child.ctx, ast.Store
-            ):
-                names.add(child.id)
-            elif isinstance(child, (ast.For, ast.AsyncFor)):
-                for sub in ast.walk(child.target):
-                    if isinstance(sub, ast.Name):
-                        names.add(sub.id)
-            visit(child)
-
-    visit(node)
-    return names
-
-
 def _function_effects(
     project: Project, info: FunctionInfo
 ) -> List[EffectSite]:
-    """Direct effect sites of one function body (nested defs excluded)."""
+    """Environment reads of one function body (nested defs excluded)."""
     sites: List[EffectSite] = []
     module = info.module
-    declared_global: Set[str] = set()
     body_nodes: List[ast.AST] = []
 
     def collect(parent: ast.AST) -> None:
@@ -262,37 +222,26 @@ def _function_effects(
             collect(child)
 
     collect(info.node)
-    for node in body_nodes:
-        if isinstance(node, ast.Global):
-            declared_global.update(node.names)
-    locals_ = _local_names(info.node) - declared_global
 
-    def add(kind: str, node: ast.AST, detail: str) -> None:
-        sites.append(EffectSite(kind, module, info.qname, node, detail))
+    def add(node: ast.AST, detail: str) -> None:
+        sites.append(EffectSite(ENV_READ, module, info.qname, node, detail))
 
     for node in body_nodes:
-        # ---- environment reads -------------------------------------
         if isinstance(node, ast.Call):
             target = _dotted(node.func)
             resolved = (
                 project.resolve(module, target) or target
                 if target is not None else None
             )
-            if resolved is not None:
-                if resolved == "os.getenv" or resolved.endswith(
-                    "environ.get"
-                ):
-                    arg = node.args[0] if node.args else None
-                    name = (
-                        _env_var_name(project, module, arg)
-                        if arg is not None else "<dynamic>"
-                    )
-                    add(ENV_READ, node, name)
-                elif resolved in _RNG_CTORS or resolved.endswith(
-                    _RNG_CTOR_SUFFIXES
-                ):
-                    if not node.args and not node.keywords:
-                        add(RNG_UNSEEDED, node, resolved)
+            if resolved is not None and (
+                resolved == "os.getenv" or resolved.endswith("environ.get")
+            ):
+                arg = node.args[0] if node.args else None
+                name = (
+                    _env_var_name(project, module, arg)
+                    if arg is not None else "<dynamic>"
+                )
+                add(node, name)
         elif isinstance(node, ast.Subscript) and isinstance(
             node.ctx, ast.Load
         ):
@@ -301,28 +250,7 @@ def _function_effects(
                 base == "os.environ"
                 or (project.resolve(module, base) or "") == "os.environ"
             ):
-                add(ENV_READ, node,
-                    _env_var_name(project, module, node.slice))
-
-        # ---- module-global writes ----------------------------------
-        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            targets = (
-                node.targets if isinstance(node, ast.Assign)
-                else [node.target]
-            )
-            for target in targets:
-                if isinstance(target, ast.Name) and (
-                    target.id in declared_global
-                ):
-                    add(GLOBAL_WRITE, node, f"{module}.{target.id}")
-                elif isinstance(target, (ast.Subscript, ast.Attribute)):
-                    base = target.value
-                    if isinstance(base, ast.Name) and (
-                        base.id not in locals_
-                    ):
-                        qname = f"{module}.{base.id}"
-                        if qname in project.constants:
-                            add(GLOBAL_WRITE, node, qname)
+                add(node, _env_var_name(project, module, node.slice))
     return sites
 
 

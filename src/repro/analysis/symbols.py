@@ -4,33 +4,18 @@
 resolves *names to definitions* across module boundaries: functions,
 classes, methods, module-level constants, and the import aliases that
 connect them. The resulting :class:`Project` is what the project-wide
-rules (R8, R11, R12) and the call graph (:mod:`repro.analysis.callgraph`)
-consume — no rule re-parses or re-resolves anything.
-
-Building the table is the dominant cost of a project-wide lint, so it can
-be memoized on disk (``cache_dir`` / ``$REPRO_ANALYSIS_CACHE_DIR``) keyed
-on the content hash of every source file: any edit anywhere invalidates
-the entry, an untouched tree loads in one pickle read.
+rule R11 and the call graph (:mod:`repro.analysis.callgraph`) consume — no
+rule re-parses or re-resolves anything.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import os
-import pickle
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.core import ParsedModule, parse_module
-
-#: Environment variable naming the default symbol-table cache directory.
-CACHE_ENV = "REPRO_ANALYSIS_CACHE_DIR"
-
-#: Bump to invalidate every cached symbol table (schema change).
-_CACHE_VERSION = 1
+from repro.analysis.core import ParsedModule, parse_module, relative_display_path
 
 
 @dataclass(frozen=True)
@@ -189,15 +174,6 @@ def _module_files(
     return out
 
 
-def _display_path(file_path: Path, root: Optional[Path]) -> str:
-    if root is not None:
-        try:
-            return file_path.resolve().relative_to(root.resolve()).as_posix()
-        except ValueError:
-            pass
-    return file_path.as_posix()
-
-
 def _collect_imports(
     module_name: str, is_package: bool, tree: ast.Module
 ) -> Dict[str, str]:
@@ -278,42 +254,14 @@ def _collect_definitions(project: Project, name: str, tree: ast.Module) -> None:
     visit_constants(tree)
 
 
-def _parse_worker(path_str: str, display: str) -> ParsedModule:
-    """Parse one file for the symbol table (runs in a pool worker).
-
-    Pure: reads exactly the named file, touches no environment and no
-    module state — R12's own requirement, dogfooded on the analyzer.
-    """
-    return parse_module(Path(path_str), display)
-
-
-def _build(
-    files: Sequence[Tuple[Path, str, bool]],
-    root: Optional[Path],
-    jobs: int = 1,
+def build_project(
+    paths: Sequence[Path], root: Optional[Path] = None
 ) -> Project:
+    """Build the symbol table for every Python file under ``paths``."""
+    files = _module_files(paths)
     project = Project()
-    parsed: Dict[str, ParsedModule]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                name: pool.submit(
-                    _parse_worker,
-                    str(file_path),
-                    _display_path(file_path, root),
-                )
-                for file_path, name, _ in files
-            }
-            parsed = {name: f.result() for name, f in futures.items()}
-    else:
-        parsed = {
-            name: parse_module(file_path, _display_path(file_path, root))
-            for file_path, name, _ in files
-        }
     for file_path, name, is_package in files:
-        module = parsed[name]
+        module = parse_module(file_path, relative_display_path(file_path, root))
         project.modules[name] = module
         if is_package:
             project.packages.add(name)
@@ -332,69 +280,4 @@ def _build(
                     edges.add(parent)
         edges.discard(name)
         project.import_graph[name] = edges
-    return project
-
-
-# ----------------------------------------------------------------- caching
-
-
-@lru_cache(maxsize=1)
-def _engine_digest() -> str:
-    """Content hash of the analyzer package itself.
-
-    Folded into the cache key so upgrading the engine (new rules, symbol
-    table schema changes, bug fixes in resolution) invalidates cached
-    symbol tables instead of silently reusing ones built by older code.
-    """
-    digest = hashlib.sha256()
-    for source in sorted(Path(__file__).parent.glob("*.py")):
-        digest.update(source.name.encode())
-        digest.update(hashlib.sha256(source.read_bytes()).digest())
-    return digest.hexdigest()
-
-
-def _cache_digest(files: Sequence[Tuple[Path, str, bool]]) -> str:
-    digest = hashlib.sha256()
-    digest.update(f"symtab-v{_CACHE_VERSION}-{_engine_digest()}".encode())
-    for file_path, name, is_package in files:
-        digest.update(f"|{name}|{int(is_package)}|".encode())
-        digest.update(hashlib.sha256(file_path.read_bytes()).digest())
-    return digest.hexdigest()
-
-
-def build_project(
-    paths: Sequence[Path],
-    root: Optional[Path] = None,
-    cache_dir: Optional[Path] = None,
-    jobs: int = 1,
-) -> Project:
-    """Build (or load from cache) the symbol table for ``paths``.
-
-    ``cache_dir`` defaults to ``$REPRO_ANALYSIS_CACHE_DIR`` when set; the
-    cache key hashes every source file *and the analyzer's own sources*,
-    so it can never serve symbols that are stale — whether the project or
-    the engine changed. ``jobs > 1`` parses files in a process pool.
-    """
-    files = _module_files(paths)
-    if cache_dir is None:
-        env = os.environ.get(CACHE_ENV)
-        cache_dir = Path(env) if env else None
-    cache_path: Optional[Path] = None
-    if cache_dir is not None:
-        cache_path = Path(cache_dir) / f"symtab-{_cache_digest(files)}.pkl"
-        if cache_path.is_file():
-            try:
-                with cache_path.open("rb") as handle:
-                    cached = pickle.load(handle)
-                if isinstance(cached, Project):
-                    return cached
-            except Exception:
-                pass  # corrupt/incompatible entry: rebuild below
-    project = _build(files, root, jobs=jobs)
-    if cache_path is not None:
-        cache_path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = cache_path.with_suffix(".tmp")
-        with tmp.open("wb") as handle:
-            pickle.dump(project, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, cache_path)
     return project

@@ -43,6 +43,15 @@ from repro.workloads.suites import spec_by_name, tune_specs
 DEFAULT_CACHE_DIR = ".repro-cache"
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for size flags: a zero or negative size would hang a
+    step loop or divide by zero deep inside a run, so reject it here."""
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _tune_selection(args: argparse.Namespace):
     """The workload specs a prefetch subcommand sweeps.
 
@@ -378,23 +387,23 @@ def build_parser() -> argparse.ArgumentParser:
     smt_defaults = SMTBanditConfig()
     for name in COMMANDS:
         cmd = sub.add_parser(name, help=f"regenerate {name}")
-        cmd.add_argument("--trace-length", type=int, default=10_000,
+        cmd.add_argument("--trace-length", type=_positive_int, default=10_000,
                          help="memory accesses per trace (prefetch cases)")
-        cmd.add_argument("--workloads", type=int, default=8,
+        cmd.add_argument("--workloads", type=_positive_int, default=8,
                          help="number of workloads/mixes where applicable")
         cmd.add_argument("--workload-names", default=None,
                          help="comma-separated tune-set workload names "
                               "(overrides the --workloads prefix)")
-        cmd.add_argument("--mixes", type=int, default=6,
+        cmd.add_argument("--mixes", type=_positive_int, default=6,
                          help="number of SMT mixes where applicable")
-        cmd.add_argument("--epochs", type=int, default=300,
+        cmd.add_argument("--epochs", type=_positive_int, default=300,
                          help="SMT episode length in HC epochs")
-        cmd.add_argument("--epoch-cycles", type=int, default=500,
+        cmd.add_argument("--epoch-cycles", type=_positive_int, default=500,
                          help="cycles per Hill-Climbing epoch")
-        cmd.add_argument("--step-epochs", type=int,
+        cmd.add_argument("--step-epochs", type=_positive_int,
                          default=smt_defaults.step_epochs,
                          help="HC epochs per SMT bandit step (Table 6)")
-        cmd.add_argument("--step-epochs-rr", type=int,
+        cmd.add_argument("--step-epochs-rr", type=_positive_int,
                          default=smt_defaults.step_epochs_rr,
                          help="HC epochs per round-robin step (Table 6)")
         cmd.add_argument("--jobs", type=int, default=1,
@@ -406,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--profile", action="store_true",
                          help="run under cProfile; writes <cache-dir>/"
                               "profiles/<command>.prof and a JSON summary")
-        cmd.add_argument("--replicates", type=int, default=5,
+        cmd.add_argument("--replicates", type=_positive_int, default=5,
                          help="bandit seed replicates per workload "
                               "(replication sweeps)")
         cmd.add_argument("--deterministic-manifest", action="store_true",

@@ -2,11 +2,8 @@
 
 Every numeric constant the paper fixes for the two use cases lives here,
 with its provenance, and is *imported* at each use site instead of being
-re-typed inline. The custom static-analysis rule R2
-(:mod:`repro.analysis.rules`) enforces this: a literal equal to a registered
-value bound to a registered parameter name anywhere in ``repro/bandit``,
-``repro/smt``, or ``repro/experiments`` is rejected unless it comes from
-this module.
+re-typed inline. ``tests/test_constants.py`` pins every value and checks
+that the consuming dataclasses default to it.
 
 Provenance map (MICRO 2023 paper):
 
@@ -27,13 +24,13 @@ Provenance map (MICRO 2023 paper):
 
 Scale note: reproduction-scale experiments *derive* shrunk values from
 these (e.g. ``figures.SCALED_GAMMA``, ``scaled_hill_climbing``); those
-derived values are deliberately not registered here because they are not
+derived values deliberately live outside this module because they are not
 paper constants.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Tuple
+from typing import Tuple
 
 # --------------------------------------------- Table 6, prefetching column
 
@@ -107,27 +104,3 @@ TABLE7_ARM_TABLE: Tuple[Tuple[bool, int, int], ...] = (
 
 #: Number of prefetching arms (Table 7).
 PREFETCH_NUM_ARMS = len(TABLE7_ARM_TABLE)
-
-# ------------------------------------------------------------ R2 registry
-
-#: Parameter name → the paper values that may only be spelled via this
-#: module. Rule R2 flags ``name=<literal>`` bindings (keyword arguments,
-#: dataclass field defaults, assignments) inside ``repro/bandit``,
-#: ``repro/smt`` and ``repro/experiments`` whose name appears here and
-#: whose literal equals one of the registered values.
-PAPER_CONSTANTS: Dict[str, FrozenSet[float]] = {
-    "gamma": frozenset({PREFETCH_GAMMA, SMT_GAMMA}),
-    "exploration_c": frozenset({PREFETCH_EXPLORATION_C, SMT_EXPLORATION_C}),
-    "epsilon": frozenset({EPSILON_GREEDY_EPSILON}),
-    "step_l2_accesses": frozenset({PREFETCH_STEP_L2_ACCESSES}),
-    "step_epochs": frozenset({SMT_STEP_EPOCHS}),
-    "step_epochs_rr": frozenset({SMT_STEP_EPOCHS_RR}),
-    "epoch_cycles": frozenset({HILL_CLIMBING_EPOCH_CYCLES}),
-    "delta": frozenset({HILL_CLIMBING_DELTA_IQ_ENTRIES}),
-    "delta_iq_entries": frozenset({HILL_CLIMBING_DELTA_IQ_ENTRIES}),
-    "num_stride_trackers": frozenset({NUM_STRIDE_TRACKERS}),
-    "num_stream_trackers": frozenset({NUM_STREAM_TRACKERS}),
-    "selection_latency_cycles": frozenset({SELECTION_LATENCY_CYCLES}),
-    "rr_restart_prob": frozenset({RR_RESTART_PROB_MULTICORE}),
-    "rr_restart_prob_multicore": frozenset({RR_RESTART_PROB_MULTICORE}),
-}

@@ -42,11 +42,13 @@ and ``finish()`` drains the MSHRs and returns the per-lane counters.
   dirty; ``-1`` = empty way; recency in parallel last-touch stamps) and
   the MSHR into ``(N, mshr)`` fill-queue columns, so an L1-miss record
   updates all N lanes in a handful of masked array ops; it wins on wide
-  batches, where the dict side's working set outgrows the host caches.
+  batches of L1-thrashing traces, where nearly every record is a miss
+  row. On streaming traces (~12.5 % miss rows) the dict side measured
+  faster at every width tried, 411 lanes included.
 
 ``REPRO_LANE_KERNEL=auto`` (the default) picks the dict side below
-``AUTO_ARRAY_MIN_LANES`` lanes and the array side at or above it;
-``dict``/``array`` force one. Bandit lanes drive one
+``AUTO_ARRAY_MIN_LANES`` lanes and the array side at or above it, by lane
+count alone; ``dict``/``array`` force one. Bandit lanes drive one
 :class:`~repro.bandit.hardware.PrefetchBanditController` each
 (:class:`_BanditLanes`).
 
@@ -132,10 +134,13 @@ class LaneSpec:
 
 #: Lane count at or above which ``auto`` mode gives a batch the array
 #: memory side. Below it the dict side's small per-lane state beats the
-#: array side's per-record dispatch floor; above it the dict side's
-#: working set blows out the host caches and scales superlinearly while
-#: the array side stays linear in lanes (both are bit-identical, so the
-#: cutover is purely a performance choice).
+#: array side's per-record dispatch floor. Above it the array side wins on
+#: L1-thrashing traces, where nearly every record is a miss row; on
+#: streaming traces the dict side stayed faster at every width measured
+#: (lbm06, 5,000 records, 2-vCPU Xeon: 420 vs 883 ms at 139 lanes, 1,373
+#: vs 1,693 ms at 411). The cutover ignores the miss-row share, so wide
+#: streaming batches take the slower side. Both sides are bit-identical,
+#: so the cutover is purely a performance choice.
 AUTO_ARRAY_MIN_LANES = 128
 
 
@@ -584,7 +589,7 @@ class _BanditLanes:
         retire_l = retire.tolist()
         for i in rows.tolist():
             counters = PerformanceCounters(instructions, retire_l[i])
-            limits = self.controllers[i].on_record(  # repro: ignore[R4] flushed by finish()
+            limits = self.controllers[i].on_record(
                 l2da, counters
             )
             self.hook_l2[i], self.hook_cyc[i] = limits
@@ -657,10 +662,6 @@ def _lane_kernel(
     # ---- per-lane core clocks as (N,) float64 columns; rlog[t + 1] is the
     # retire-time column after row t, and row 0 is a permanent zero row so
     # the no-anchor floor gathers 0.0 and every row takes the same maximum ----
-    # repro: dtype[retire: float64]
-    # repro: dtype[dispatch: float64]
-    # repro: dtype[llr: float64]
-    # repro: dtype[rlog: float64]
     retire = np.zeros(num_lanes)
     dispatch = np.zeros(num_lanes)
     llr = np.zeros(num_lanes)  # last_load_ready
@@ -802,9 +803,6 @@ def _dict_memory(
     # lines are packed small ints (bit0 prefetched, bit1 used, bit2 dirty)
     # and LLC lines a bare dirty bool (its other flags are never read), so
     # cache fills allocate nothing ----
-    # repro: dtype[line: int bits<=3]
-    # repro: dtype[victim: int bits<=3]
-    # repro: dtype[l2_line: int bits<=3]
     l2_sets = [
         [{} for _ in range(l2_num_sets)] for _ in range(num_lanes)
     ]  # type: List[List[Dict[int, int]]]
@@ -1708,12 +1706,6 @@ def _array_memory(
     # (block * 8 + flags; bit0 prefetched, bit1 used, bit2 dirty; -1 =
     # empty way). Way positions are stable; recency lives in the
     # parallel last-touch stamp arrays (argmin stamp = LRU victim). ----
-    # repro: dtype[l2_data: int64]
-    # repro: dtype[llc_data: int64]
-    # repro: dtype[l2_cnt: int64]
-    # repro: dtype[llc_cnt: int64]
-    # repro: dtype[l2_stamp: int64]
-    # repro: dtype[llc_stamp: int64]
     l2_data = np.full(
         (num_lanes, l2_num_sets, l2_ways), -1, dtype=np.int64
     )
@@ -1808,7 +1800,6 @@ def _array_memory(
     maximum = np.maximum
     all_rows = _arange(num_lanes)
     lidx = all_rows[:, None]
-    # repro: dtype[ready_arr: float64]
 
     def miss_row(
         t: int, cycle: np.ndarray, drain_to: np.ndarray

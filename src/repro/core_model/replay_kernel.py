@@ -240,7 +240,6 @@ def run_replay_kernel(
     hook_cycle = -_INF
 
     # Packed record flags: bit0 write, bit1 dependent (CompiledTrace.flags).
-    # repro: dtype[rflags: int bits<=2]
     for pc, block, rflags, gap in zip(pcs, blocks, all_flags, gaps):
         if gap:
             instructions += gap

@@ -452,7 +452,6 @@ def run_smt_epochs_kernel(
             rr += 1
 
         # ------------------------------------------------ epoch boundary
-        # repro: dtype[epoch_ipc: float64]
         epoch_ipc = (committed[0] + committed[1] - epoch_start_committed) / epoch_cycles
         hill_climbing.end_epoch(epoch_ipc)
         if epoch_hook is not None:

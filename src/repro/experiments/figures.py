@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.bandit.base import BanditConfig, MABAlgorithm
+from repro.bandit.base import BanditConfig
 from repro.bandit.ducb import DUCB
 from repro.bandit.heuristics import Single
 from repro.bandit.ucb import UCB
@@ -30,7 +30,6 @@ from repro.experiments.configs import (
     SCALED_GAMMA,
     TABLE8_ALGORITHM_NAMES,
     scaled_prefetch_params,
-    table8_algorithm_lineup,
 )
 from repro.experiments.matrix import (
     MatrixSpec,
@@ -93,11 +92,6 @@ DEFAULT_TRACE_LENGTH = 30_000
 
 def _num_arms() -> int:
     return len(TABLE7_ARMS)
-
-
-def _bandit_algorithms(seed: int, gamma: float = SCALED_GAMMA) -> Dict[str, MABAlgorithm]:
-    """The algorithm lineup of Tables 8/9 (prefetching hyperparameters)."""
-    return table8_algorithm_lineup(seed=seed, gamma=gamma, num_arms=_num_arms())
 
 
 # =============================================================== Figure 2

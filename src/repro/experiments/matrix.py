@@ -194,12 +194,6 @@ class MatrixSpec:
     def axis_names(self) -> Tuple[str, ...]:
         return tuple(name for name, _ in self.axes)
 
-    def axis_values(self, name: str) -> Tuple[AxisValue, ...]:
-        for axis, values in self.axes:
-            if axis == name:
-                return values
-        raise KeyError(name)
-
     def without_axes(self, *names: str) -> "MatrixSpec":
         """The sub-matrix over the remaining axes (for baseline passes).
 

@@ -24,9 +24,10 @@ benchmark harness — and :func:`run_parallel` picks it up. The default
 context is serial and uncached, which keeps library use dependency-free.
 
 Task *functions* must be module-level (the process pool pickles them by
-reference) and must rebuild their inputs from picklable descriptions; the
-ones defined here regenerate workload traces from spec names, which is
-deterministic because trace generation is seeded.
+reference, and :func:`task_key` rejects any other) and must rebuild their
+inputs from picklable descriptions; the ones defined here regenerate
+workload traces from spec names, which is deterministic because trace
+generation is seeded.
 """
 
 from __future__ import annotations
@@ -159,14 +160,25 @@ def task_key(fn: Callable[..., Any], kwargs: Dict[str, Any]) -> str:
     a key, and — the case that matters — editing a default changes every
     key it participated in, instead of silently serving results computed
     under the old default.
+
+    The function must be module-level: two lambdas or local functions of
+    one scope share a qualified name, and a bound method's name omits its
+    instance, so either would let different computations share a key.
     """
+    qualname = fn.__qualname__
+    if "<" in qualname or inspect.ismethod(fn):
+        raise TypeError(
+            f"cannot build a stable cache key for {qualname!r}; task "
+            "functions must be module-level (no lambdas, local functions "
+            "or bound methods)"
+        )
     bound = {name: value for name, value in _fn_defaults(fn)}
     bound.update(kwargs)
     payload = json.dumps(
         [
             "repro-task",
             CACHE_SCHEMA_VERSION,
-            f"{fn.__module__}.{fn.__qualname__}",
+            f"{fn.__module__}.{qualname}",
             _canonical(bound),
         ],
         sort_keys=True,

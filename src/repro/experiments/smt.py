@@ -19,7 +19,7 @@ estimator state.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bandit.base import MABAlgorithm
@@ -67,6 +67,14 @@ class SMTScale:
     total_epochs: int = 400
     step_epochs: int = SMT_STEP_EPOCHS
     step_epochs_rr: int = 2
+
+    def __post_init__(self) -> None:
+        # A zero step never advances the epoch budget, and zero cycles or
+        # epochs divide by zero downstream.
+        for knob in fields(self):
+            value = getattr(self, knob.name)
+            if value <= 0:
+                raise ValueError(f"SMTScale.{knob.name} must be positive, got {value}")
 
 
 DEFAULT_SMT_SCALE = SMTScale()

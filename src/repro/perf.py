@@ -158,14 +158,6 @@ def load_benchmark_stats(path: str | Path) -> Dict[str, BenchmarkStats]:
     return loaded
 
 
-def load_benchmark_means(path: str | Path) -> Dict[str, float]:
-    """``{benchmark name: mean seconds}`` from a pytest-benchmark JSON file."""
-    return {
-        name: stats.mean
-        for name, stats in load_benchmark_stats(path).items()
-    }
-
-
 def compare_benchmarks(
     baseline_path: str | Path,
     current_path: str | Path,

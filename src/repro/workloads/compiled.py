@@ -67,10 +67,6 @@ class CompiledTrace:
         length = len(pc)
         if not (len(block) == len(flags) == len(inst_gap) == length):
             raise ValueError("compiled trace arrays must have equal length")
-        # repro: dtype[pc: int64]
-        # repro: dtype[block: int64]
-        # repro: dtype[flags: uint8 bits<=2]
-        # repro: dtype[inst_gap: int32]
         self.pc = np.ascontiguousarray(pc, dtype=np.int64)
         self.block = np.ascontiguousarray(block, dtype=np.int64)
         self.flags = np.ascontiguousarray(flags, dtype=np.uint8)
@@ -118,7 +114,6 @@ class CompiledTrace:
 
     def to_records(self) -> List[TraceRecord]:
         """Reconstruct the object trace (block-granular addresses)."""
-        # repro: dtype[flags: uint8 bits<=2]
         pcs, blocks, flags, gaps = self.as_lists()
         return [
             TraceRecord(
@@ -310,7 +305,7 @@ def get_trace_store() -> TraceStore:
         # repro: cache-invariant[REPRO_TRACE_CACHE_DIR]
         directory = os.environ.get(TRACE_CACHE_ENV) or None
         # Deliberate per-process memo of the store handle.
-        _ACTIVE_STORE = TraceStore(directory)  # repro: ignore[R12]
+        _ACTIVE_STORE = TraceStore(directory)
     return _ACTIVE_STORE
 
 

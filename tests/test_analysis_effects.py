@@ -1,16 +1,14 @@
-"""Tests for the effect/provenance layer and the rules built on it.
+"""Tests for the effect/provenance layer and the rule built on it.
 
 Covers worker-root discovery (``Task(...)`` and ``.submit(...)`` shapes),
-per-function effect extraction, ``cache-invariant`` waiver parsing,
-None-default substitution threading, and the project rules R11 (cache-key
-completeness) and R12 (worker purity) — positive and negative cases each.
+per-function env-read extraction, ``cache-invariant`` waiver parsing,
+None-default substitution threading, and the project rule R11 (cache-key
+completeness) — positive and negative cases each.
 """
 
 from repro.analysis.callgraph import build_callgraph
 from repro.analysis.effects import (
     ENV_READ,
-    GLOBAL_WRITE,
-    RNG_UNSEEDED,
     direct_effects,
     find_worker_roots,
     none_default_substitutions,
@@ -18,10 +16,7 @@ from repro.analysis.effects import (
     roots_by_qname,
     waived_invariants,
 )
-from repro.analysis.project_rules import (
-    CacheKeyCompletenessRule,
-    WorkerPurityRule,
-)
+from repro.analysis.project_rules import CacheKeyCompletenessRule
 
 from tests.test_analysis_project import lint_project, make_tree, project_of
 
@@ -40,8 +35,6 @@ FILES = {
         from pkg.engine import Task
 
         DEFAULT_DEPTH = 4
-        _MEMO = {}
-        _COUNT = 0
 
 
         def clean_worker(n):
@@ -60,17 +53,6 @@ FILES = {
 
         def star_worker(*args):
             return sum(args)
-
-
-        def memo_worker(n):
-            _MEMO[n] = n * 2
-            return _MEMO[n]
-
-
-        def counter_worker(n):
-            global _COUNT
-            _COUNT = _COUNT + n
-            return _COUNT
 
 
         def rng_worker(n):
@@ -100,8 +82,6 @@ FILES = {
                 Task(env_worker, {"n": 1}),
                 Task(waived_worker, {"n": 1}),
                 Task(star_worker, {}),
-                Task(memo_worker, {"n": 1}),
-                Task(counter_worker, {"n": 1}),
                 Task(fn=depth_worker, kwargs={"n": 1}),
                 Task(nested_worker, {"n": 1}),
             ]
@@ -146,16 +126,8 @@ class TestDirectEffects:
             return {(s.kind, s.detail) for s in effects[qname]}
 
         assert kinds("pkg.tasks.clean_worker") == set()
-        assert (ENV_READ, "REPRO_KNOB") in kinds("pkg.tasks.env_worker")
-        assert (GLOBAL_WRITE, "pkg.tasks._MEMO") in kinds(
-            "pkg.tasks.memo_worker"
-        )
-        assert (GLOBAL_WRITE, "pkg.tasks._COUNT") in kinds(
-            "pkg.tasks.counter_worker"
-        )
-        assert (RNG_UNSEEDED, "random.Random") in kinds(
-            "pkg.tasks.rng_worker"
-        )
+        assert kinds("pkg.tasks.env_worker") == {(ENV_READ, "REPRO_KNOB")}
+        assert kinds("pkg.tasks.rng_worker") == set()
 
     def test_nested_def_effects_belong_to_inner(self, tmp_path):
         project, _ = _analysis(tmp_path)
@@ -318,64 +290,3 @@ class TestCacheKeyCompletenessRule:
             """,
         })
         assert lint_project(tree, [CacheKeyCompletenessRule()]) == []
-
-
-# --------------------------------------------------------------- R12 rule
-
-
-class TestWorkerPurityRule:
-    def findings(self, tmp_path):
-        return lint_project(make_tree(tmp_path, FILES), [WorkerPurityRule()])
-
-    def test_global_writes_are_flagged(self, tmp_path):
-        findings = self.findings(tmp_path)
-        assert any(
-            f.rule == "R12" and "pkg.tasks._MEMO" in f.message
-            for f in findings
-        )
-        assert any("pkg.tasks._COUNT" in f.message for f in findings)
-
-    def test_unseeded_rng_is_flagged(self, tmp_path):
-        findings = self.findings(tmp_path)
-        assert any(
-            "random.Random" in f.message and "no seed" in f.message
-            for f in findings
-        )
-
-    def test_env_reads_are_r11_not_r12(self, tmp_path):
-        findings = self.findings(tmp_path)
-        assert not any("REPRO_KNOB" in f.message for f in findings)
-
-    def test_ignore_marker_suppresses(self, tmp_path):
-        files = dict(FILES)
-        files["pkg/tasks.py"] = FILES["pkg/tasks.py"].replace(
-            "_MEMO[n] = n * 2",
-            "_MEMO[n] = n * 2  # repro: ignore[R12]",
-        )
-        findings = lint_project(
-            make_tree(tmp_path, files), [WorkerPurityRule()]
-        )
-        assert not any("pkg.tasks._MEMO" in f.message for f in findings)
-
-    def test_seeded_rng_is_not_flagged(self, tmp_path):
-        tree = make_tree(tmp_path, {
-            "engine.py": """
-                class Task:
-                    def __init__(self, fn, kwargs):
-                        self.fn = fn
-            """,
-            "m.py": """
-                import random
-
-                from engine import Task
-
-
-                def worker(seed):
-                    return random.Random(seed).random()
-
-
-                def schedule():
-                    return Task(worker, {"seed": 1})
-            """,
-        })
-        assert lint_project(tree, [WorkerPurityRule()]) == []

@@ -1,4 +1,4 @@
-"""The repo's own source must satisfy its fidelity linter.
+"""The repo's own code must satisfy its fidelity linter.
 
 This is the same check the ``lint-analysis`` CI job runs; keeping it in the
 tier-1 suite means a new violation fails locally before it reaches CI.
@@ -6,32 +6,16 @@ tier-1 suite means a new violation fails locally before it reaches CI.
 
 from pathlib import Path
 
-from repro.analysis.baseline import load_baseline, split_by_baseline
 from repro.analysis.core import run_analysis
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-BASELINE = REPO_ROOT / "analysis-baseline.json"
 
 
-def test_src_is_clean_modulo_baseline():
-    findings = run_analysis([REPO_ROOT / "src"], root=REPO_ROOT)
-    accepted = load_baseline(BASELINE)
-    new, _ = split_by_baseline(findings, accepted)
-    assert new == [], "\n".join(f.format() for f in new)
-
-
-def test_checked_in_baseline_is_empty():
-    """The refactor landed with zero accepted debt; keep it that way.
-
-    If a finding genuinely cannot be fixed, prefer a targeted
-    ``# repro: ignore[CODE]`` over re-growing the baseline.
-    """
-    assert load_baseline(BASELINE) == set()
-
-
-def test_baseline_entries_would_be_recognized():
-    """Every baseline entry must use the rule|path|line format."""
-    for entry in load_baseline(BASELINE):
-        parts = entry.split("|", 2)
-        assert len(parts) == 3, entry
-        assert parts[0].startswith("R"), entry
+def test_src_tests_and_benchmarks_are_clean():
+    """No baseline: a finding that cannot be fixed takes a targeted
+    ``# repro: ignore[CODE]`` on its line."""
+    findings = run_analysis(
+        [REPO_ROOT / name for name in ("src", "tests", "benchmarks")],
+        root=REPO_ROOT,
+    )
+    assert findings == [], "\n".join(f.format() for f in findings)

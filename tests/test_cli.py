@@ -26,6 +26,22 @@ class TestParser:
         with pytest.raises(SystemExit):
             parser.parse_args(["fig99"])
 
+    @pytest.mark.parametrize("flag", [
+        "--trace-length", "--workloads", "--mixes", "--epochs",
+        "--epoch-cycles", "--step-epochs", "--step-epochs-rr", "--replicates",
+    ])
+    def test_size_flags_reject_non_positive_values(self, flag, capsys):
+        """Zero or negative sizes used to hang a step loop or crash deep in
+        a run; they must exit 2 with a usage message before anything runs."""
+        parser = build_parser()
+        for value in ("0", "-1"):
+            with pytest.raises(SystemExit) as excinfo:
+                parser.parse_args(["fig13", flag, value])
+            assert excinfo.value.code == 2
+            assert "must be a positive integer" in capsys.readouterr().err
+        args = parser.parse_args(["fig13", flag, "1"])
+        assert getattr(args, flag.lstrip("-").replace("-", "_")) == 1
+
     def test_smt_scale_defaults_match_canonical_config(self):
         """Regression: the CLI once hardcoded step_epochs_rr=2 instead of
         the Table 6 default carried by SMTBanditConfig."""

@@ -10,7 +10,10 @@ kernel's record-hook protocol).
 """
 
 import dataclasses
+import sys
+import threading
 
+import numpy as np
 import pytest
 
 from repro.core_model.trace_core import CoreConfig, TraceCore
@@ -159,6 +162,58 @@ class TestTraceStore:
         rebuilt = fresh.get(spec, 256, seed=0)
         assert fresh.misses == 1
         assert len(rebuilt) == 256
+
+    def test_interrupted_save_leaves_no_litter(self, tmp_path, monkeypatch):
+        """An interrupt mid-write removes the temp file and publishes no
+        entry, so the next read rebuilds instead of loading half a trace."""
+        spec = spec_by_name(SUITE_REPRESENTATIVES[0])
+
+        def interrupted(handle, **arrays):
+            handle.write(b"PK\x03\x04 partial")
+            raise KeyboardInterrupt
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "savez_compressed", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                TraceStore(tmp_path).get(spec, 256, seed=0)
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+        fresh = TraceStore(tmp_path)
+        assert len(fresh.get(spec, 256, seed=0)) == 256
+        assert fresh.misses == 1
+        assert len(list(tmp_path.rglob("*.npz"))) == 1
+
+    def test_concurrent_writers_leave_one_entry(self, tmp_path):
+        """Eight stores racing to materialize one trace publish a single
+        loadable entry and no temp files."""
+        spec = spec_by_name(SUITE_REPRESENTATIVES[0])
+        expected = TraceStore().get(spec, 256, seed=0)
+        start = threading.Barrier(8)
+        errors = []
+
+        def write():
+            try:
+                start.wait(timeout=10)
+                TraceStore(tmp_path).get(spec, 256, seed=0)
+            except BaseException as error:  # reported by the main thread
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=write) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert list(tmp_path.rglob("*.tmp")) == []
+        [path] = list(tmp_path.rglob("*.npz"))
+        loaded = CompiledTrace.load(path)
+        assert (loaded.block == expected.block).all()
+        assert (loaded.inst_gap == expected.inst_gap).all()
 
 
 # ============================================================= equivalence

@@ -1,6 +1,6 @@
-"""Coherence tests for the paper-constant registry (repro.constants).
+"""Coherence tests for the paper constants (repro.constants).
 
-The registry is the single source for Table 6/7 values; these tests pin the
+The module is the single source for Table 6/7 values; these tests pin the
 published numbers and check that the consuming dataclasses actually default
 to them (so a drive-by edit of a default cannot silently diverge from the
 paper).
@@ -109,18 +109,3 @@ class TestDataclassDefaultsMatchRegistry:
         config = HillClimbingConfig()
         assert config.delta == constants.HILL_CLIMBING_DELTA_IQ_ENTRIES
         assert config.epoch_cycles == constants.HILL_CLIMBING_EPOCH_CYCLES
-
-
-class TestRegistry:
-    def test_registry_covers_the_named_constants(self):
-        registry = constants.PAPER_CONSTANTS
-        assert constants.PREFETCH_GAMMA in registry["gamma"]
-        assert constants.SMT_GAMMA in registry["gamma"]
-        assert constants.PREFETCH_EXPLORATION_C in registry["exploration_c"]
-        assert constants.SMT_EXPLORATION_C in registry["exploration_c"]
-        assert constants.EPSILON_GREEDY_EPSILON in registry["epsilon"]
-
-    def test_registry_values_are_frozen(self):
-        for name, values in constants.PAPER_CONSTANTS.items():
-            assert isinstance(values, frozenset), name
-            assert values, name

@@ -2,8 +2,10 @@
 
 import json
 import os
+import pickle
 import subprocess
 import sys
+import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -57,6 +59,22 @@ def _late_worker_death(*, value):
 
 def _dict_payload(*, n):
     return {"results": list(range(n)), "records": n}
+
+
+def _depth_worker(*, value, depth=4):
+    return value * depth
+
+
+def _depth_worker_v2(*, value, depth=8):
+    return value * depth
+
+
+class _Scaler:
+    def __init__(self, factor):
+        self.factor = factor
+
+    def run(self, *, value):
+        return value * self.factor
 
 
 @dataclass(frozen=True)
@@ -122,31 +140,36 @@ class TestCacheKey:
     def test_folds_signature_defaults(self):
         """Omitting a kwarg and passing its default explicitly must hash
         identically — the key sees the value the worker will consume."""
-
-        def worker(*, value, depth=4):
-            return value * depth
-
-        assert task_key(worker, {"value": 1}) == task_key(
-            worker, {"value": 1, "depth": 4}
+        assert task_key(_depth_worker, {"value": 1}) == task_key(
+            _depth_worker, {"value": 1, "depth": 4}
         )
-        assert task_key(worker, {"value": 1}) != task_key(
-            worker, {"value": 1, "depth": 5}
+        assert task_key(_depth_worker, {"value": 1}) != task_key(
+            _depth_worker, {"value": 1, "depth": 5}
         )
 
-    def test_changing_a_default_changes_the_key(self):
-        def worker_v1(*, value, depth=4):
-            return value * depth
-
-        def worker_v2(*, value, depth=8):
-            return value * depth
-
-        # Same qualified-name trick: both close over the same module, so
-        # only the default differs once the names are aligned.
-        worker_v2.__qualname__ = worker_v1.__qualname__
-        worker_v2.__name__ = worker_v1.__name__
-        assert task_key(worker_v1, {"value": 1}) != task_key(
-            worker_v2, {"value": 1}
+    def test_changing_a_default_changes_the_key(self, monkeypatch):
+        # Both live in one module, so only the default differs once the
+        # names are aligned.
+        for attr in ("__qualname__", "__name__"):
+            monkeypatch.setattr(
+                _depth_worker_v2, attr, getattr(_depth_worker, attr)
+            )
+        assert task_key(_depth_worker, {"value": 1}) != task_key(
+            _depth_worker_v2, {"value": 1}
         )
+
+    def test_rejects_functions_without_a_unique_name(self):
+        """Lambdas and local functions of one scope share a qualified name,
+        and a bound method's name omits its instance: keying any of them
+        would serve one computation's cached result for another."""
+        doublers = [lambda *, value, k=k: value * k for k in (2, 10)]
+
+        def local(*, value):
+            return value
+
+        for fn in (*doublers, local, _Scaler(2).run, _Scaler(10).run):
+            with pytest.raises(TypeError, match="module-level"):
+                task_key(fn, {"value": 1})
 
 
 class TestResultCache:
@@ -185,6 +208,58 @@ class TestResultCache:
         )
         hit, value = cache.get(key)
         assert not hit and value is None
+
+    def test_interrupted_put_leaves_no_litter(self, tmp_path, monkeypatch):
+        """An interrupt mid-pickle removes the temp file and publishes no
+        entry, so the next read misses instead of unpickling half a value."""
+        cache = ResultCache(tmp_path)
+        key = "ab" * 32
+
+        def interrupted(value, handle, protocol=None):
+            handle.write(b"\x80\x05partial")
+            raise KeyboardInterrupt
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pickle, "dump", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                cache.put(key, {"ipc": 1.25})
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+        assert cache.get(key) == (False, None)
+        assert len(cache) == 0
+        cache.put(key, {"ipc": 1.25})
+        assert cache.get(key) == (True, {"ipc": 1.25})
+
+    def test_concurrent_puts_leave_one_entry(self, tmp_path):
+        """Eight threads writing one key publish a single loadable entry
+        and no temp files."""
+        key = "cd" * 32
+        value = {"results": list(range(20_000))}
+        start = threading.Barrier(8)
+        errors = []
+
+        def write():
+            try:
+                start.wait(timeout=10)
+                ResultCache(tmp_path).put(key, value)
+            except BaseException as error:  # reported by the main thread
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=write) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert list(tmp_path.rglob("*.tmp")) == []
+        cache = ResultCache(tmp_path)
+        assert len(cache) == 1
+        assert cache.get(key) == (True, value)
 
 
 class TestRunParallel:

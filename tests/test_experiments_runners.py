@@ -179,3 +179,13 @@ class TestSMTRunners:
         best, per_arm = smt_best_static_arm(self.MIX, scale=FAST_SCALE)
         assert len(per_arm) == 6
         assert per_arm[best] == max(per_arm.values())
+
+    @pytest.mark.parametrize(
+        "knob", ["epoch_cycles", "total_epochs", "step_epochs", "step_epochs_rr"]
+    )
+    def test_scale_rejects_non_positive_knobs(self, knob):
+        """A zero step would hang the epoch-budget loop; zero epochs or
+        cycles divide by zero. Both must fail before any simulation."""
+        for value in (0, -1):
+            with pytest.raises(ValueError, match=knob):
+                SMTScale(**{knob: value})
