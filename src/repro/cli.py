@@ -7,8 +7,6 @@ Usage::
     python -m repro.cli table08 --trace-length 15000 --workloads 8
     python -m repro.cli fig13 --mixes 10 --epochs 400
     python -m repro.cli sec65
-    python -m repro.cli matrix --axis workload=milc06,cactus06 \
-        --axis scenario=none,stride,bandit --expand-only
 
 Each subcommand prints the regenerated table/series in the same format as
 the benchmark harness. This exists so downstream users can reproduce a
@@ -232,98 +230,6 @@ def _cmd_sec65(args):
     print(json.dumps(figures.sec65_area_power(), indent=2))
 
 
-def _parse_axis_value(text: str):
-    """Axis values come in as strings; recover ints and floats."""
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
-
-
-def _parse_assignments(text: str) -> Dict[str, object]:
-    """``a=1,b=x`` → ``{"a": 1, "b": "x"}`` (include/exclude entries)."""
-    out: Dict[str, object] = {}
-    for part in text.split(","):
-        key, sep, value = part.partition("=")
-        if not sep or not key.strip():
-            raise SystemExit(
-                f"bad assignment {part!r}: expected name=value[,name=value]"
-            )
-        out[key.strip()] = _parse_axis_value(value.strip())
-    return out
-
-
-def _cmd_matrix(args):
-    """Expand (and optionally run) a declarative scenario matrix.
-
-    The spec comes either from ``--spec FILE.json`` or from repeated
-    ``--axis name=v1,v2`` flags plus ``--include``/``--exclude``
-    assignments. ``suite:<name>`` entries on the ``workload`` axis expand
-    to the suite's members before the matrix is built. ``--expand-only``
-    prints the point list without running anything; otherwise every point
-    executes through the shared runner (cache/jobs flags apply) and the
-    table reports per-point IPC normalized to the same-workload
-    no-prefetch baseline.
-    """
-    from repro.experiments.matrix import (
-        MatrixSpec,
-        expand,
-        expand_workload_values,
-        run_prefetch_matrix,
-    )
-
-    if args.spec and args.axis:
-        raise SystemExit("--spec and --axis are mutually exclusive")
-    if args.spec:
-        payload = json.loads(Path(args.spec).read_text())
-        axes = payload.get("axes")
-        if isinstance(axes, dict) and "workload" in axes:
-            axes["workload"] = list(expand_workload_values(axes["workload"]))
-        spec = MatrixSpec.from_dict(payload)
-    elif args.axis:
-        axes_list = []
-        for entry in args.axis:
-            name, sep, values = entry.partition("=")
-            if not sep or not values:
-                raise SystemExit(
-                    f"bad --axis {entry!r}: expected name=v1[,v2,...]"
-                )
-            parsed = tuple(
-                _parse_axis_value(v.strip()) for v in values.split(",")
-            )
-            if name.strip() == "workload":
-                parsed = expand_workload_values(parsed)
-            axes_list.append((name.strip(), parsed))
-        spec = MatrixSpec.build(
-            axes=axes_list,
-            include=[_parse_assignments(t) for t in args.include],
-            exclude=[_parse_assignments(t) for t in args.exclude],
-        )
-    else:
-        raise SystemExit("matrix needs --spec FILE.json or --axis flags")
-
-    names = list(spec.axis_names)
-    points = expand(spec)
-    if args.expand_only:
-        rows = [[str(point[n]) for n in names] for point in points]
-        print(format_table(names, rows,
-                           title=f"Matrix expansion ({len(points)} points)"))
-        return
-    results = run_prefetch_matrix(
-        spec, trace_length=args.trace_length,
-        algorithm_gamma=figures.SCALED_GAMMA,
-    )
-    rows = [
-        [str(value) for _, value in row.point]
-        + [f"{row.ipc:.4f}", f"{row.normalized_ipc:.3f}"]
-        for row in results
-    ]
-    print(format_table(names + ["ipc", "vs none"], rows,
-                       title=f"Scenario matrix ({len(points)} points)"))
-
-
 def _cmd_traces(args):
     """Materialize the synthetic suite to disk as .trace.gz files."""
     from pathlib import Path
@@ -356,7 +262,6 @@ COMMANDS: Dict[str, Callable] = {
     "fig14": _cmd_fig14,
     "fig15": _cmd_fig15,
     "sec65": _cmd_sec65,
-    "matrix": _cmd_matrix,
 }
 
 
@@ -431,26 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "traces":
             cmd.add_argument("--output-dir", default="traces",
                              help="directory to write .trace.gz files into")
-        if name == "matrix":
-            cmd.add_argument("--spec", default=None,
-                             help="matrix spec JSON file ({\"axes\": {...}, "
-                                  "\"include\": [...], \"exclude\": [...]})")
-            cmd.add_argument("--axis", action="append", default=[],
-                             metavar="NAME=V1,V2",
-                             help="declare one axis inline (repeatable; "
-                                  "'suite:<name>' workload values expand "
-                                  "to suite members)")
-            cmd.add_argument("--include", action="append", default=[],
-                             metavar="NAME=V,NAME=V",
-                             help="append one full point after the product "
-                                  "(repeatable)")
-            cmd.add_argument("--exclude", action="append", default=[],
-                             metavar="NAME=V[,NAME=V]",
-                             help="drop product points matching this "
-                                  "partial assignment (repeatable)")
-            cmd.add_argument("--expand-only", action="store_true",
-                             help="print the expanded point list and exit "
-                                  "without running any experiment")
     return parser
 
 

@@ -241,7 +241,6 @@ def run_lane_batch(
     mode = resolve_lane_kernel_mode(len(lanes))
     if (
         mode == "scalar"
-        or core_config.rob_size <= 0
         or lane_batch_fallback_reason(trace, lanes, params) is not None
     ):
         return _run_lanes_scalar(

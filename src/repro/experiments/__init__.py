@@ -4,8 +4,6 @@
 - :mod:`repro.experiments.prefetch` — single-/multi-core prefetching runners.
 - :mod:`repro.experiments.smt` — SMT fetch PG policy runners.
 - :mod:`repro.experiments.figures` — one entry point per paper table/figure.
-- :mod:`repro.experiments.matrix` — declarative scenario-matrix engine
-  (axis grids + include/exclude filters expanded to frozen task lists).
 - :mod:`repro.experiments.runner` — parallel task execution, result cache,
   telemetry.
 - :mod:`repro.experiments.reporting` — text-table formatting helpers.
@@ -17,14 +15,6 @@ from repro.experiments.configs import (
     PREFETCH_BANDIT_CONFIG,
     SMT_BANDIT_TABLE6,
     prefetch_bandit_algorithm,
-)
-from repro.experiments.matrix import (
-    MatrixRow,
-    MatrixSpec,
-    expand,
-    prefetch_matrix_tasks,
-    run_prefetch_matrix,
-    smt_matrix_tasks,
 )
 from repro.experiments.prefetch import (
     PrefetchRunResult,
@@ -52,16 +42,10 @@ from repro.experiments.smt import (
 
 __all__ = [
     "ExecutionContext",
-    "MatrixRow",
-    "MatrixSpec",
     "ResultCache",
     "RunTelemetry",
     "Task",
-    "expand",
-    "prefetch_matrix_tasks",
     "run_parallel",
-    "run_prefetch_matrix",
-    "smt_matrix_tasks",
     "use_context",
     "ALT_HIERARCHY_CONFIG",
     "BASELINE_HIERARCHY_CONFIG",

@@ -88,8 +88,7 @@ PREFETCH_ARMS = TABLE7_ARMS
 #: The comparator prefetchers of Figures 8/9/11/14, in the paper's order.
 PREFETCHER_LINEUP = ("stride", "bingo", "mlop", "pythia")
 
-#: Row labels of the Table 8/9 algorithm lineups, in table order. Also the
-#: algorithm-scenario vocabulary of the matrix engine.
+#: Row labels of the Table 8/9 algorithm lineups, in table order.
 TABLE8_ALGORITHM_NAMES = ("Single", "Periodic", "eGreedy", "UCB", "DUCB")
 
 #: Bandit steps targeted per trace at reproduction scale. The paper runs
@@ -99,8 +98,10 @@ TABLE8_ALGORITHM_NAMES = ("Single", "Periodic", "eGreedy", "UCB", "DUCB")
 TARGET_BANDIT_STEPS = 200
 
 #: DUCB forgetting factor at reproduction scale. Table 6's γ=0.999 encodes a
-#: ~1000-step horizon out of ~30k steps; with ~80-step episodes the
-#: equivalent horizon is a few tens of steps, hence γ≈0.98.
+#: horizon 1/(1-γ) of ~1,000 steps out of ~30k, a horizon/episode ratio of
+#: ~1/30. γ=0.98 encodes ~50 steps out of the ~200 that
+#: :data:`TARGET_BANDIT_STEPS` aims for, a ratio of ~1/4 — higher where the
+#: 25-access step floor leaves fewer steps. The paper's ratio is not kept.
 SCALED_GAMMA = 0.98
 
 

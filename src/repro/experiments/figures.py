@@ -12,17 +12,8 @@ fig09, fig10, fig11, fig12, fig13, fig14, fig15, sec65.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.bandit.base import BanditConfig
-from repro.bandit.ducb import DUCB
-from repro.bandit.heuristics import Single
-from repro.bandit.ucb import UCB
-from repro.constants import (
-    PREFETCH_EXPLORATION_C,
-    SMT_EXPLORATION_C,
-    SMT_GAMMA,
-)
 from repro.experiments.configs import (
     ALT_HIERARCHY_CONFIG,
     BASELINE_HIERARCHY_CONFIG,
@@ -31,19 +22,10 @@ from repro.experiments.configs import (
     TABLE8_ALGORITHM_NAMES,
     scaled_prefetch_params,
 )
-from repro.experiments.matrix import (
-    MatrixSpec,
-    prefetch_matrix_tasks,
-    smt_matrix_tasks,
-)
-from repro.experiments.prefetch import (
-    best_static_arm,
-    run_bandit_prefetch,
-    run_fixed_prefetcher,
-)
 from repro.experiments.runner import (
     Task,
     bandit_prefetch_task,
+    best_static_arm_tasks,
     fixed_prefetcher_task,
     lane_batch_task,
     multicore_bandit_task,
@@ -52,12 +34,7 @@ from repro.experiments.runner import (
     smt_bandit_task,
     smt_static_task,
 )
-from repro.experiments.smt import (
-    DEFAULT_SMT_SCALE,
-    SMTScale,
-    run_smt_bandit,
-    smt_best_static_arm,
-)
+from repro.experiments.smt import DEFAULT_SMT_SCALE, SMTScale
 from repro.hwcost.area_power import (
     estimate_bandit_cost,
     relative_overheads,
@@ -85,9 +62,8 @@ from repro.workloads.suites import (
 #: Default trace length (memory accesses) for prefetching experiments.
 DEFAULT_TRACE_LENGTH = 30_000
 
-# PREFETCHER_LINEUP / TARGET_BANDIT_STEPS / SCALED_GAMMA moved to
-# repro.experiments.configs (the matrix engine needs them without importing
-# this module); re-imported above for back-compat.
+#: The algorithms whose arm choices Figure 7 plots beside the best static arm.
+FIG07_ALGORITHM_NAMES = ("Single", "UCB", "DUCB")
 
 
 def _num_arms() -> int:
@@ -196,45 +172,34 @@ def table08_prefetch_tuneset(
     if workloads is None:
         workloads = tune_specs()
     algorithm_names = TABLE8_ALGORITHM_NAMES
-    workload_names = tuple(spec.name for spec in workloads)
-    arm_scenarios = tuple(f"arm{arm}" for arm in range(_num_arms()))
-    spec_matrix = MatrixSpec.build(axes={
-        "workload": workload_names,
-        "scenario": arm_scenarios + ("pythia",) + algorithm_names,
-    })
-    bases = run_parallel(prefetch_matrix_tasks(
-        MatrixSpec.build(axes={"workload": workload_names,
-                               "scenario": ("none",)}),
-        trace_length=trace_length,
-        seed=seed,
-        label_prefix="table08",
-    ))
-    params_by_workload = {
-        name: scaled_prefetch_params(base.stats.l2_demand_accesses)
-        for name, base in zip(workload_names, bases)
-    }
-
-    def _label(point) -> str:
-        workload, scenario = point["workload"], point["scenario"]
-        if str(scenario).startswith("arm"):
-            # best_static_arm_tasks' historical label scheme (unprefixed).
-            return f"{workload}:{scenario}"
-        return f"table08:{workload}:{scenario}"
-
-    tasks = prefetch_matrix_tasks(
-        spec_matrix,
-        trace_length=trace_length,
-        seed=seed,
-        params_for=lambda point: params_by_workload[str(point["workload"])],
-        label_for=_label,
-        # Arm replays historically pin the Table 4 hierarchy explicitly;
-        # the other scenarios rely on the worker default.
-        hierarchy_for=lambda point: (
-            BASELINE_HIERARCHY_CONFIG
-            if str(point["scenario"]).startswith("arm") else None
-        ),
-        algorithm_gamma=SCALED_GAMMA,
-    )
+    bases = run_parallel([
+        Task(
+            fixed_prefetcher_task,
+            dict(spec_name=spec.name, trace_length=trace_length, seed=seed),
+            label=f"table08:{spec.name}:none",
+        )
+        for spec in workloads
+    ])
+    tasks: List[Task] = []
+    for spec, base in zip(workloads, bases):
+        params = scaled_prefetch_params(base.stats.l2_demand_accesses)
+        tasks.extend(best_static_arm_tasks(spec.name, trace_length, seed=seed))
+        tasks.append(Task(
+            fixed_prefetcher_task,
+            dict(spec_name=spec.name, trace_length=trace_length, seed=seed,
+                 prefetcher_name="pythia"),
+            label=f"table08:{spec.name}:pythia",
+        ))
+        tasks.extend(
+            Task(
+                bandit_prefetch_task,
+                dict(spec_name=spec.name, trace_length=trace_length,
+                     params=params, seed=seed, algorithm_name=name,
+                     algorithm_gamma=SCALED_GAMMA),
+                label=f"table08:{spec.name}:{name}",
+            )
+            for name in algorithm_names
+        )
     results = iter(run_parallel(tasks))
     ratios: Dict[str, List[float]] = {
         name: [] for name in ("Pythia",) + algorithm_names
@@ -262,17 +227,31 @@ def table09_smt_tuneset(
     """min/max/gmean IPC as % of the best static arm (SMT tune set)."""
     mixes = smt_tune_mixes()[:num_mixes]
     algorithm_names = TABLE8_ALGORITHM_NAMES
-    mix_labels = tuple(f"{mix[0].name}-{mix[1].name}" for mix in mixes)
-    arm_scenarios = tuple(f"arm{i}" for i in range(len(BANDIT_PG_ARMS)))
-    tasks = smt_matrix_tasks(
-        MatrixSpec.build(axes={
-            "workload": mix_labels,
-            "scenario": arm_scenarios + ("choi",) + algorithm_names,
-        }),
-        scale=scale,
-        seed=seed,
-        label_prefix="table09",
-    )
+    policies = [
+        (f"arm{index}", policy) for index, policy in enumerate(BANDIT_PG_ARMS)
+    ] + [("choi", CHOI_POLICY)]
+    tasks: List[Task] = []
+    for mix in mixes:
+        names = (mix[0].name, mix[1].name)
+        mix_label = f"{names[0]}-{names[1]}"
+        tasks.extend(
+            Task(
+                smt_static_task,
+                dict(thread_names=names, policy_mnemonic=policy.mnemonic,
+                     scale=scale, seed=seed),
+                label=f"table09:{mix_label}:{scenario}",
+            )
+            for scenario, policy in policies
+        )
+        tasks.extend(
+            Task(
+                smt_bandit_task,
+                dict(thread_names=names, scale=scale, algorithm_name=name,
+                     seed=seed),
+                label=f"table09:{mix_label}:{name}",
+            )
+            for name in algorithm_names
+        )
     results = iter(run_parallel(tasks))
     ratios: Dict[str, List[float]] = {
         name: [] for name in ("Choi",) + algorithm_names
@@ -303,53 +282,72 @@ def fig07_exploration_traces(
     Returns ``{scenario: {algorithm: {"ipc": float, "arms": [...]}}}`` where
     ``arms`` is the arm index over time (per bandit step).
     """
-    from repro.workloads.smt import thread_profile
-
-    out: Dict[str, Dict[str, Dict[str, object]]] = {}
-    arms = _num_arms()
-    for name in prefetch_workloads:
-        trace = spec_by_name(name).trace(trace_length, seed=seed)
-        base = run_fixed_prefetcher(trace, "none")
+    bases = run_parallel([
+        Task(
+            fixed_prefetcher_task,
+            dict(spec_name=name, trace_length=trace_length, seed=seed),
+            label=f"fig07:{name}:none",
+        )
+        for name in prefetch_workloads
+    ])
+    tasks: List[Task] = []
+    for name, base in zip(prefetch_workloads, bases):
         params = scaled_prefetch_params(base.stats.l2_demand_accesses)
-        best_arm, per_arm = best_static_arm(trace)
-        scenario: Dict[str, Dict[str, object]] = {
-            "BestStatic": {"ipc": per_arm[best_arm], "arms": [best_arm]},
-        }
-        for alg_name, algorithm in (
-            ("Single", Single(BanditConfig(num_arms=arms, seed=seed))),
-            ("UCB", UCB(BanditConfig(num_arms=arms,
-                                     exploration_c=PREFETCH_EXPLORATION_C,
-                                     seed=seed))),
-            ("DUCB", DUCB(BanditConfig(num_arms=arms, gamma=SCALED_GAMMA,
-                                       exploration_c=PREFETCH_EXPLORATION_C,
-                                       seed=seed))),
-        ):
-            result = run_bandit_prefetch(
-                trace, algorithm=algorithm, params=params, seed=seed
+        tasks.extend(best_static_arm_tasks(name, trace_length, seed=seed))
+        tasks.extend(
+            Task(
+                bandit_prefetch_task,
+                dict(spec_name=name, trace_length=trace_length, params=params,
+                     seed=seed, algorithm_name=algorithm,
+                     algorithm_gamma=SCALED_GAMMA),
+                label=f"fig07:{name}:{algorithm}",
             )
-            scenario[alg_name] = {"ipc": result.ipc, "arms": result.arm_history}
-        out[f"prefetch:{name}"] = scenario
-
-    smt_arms = len(BANDIT_PG_ARMS)
+            for algorithm in FIG07_ALGORITHM_NAMES
+        )
     for first, second in smt_mixes:
-        mix = (thread_profile(first), thread_profile(second))
-        best_index, per_arm = smt_best_static_arm(mix, scale=scale, seed=seed)
-        scenario = {
-            "BestStatic": {"ipc": per_arm[best_index], "arms": [best_index]},
-        }
-        for alg_name, algorithm in (
-            ("Single", Single(BanditConfig(num_arms=smt_arms, seed=seed))),
-            ("UCB", UCB(BanditConfig(num_arms=smt_arms,
-                                     exploration_c=SMT_EXPLORATION_C,
-                                     seed=seed))),
-            ("DUCB", DUCB(BanditConfig(num_arms=smt_arms, gamma=SMT_GAMMA,
-                                       exploration_c=SMT_EXPLORATION_C,
-                                       seed=seed))),
-        ):
-            result = run_smt_bandit(mix, scale, algorithm=algorithm, seed=seed)
-            scenario[alg_name] = {"ipc": result.ipc, "arms": result.arm_history}
-        out[f"smt:{first}-{second}"] = scenario
+        names = (first, second)
+        tasks.extend(
+            Task(
+                smt_static_task,
+                dict(thread_names=names, policy_mnemonic=policy.mnemonic,
+                     scale=scale, seed=seed),
+                label=f"fig07:{first}-{second}:arm{index}",
+            )
+            for index, policy in enumerate(BANDIT_PG_ARMS)
+        )
+        tasks.extend(
+            Task(
+                smt_bandit_task,
+                dict(thread_names=names, scale=scale,
+                     algorithm_name=algorithm, seed=seed),
+                label=f"fig07:{first}-{second}:{algorithm}",
+            )
+            for algorithm in FIG07_ALGORITHM_NAMES
+        )
+    results = iter(run_parallel(tasks))
+    out: Dict[str, Dict[str, Dict[str, object]]] = {}
+    for name in prefetch_workloads:
+        out[f"prefetch:{name}"] = _exploration_scenario(results, _num_arms())
+    for first, second in smt_mixes:
+        out[f"smt:{first}-{second}"] = _exploration_scenario(
+            results, len(BANDIT_PG_ARMS)
+        )
     return out
+
+
+def _exploration_scenario(
+    results: Iterator[Any], num_arms: int
+) -> Dict[str, Dict[str, object]]:
+    """One Figure 7 panel: its arm replays, then its bandit runs."""
+    per_arm = [next(results).ipc for _ in range(num_arms)]
+    best = per_arm.index(max(per_arm))
+    scenario: Dict[str, Dict[str, object]] = {
+        "BestStatic": {"ipc": per_arm[best], "arms": [best]},
+    }
+    for algorithm in FIG07_ALGORITHM_NAMES:
+        result = next(results)
+        scenario[algorithm] = {"ipc": result.ipc, "arms": result.arm_history}
+    return scenario
 
 
 # =============================================================== Figures 8/11
@@ -371,31 +369,34 @@ def fig08_singlecore(
         suites = list(ALL_SUITES)
     lineup = list(PREFETCHER_LINEUP) + ["bandit"]
     members = [(suite, spec) for suite in suites for spec in ALL_SUITES[suite]]
-    member_names = tuple(spec.name for _, spec in members)
-    spec_matrix = MatrixSpec.build(
-        axes={"workload": member_names, "scenario": tuple(lineup)},
-    )
-    base_tasks = prefetch_matrix_tasks(
-        MatrixSpec.build(axes={"workload": member_names,
-                               "scenario": ("none",)}),
-        trace_length=trace_length,
-        seed=seed,
-        hierarchy_for=lambda point: hierarchy_config,
-        label_prefix="fig08",
-    )
-    bases = run_parallel(base_tasks)
-    params_by_workload = {
-        name: scaled_prefetch_params(base.stats.l2_demand_accesses)
-        for name, base in zip(member_names, bases)
-    }
-    tasks = prefetch_matrix_tasks(
-        spec_matrix,
-        trace_length=trace_length,
-        seed=seed,
-        params_for=lambda point: params_by_workload[str(point["workload"])],
-        hierarchy_for=lambda point: hierarchy_config,
-        label_prefix="fig08",
-    )
+    bases = run_parallel([
+        Task(
+            fixed_prefetcher_task,
+            dict(spec_name=spec.name, trace_length=trace_length, seed=seed,
+                 hierarchy_config=hierarchy_config),
+            label=f"fig08:{spec.name}:none",
+        )
+        for _, spec in members
+    ])
+    tasks: List[Task] = []
+    for (_, spec), base in zip(members, bases):
+        params = scaled_prefetch_params(base.stats.l2_demand_accesses)
+        tasks.extend(
+            Task(
+                fixed_prefetcher_task,
+                dict(spec_name=spec.name, trace_length=trace_length,
+                     seed=seed, prefetcher_name=name,
+                     hierarchy_config=hierarchy_config),
+                label=f"fig08:{spec.name}:{name}",
+            )
+            for name in PREFETCHER_LINEUP
+        )
+        tasks.append(Task(
+            bandit_prefetch_task,
+            dict(spec_name=spec.name, trace_length=trace_length,
+                 params=params, seed=seed, hierarchy_config=hierarchy_config),
+            label=f"fig08:{spec.name}:bandit",
+        ))
     results = iter(run_parallel(tasks))
     per_suite: Dict[str, Dict[str, List[float]]] = {
         suite: {name: [] for name in lineup} for suite in suites
@@ -517,56 +518,43 @@ def fig10_bandwidth_sweep(
 
     if workloads is None:
         workloads = tune_specs()
-    workload_names = tuple(spec.name for spec in workloads)
     points = [
-        (dc_replace(BASELINE_HIERARCHY_CONFIG, dram_mtps=mtps), spec)
+        (mtps, dc_replace(BASELINE_HIERARCHY_CONFIG, dram_mtps=float(mtps)),
+         spec)
         for mtps in mtps_values
         for spec in workloads
     ]
-
-    def _hierarchy(point) -> HierarchyConfig:
-        return dc_replace(
-            BASELINE_HIERARCHY_CONFIG, dram_mtps=float(point["dram_mtps"])
+    bases = run_parallel([
+        Task(
+            fixed_prefetcher_task,
+            dict(spec_name=spec.name, trace_length=trace_length, seed=seed,
+                 hierarchy_config=config),
+            label=f"fig10:{mtps:g}:{spec.name}:none",
         )
-
-    bases = run_parallel(prefetch_matrix_tasks(
-        MatrixSpec.build(axes={
-            "dram_mtps": tuple(mtps_values),
-            "workload": workload_names,
-            "scenario": ("none",),
-        }),
-        trace_length=trace_length,
-        seed=seed,
-        hierarchy_for=_hierarchy,
-        label_prefix="fig10",
-    ))
-    params_by_point = {
-        (config.dram_mtps, spec.name):
-            scaled_prefetch_params(base.stats.l2_demand_accesses)
-        for (config, spec), base in zip(points, bases)
-    }
-    tasks = prefetch_matrix_tasks(
-        MatrixSpec.build(axes={
-            "dram_mtps": tuple(mtps_values),
-            "workload": workload_names,
-            "scenario": ("pythia", "bandit"),
-        }),
-        trace_length=trace_length,
-        seed=seed,
-        params_for=lambda point: params_by_point[
-            (float(point["dram_mtps"]), str(point["workload"]))
-        ],
-        hierarchy_for=_hierarchy,
-        label_prefix="fig10",
-    )
+        for mtps, config, spec in points
+    ])
+    tasks: List[Task] = []
+    for (mtps, config, spec), base in zip(points, bases):
+        params = scaled_prefetch_params(base.stats.l2_demand_accesses)
+        tasks.append(Task(
+            fixed_prefetcher_task,
+            dict(spec_name=spec.name, trace_length=trace_length, seed=seed,
+                 prefetcher_name="pythia", hierarchy_config=config),
+            label=f"fig10:{mtps:g}:{spec.name}:pythia",
+        ))
+        tasks.append(Task(
+            bandit_prefetch_task,
+            dict(spec_name=spec.name, trace_length=trace_length,
+                 params=params, seed=seed, hierarchy_config=config),
+            label=f"fig10:{mtps:g}:{spec.name}:bandit",
+        ))
     results = iter(run_parallel(tasks))
     ratios: Dict[float, Dict[str, List[float]]] = {
         mtps: {"pythia": [], "bandit": []} for mtps in mtps_values
     }
-    for (config, _), base in zip(points, bases):
-        point = ratios[config.dram_mtps]
-        point["pythia"].append(next(results).ipc / base.ipc)
-        point["bandit"].append(next(results).ipc / base.ipc)
+    for (mtps, _, _), base in zip(points, bases):
+        ratios[mtps]["pythia"].append(next(results).ipc / base.ipc)
+        ratios[mtps]["bandit"].append(next(results).ipc / base.ipc)
     return {
         mtps: {name: geometric_mean(values) for name, values in point.items()}
         for mtps, point in ratios.items()

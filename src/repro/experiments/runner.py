@@ -197,8 +197,6 @@ class Task:
     fn: Callable[..., Any]
     kwargs: Dict[str, Any]
     label: str = ""
-    #: Set False for tasks whose inputs cannot be content-hashed.
-    cacheable: bool = True
 
     def key(self) -> str:
         return task_key(self.fn, self.kwargs)
@@ -252,17 +250,11 @@ class ResultCache:
         try:
             with open(path, "rb") as handle:
                 return True, pickle.load(handle)
-        except (
-            OSError,
-            pickle.UnpicklingError,
-            EOFError,
-            AttributeError,
-            ImportError,  # covers ModuleNotFoundError: renamed/removed modules
-            IndexError,
-        ):
-            # Stale pickles from a refactored module (moved classes, renamed
-            # modules, truncated protocol frames) regenerate instead of
-            # crashing the run.
+        except Exception:
+            # Missing files, stale pickles from a refactored module and
+            # corrupt bytes all regenerate instead of crashing the run;
+            # ``pickle.load`` documents no bound on what corrupt input
+            # raises (ValueError, OverflowError, UnicodeDecodeError, ...).
             return False, None
 
     def put(self, key: str, value: Any) -> None:
@@ -535,7 +527,7 @@ def run_parallel(
     results: List[Any] = [None] * len(tasks)
     pending: List[Tuple[int, Optional[str], Task]] = []
     for index, task in enumerate(tasks):
-        key = task.key() if (cache is not None and task.cacheable) else None
+        key = task.key() if cache is not None else None
         if key is not None:
             hit, value = cache.get(key)
             if hit:
@@ -817,8 +809,6 @@ def lane_batch_task(
     trace = compiled_trace_for(spec_name, trace_length, seed=seed,
                                gap_scale=gap_scale)
     fallback = lane_batch_fallback_reason(trace, lanes, params)
-    if fallback is None and core_config.rob_size <= 0:
-        fallback = "non-positive rob_size"
     kernel = "scalar" if fallback else resolve_lane_kernel_mode(len(lanes))
     results = run_lane_batch(
         trace, lanes, hierarchy_config, core_config, params

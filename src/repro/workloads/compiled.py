@@ -28,7 +28,6 @@ import hashlib
 import json
 import os
 import tempfile
-import zipfile
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -272,9 +271,11 @@ class TraceStore:
         if path is not None and path.is_file():
             try:
                 loaded = CompiledTrace.load(path)
-            except (OSError, ValueError, KeyError, EOFError, IndexError,
-                    ImportError, zipfile.BadZipFile):
-                loaded = None  # corrupt/stale entry: fall through and rebuild
+            except Exception:
+                # A corrupt entry falls through and is rebuilt. numpy and
+                # zipfile raise many types on damaged archives (BadZipFile,
+                # zlib.error, tokenize.TokenError, NotImplementedError, ...).
+                loaded = None
             if loaded is not None:
                 self.hits += 1
                 self._remember(key, loaded)

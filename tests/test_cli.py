@@ -10,7 +10,7 @@ class TestParser:
         expected = {
             "fig02", "fig05", "fig07", "fig08", "fig08rep", "fig09",
             "fig10", "fig10rep", "fig11", "fig12", "fig13", "fig14",
-            "fig15", "table08", "table09", "sec65", "traces", "matrix",
+            "fig15", "table08", "table09", "sec65", "traces",
         }
         assert set(COMMANDS) == expected
         assert all(callable(handler) for handler in COMMANDS.values())
@@ -140,57 +140,3 @@ class TestMain:
         assert main(base + ["--jobs", "2"]) == 0
         assert capsys.readouterr().out == serial
         assert not (tmp_path / ".repro-cache").exists()
-
-
-class TestMatrixCommand:
-    def test_expand_only_prints_points(self, capsys):
-        assert main(["matrix",
-                     "--axis", "workload=milc06,cactus06",
-                     "--axis", "scenario=none,stride",
-                     "--expand-only"]) == 0
-        out = capsys.readouterr().out
-        assert "Matrix expansion (4 points)" in out
-        assert "milc06" in out and "cactus06" in out
-
-    def test_exclude_and_include_flags(self, capsys):
-        assert main(["matrix",
-                     "--axis", "workload=milc06,cactus06",
-                     "--axis", "scenario=none,stride",
-                     "--exclude", "workload=cactus06,scenario=stride",
-                     "--include", "workload=milc06,scenario=bandit",
-                     "--expand-only"]) == 0
-        out = capsys.readouterr().out
-        assert "Matrix expansion (4 points)" in out
-        assert "bandit" in out
-
-    def test_suite_values_expand_to_members(self, capsys):
-        assert main(["matrix", "--axis", "workload=suite:SPEC06",
-                     "--axis", "scenario=none", "--expand-only"]) == 0
-        out = capsys.readouterr().out
-        assert "Matrix expansion (10 points)" in out
-        assert "milc06" in out
-
-    def test_spec_file_runs_points(self, tmp_path, capsys):
-        import json
-
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({
-            "axes": {"workload": ["milc06"],
-                     "scenario": ["stride", "bandit"]},
-        }))
-        assert main(["matrix", "--spec", str(spec),
-                     "--trace-length", "1500", "--no-cache"]) == 0
-        out = capsys.readouterr().out
-        assert "Scenario matrix (2 points)" in out
-        assert "vs none" in out
-
-    def test_spec_and_axis_are_exclusive(self, tmp_path):
-        spec = tmp_path / "spec.json"
-        spec.write_text("{}")
-        with pytest.raises(SystemExit):
-            main(["matrix", "--spec", str(spec),
-                  "--axis", "scenario=none", "--expand-only"])
-
-    def test_requires_spec_or_axes(self):
-        with pytest.raises(SystemExit):
-            main(["matrix", "--expand-only"])

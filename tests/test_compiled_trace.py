@@ -10,8 +10,11 @@ kernel's record-hook protocol).
 """
 
 import dataclasses
+import io
+import struct
 import sys
 import threading
+import zipfile
 
 import numpy as np
 import pytest
@@ -39,6 +42,34 @@ TRACE_LENGTH = 3_000
 #: One representative workload per suite — every generator family crosses
 #: the kernel at least once.
 SUITE_REPRESENTATIVES = [specs[0].name for specs in ALL_SUITES.values()]
+
+
+def _bad_deflate_block(archive: bytes) -> bytes:
+    """zlib.error: the first member's first deflate block gets the reserved
+    block type 11. Its data follows the 30-byte local header, the file name
+    and the extra field."""
+    start = 30 + sum(struct.unpack_from("<HH", archive, 26))
+    return archive[:start] + b"\x07" + archive[start + 1:]
+
+
+def _unknown_compression_method(archive: bytes) -> bytes:
+    """NotImplementedError: the first central-directory entry names an
+    unknown compression method."""
+    entry = archive.index(b"PK\x01\x02")
+    return archive[:entry + 10] + b"\x63\x00" + archive[entry + 12:]
+
+
+def _unbalanced_array_header(archive: bytes) -> bytes:
+    """tokenize.TokenError: every member's array header loses its closing
+    brace, so numpy's header parser meets an unbalanced dict."""
+    with zipfile.ZipFile(io.BytesIO(archive)) as source:
+        members = [(info.filename, source.read(info))
+                   for info in source.infolist()]
+    out = io.BytesIO()
+    with zipfile.ZipFile(out, "w", zipfile.ZIP_DEFLATED) as target:
+        for name, content in members:
+            target.writestr(name, content.replace(b"}", b" ", 1))
+    return out.getvalue()
 
 
 def _object_trace(name: str, length: int = TRACE_LENGTH):
@@ -162,6 +193,25 @@ class TestTraceStore:
         rebuilt = fresh.get(spec, 256, seed=0)
         assert fresh.misses == 1
         assert len(rebuilt) == 256
+
+    @pytest.mark.parametrize("corrupt", [
+        _bad_deflate_block, _unknown_compression_method,
+        _unbalanced_array_header,
+    ], ids=["deflate-block", "compression-method", "array-header"])
+    def test_undecodable_entry_is_rebuilt(self, tmp_path, corrupt):
+        """Whatever numpy and zipfile raise on a corrupt archive is a miss:
+        the trace is generated again and overwrites the entry."""
+        spec = spec_by_name("milc06")
+        built = TraceStore(tmp_path).get(spec, 500, seed=0)
+        [path] = list(tmp_path.rglob("*.npz"))
+        path.write_bytes(corrupt(path.read_bytes()))
+        fresh = TraceStore(tmp_path)
+        rebuilt = fresh.get(spec, 500, seed=0)
+        assert fresh.misses == 1
+        assert (rebuilt.block == built.block).all()
+        reader = TraceStore(tmp_path)
+        reader.get(spec, 500, seed=0)
+        assert (reader.hits, reader.misses) == (1, 0)
 
     def test_interrupted_save_leaves_no_litter(self, tmp_path, monkeypatch):
         """An interrupt mid-write removes the temp file and publishes no

@@ -209,6 +209,29 @@ class TestResultCache:
         hit, value = cache.get(key)
         assert not hit and value is None
 
+    @pytest.mark.parametrize("corrupt", [
+        # ValueError: "unsupported pickle protocol: 9".
+        lambda data: data[:1] + b"\x09" + data[2:],
+        # OverflowError: the top byte of the 8-byte FRAME length (the FRAME
+        # opcode follows the protocol header) makes the frame absurd.
+        lambda data: data[:10] + bytes([data[10] ^ 0x80]) + data[11:],
+        # UnicodeDecodeError: one invalid UTF-8 byte in a pickled str.
+        lambda data: data.replace(b"results", b"result\xff"),
+    ], ids=["protocol-byte", "frame-length", "invalid-utf8"])
+    def test_undecodable_entry_is_regenerated(self, tmp_path, corrupt):
+        """Whatever ``pickle.load`` raises on a corrupt entry is a miss:
+        the task runs again and its result overwrites the entry."""
+        cache = ResultCache(tmp_path)
+        task = Task(_dict_payload, {"n": 3})
+        run_parallel([task], jobs=1, cache=cache, telemetry=RunTelemetry())
+        path = cache._path(task.key())
+        path.write_bytes(corrupt(path.read_bytes()))
+        telemetry = RunTelemetry()
+        assert run_parallel([task], jobs=1, cache=cache,
+                            telemetry=telemetry) == [_dict_payload(n=3)]
+        assert telemetry.cache_misses == 1
+        assert cache.get(task.key()) == (True, _dict_payload(n=3))
+
     def test_interrupted_put_leaves_no_litter(self, tmp_path, monkeypatch):
         """An interrupt mid-pickle removes the temp file and publishes no
         entry, so the next read misses instead of unpickling half a value."""
@@ -278,14 +301,6 @@ class TestRunParallel:
         results = run_parallel(tasks, jobs=1, cache=cache, telemetry=warm)
         assert results == [v * 2 for v in range(4)]
         assert (warm.cache_hits, warm.cache_misses) == (4, 0)
-
-    def test_uncacheable_tasks_always_execute(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        task = Task(_double, {"value": 3}, cacheable=False)
-        telemetry = RunTelemetry()
-        run_parallel([task, task], jobs=1, cache=cache, telemetry=telemetry)
-        assert telemetry.cache_misses == 2
-        assert len(cache) == 0
 
     def test_telemetry_follows_submission_order_under_pool(self):
         """The manifest's task list must not depend on completion order."""
