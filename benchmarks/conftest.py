@@ -1,17 +1,15 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the paper-claim benchmarks.
 
-Every benchmark regenerates one table or figure of the paper at
+Every file here regenerates one table or figure of the paper at
 *reproduction scale* (small synthetic traces, shortened episodes — see
-EXPERIMENTS.md) and prints the regenerated rows/series. Set
-``REPRO_BENCH_SCALE`` (a float, default 1.0) to enlarge all workloads, e.g.::
+EXPERIMENTS.md), prints the regenerated rows/series and asserts the
+paper's shape claims. Set ``REPRO_BENCH_SCALE`` (a float, default 1.0) to
+enlarge all workloads, e.g.::
 
-    REPRO_BENCH_SCALE=4 pytest benchmarks/ --benchmark-only
+    REPRO_BENCH_SCALE=4 PYTHONPATH=src python -m pytest benchmarks -s
 
-Each experiment runs exactly once per benchmark (``rounds=1``): the measured
-quantity is the full experiment, not a microbenchmark. Set
-``REPRO_BENCH_ROUNDS`` (an int, default 1) to repeat the timed region —
-used when re-recording the committed ``BENCH_*.json`` baselines so their
-means carry a real stddev; CI smoke keeps the single-round default.
+The files check claims and time nothing; timing is perfbench's job
+(``perfbench/README.md``).
 
 Figure benchmarks share one result cache for the session, so replays that
 recur across figures (e.g. the no-prefetch baselines) execute once.
@@ -20,7 +18,6 @@ across pytest invocations); ``REPRO_BENCH_JOBS`` fans replays out over a
 process pool. Both default to the deterministic serial behaviour.
 """
 
-import itertools
 import os
 from pathlib import Path
 
@@ -74,51 +71,3 @@ def experiment_context(tmp_path_factory):
             os.environ.pop(TRACE_CACHE_ENV, None)
         else:
             os.environ[TRACE_CACHE_ENV] = previous_env
-
-
-def bench_rounds() -> int:
-    return max(1, int(os.environ.get("REPRO_BENCH_ROUNDS", "1")))
-
-
-@pytest.fixture
-def run_once(benchmark, experiment_context, tmp_path_factory):
-    """Run the experiment once per round under pytest-benchmark timing.
-
-    One round by default; ``REPRO_BENCH_ROUNDS`` repeats the timed region
-    (baseline re-recording), returning the last round's result.
-
-    Multi-round honesty: the session-wide *result* cache would satisfy
-    rounds 2..N instantly (near-zero means, bogus stddev — exactly the
-    variance data the significance gate consumes), so each timed round
-    starts from a fresh, empty result cache. Compiled *traces* stay warm
-    across rounds on purpose: trace generation is setup, not the measured
-    replay. The session cache is restored afterwards so later benchmarks
-    keep sharing recurring replays (e.g. the no-prefetch baselines).
-    """
-    rounds = bench_rounds()
-
-    def runner(func, *args, **kwargs):
-        if rounds == 1:
-            return benchmark.pedantic(func, args=args, kwargs=kwargs,
-                                      rounds=1, iterations=1,
-                                      warmup_rounds=0)
-        session_cache = experiment_context.cache
-        round_dir = tmp_path_factory.mktemp("round-caches")
-        counter = itertools.count()
-
-        def fresh_cache():
-            # Untimed per-round setup (pytest-benchmark calls it before
-            # every round): swap in an empty result cache so the round
-            # re-executes every replay instead of reading round 1's results.
-            experiment_context.cache = ResultCache(
-                round_dir / f"r{next(counter)}"
-            )
-
-        try:
-            return benchmark.pedantic(func, args=args, kwargs=kwargs,
-                                      setup=fresh_cache, rounds=rounds,
-                                      iterations=1, warmup_rounds=0)
-        finally:
-            experiment_context.cache = session_cache
-
-    return runner

@@ -33,8 +33,8 @@ def run_ablation(num_mixes):
     return out
 
 
-def test_ablation_arm_pruning(run_once):
-    result = run_once(run_ablation, 2)
+def test_ablation_arm_pruning():
+    result = run_ablation(2)
     print()
     print(format_table(
         ["mix", "best of 6 arms", "best of 64 policies", "ratio"],

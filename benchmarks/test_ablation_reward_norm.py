@@ -49,8 +49,8 @@ def run_ablation(trace_length):
     return rows
 
 
-def test_ablation_reward_normalization(run_once):
-    rows = run_once(run_ablation, scaled(12_000))
+def test_ablation_reward_normalization():
+    rows = run_ablation(scaled(12_000))
     print()
     print(format_table(
         ["normalized", "low-IPC explore rate", "high-IPC explore rate",

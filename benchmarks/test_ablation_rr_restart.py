@@ -32,8 +32,8 @@ def run_ablation(trace_length):
     return {"with_restart": with_restart, "without_restart": without_restart}
 
 
-def test_ablation_rr_restart(run_once):
-    result = run_once(run_ablation, scaled(6_000))
+def test_ablation_rr_restart():
+    result = run_ablation(scaled(6_000))
     print()
     print(format_table(
         ["configuration", "4-core total IPC"],

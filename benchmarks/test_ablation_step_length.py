@@ -29,8 +29,8 @@ def run_ablation(trace_length):
     return out
 
 
-def test_ablation_step_length(run_once):
-    result = run_once(run_ablation, scaled(15_000))
+def test_ablation_step_length():
+    result = run_ablation(scaled(15_000))
     print()
     print(format_table(
         ["step (L2 accesses)", "IPC"],

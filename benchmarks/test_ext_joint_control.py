@@ -41,8 +41,8 @@ def run_extension(trace_length):
     }
 
 
-def test_ext_joint_control(run_once):
-    result = run_once(run_extension, scaled(12_000))
+def test_ext_joint_control():
+    result = run_extension(scaled(12_000))
     print()
     print(format_table(
         ["agent", "IPC"],

@@ -37,8 +37,8 @@ def run_extension(trace_length):
     return {"tuned DUCB": tuned_ipc, "MetaBandit": meta_ipc}
 
 
-def test_ext_meta_bandit(run_once):
-    result = run_once(run_extension, scaled(15_000))
+def test_ext_meta_bandit():
+    result = run_extension(scaled(15_000))
     print()
     print(format_table(
         ["agent", "IPC"],

@@ -12,11 +12,8 @@ from repro.experiments.figures import fig02_pythia_homogeneity
 from repro.experiments.reporting import format_table
 
 
-def test_fig02_pythia_homogeneity(run_once):
-    result = run_once(
-        fig02_pythia_homogeneity,
-        trace_length=scaled(15_000),
-    )
+def test_fig02_pythia_homogeneity():
+    result = fig02_pythia_homogeneity(trace_length=scaled(15_000))
     rows = [
         (name, f"{top1:.2f}", f"{top2:.2f}")
         for name, (top1, top2) in result.items()

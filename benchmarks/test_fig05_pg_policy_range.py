@@ -17,8 +17,8 @@ SCALE = SMTScale(epoch_cycles=scaled(300), total_epochs=40,
                  step_epochs=2, step_epochs_rr=2)
 
 
-def test_fig05_pg_policy_range(run_once):
-    result = run_once(fig05_pg_policy_range, num_mixes=3, scale=SCALE)
+def test_fig05_pg_policy_range():
+    result = fig05_pg_policy_range(num_mixes=3, scale=SCALE)
     rows = [
         (record["mix"], record["best_policy"],
          f"{record['best_vs_choi']:.2f}", f"{record['worst_vs_choi']:.2f}")

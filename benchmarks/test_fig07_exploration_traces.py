@@ -20,9 +20,8 @@ def _distinct_after_rr(arms, num_arms):
     return len(set(arms[num_arms:])) if len(arms) > num_arms else 0
 
 
-def test_fig07_exploration_traces(run_once):
-    result = run_once(
-        fig07_exploration_traces,
+def test_fig07_exploration_traces():
+    result = fig07_exploration_traces(
         trace_length=scaled(15_000),
         scale=SCALE,
     )

@@ -12,8 +12,8 @@ from repro.experiments.figures import fig08_singlecore
 from repro.experiments.reporting import format_table
 
 
-def test_fig08_singlecore_prefetch(run_once):
-    result = run_once(fig08_singlecore, trace_length=scaled(10_000))
+def test_fig08_singlecore_prefetch():
+    result = fig08_singlecore(trace_length=scaled(10_000))
     names = ["stride", "bingo", "mlop", "pythia", "bandit"]
     rows = [
         [suite] + [f"{result[suite][name]:.3f}" for name in names]

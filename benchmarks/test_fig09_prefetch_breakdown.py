@@ -16,9 +16,8 @@ from repro.experiments.reporting import format_table
 from repro.workloads.suites import tune_specs
 
 
-def test_fig09_prefetch_breakdown(run_once):
-    result = run_once(
-        fig09_breakdown,
+def test_fig09_prefetch_breakdown():
+    result = fig09_breakdown(
         trace_length=scaled(10_000),
         workloads=tune_specs()[: scaled(8)],
     )

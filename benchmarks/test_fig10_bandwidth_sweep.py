@@ -14,9 +14,8 @@ from repro.experiments.reporting import format_table
 from repro.workloads.suites import tune_specs
 
 
-def test_fig10_bandwidth_sweep(run_once):
-    result = run_once(
-        fig10_bandwidth_sweep,
+def test_fig10_bandwidth_sweep():
+    result = fig10_bandwidth_sweep(
         trace_length=scaled(10_000),
         workloads=tune_specs()[: scaled(8)],
     )

@@ -12,8 +12,8 @@ from repro.experiments.figures import fig11_alt_hierarchy
 from repro.experiments.reporting import format_table
 
 
-def test_fig11_alt_hierarchy(run_once):
-    result = run_once(fig11_alt_hierarchy, trace_length=scaled(10_000))
+def test_fig11_alt_hierarchy():
+    result = fig11_alt_hierarchy(trace_length=scaled(10_000))
     names = ["stride", "bingo", "mlop", "pythia", "bandit"]
     rows = [
         [suite] + [f"{result[suite][name]:.3f}" for name in names]

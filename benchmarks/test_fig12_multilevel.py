@@ -14,9 +14,8 @@ from repro.experiments.reporting import format_table
 from repro.workloads.suites import tune_specs
 
 
-def test_fig12_multilevel(run_once):
-    result = run_once(
-        fig12_multilevel,
+def test_fig12_multilevel():
+    result = fig12_multilevel(
         trace_length=scaled(10_000),
         workloads=tune_specs()[: scaled(8)],
     )

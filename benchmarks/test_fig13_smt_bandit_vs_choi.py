@@ -17,8 +17,8 @@ SCALE = SMTScale(epoch_cycles=scaled(500), total_epochs=400,
                  step_epochs=2, step_epochs_rr=2)
 
 
-def test_fig13_smt_bandit_vs_choi(run_once):
-    result = run_once(fig13_smt_bandit_vs_choi, num_mixes=10, scale=SCALE)
+def test_fig13_smt_bandit_vs_choi():
+    result = fig13_smt_bandit_vs_choi(num_mixes=10, scale=SCALE)
     ratios = result["ratios_sorted"]
     rows = [(index, f"{ratio:.3f}") for index, ratio in enumerate(ratios)]
     print()

@@ -13,9 +13,8 @@ from repro.experiments.figures import fig14_fourcore
 from repro.experiments.reporting import format_table
 
 
-def test_fig14_fourcore(run_once):
-    result = run_once(
-        fig14_fourcore,
+def test_fig14_fourcore():
+    result = fig14_fourcore(
         trace_length=scaled(8_000),
         max_mixes=scaled(4),
     )

@@ -17,8 +17,8 @@ SCALE = SMTScale(epoch_cycles=scaled(500), total_epochs=300,
                  step_epochs=2, step_epochs_rr=2)
 
 
-def test_fig15_rename_activity(run_once):
-    result = run_once(fig15_rename_activity, num_mixes=6, scale=SCALE)
+def test_fig15_rename_activity():
+    result = fig15_rename_activity(num_mixes=6, scale=SCALE)
     keys = ["rob_full", "iq_full", "lq_full", "sq_full", "rf_full",
             "stalled_any", "idle", "running"]
     rows = [

@@ -9,8 +9,8 @@ from repro.experiments.figures import sec65_area_power
 from repro.experiments.reporting import format_table
 
 
-def test_sec65_area_power(run_once):
-    result = run_once(sec65_area_power)
+def test_sec65_area_power():
+    result = sec65_area_power()
     print()
     print(format_table(
         ["quantity", "value"],

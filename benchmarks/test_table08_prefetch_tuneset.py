@@ -13,10 +13,9 @@ from repro.experiments.reporting import format_summary_table
 from repro.workloads.suites import tune_specs
 
 
-def test_table08_prefetch_tuneset(run_once):
+def test_table08_prefetch_tuneset():
     workloads = tune_specs()[: scaled(8)]
-    result = run_once(
-        table08_prefetch_tuneset,
+    result = table08_prefetch_tuneset(
         trace_length=scaled(12_000),
         workloads=workloads,
     )

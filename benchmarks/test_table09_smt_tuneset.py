@@ -17,8 +17,8 @@ SCALE = SMTScale(epoch_cycles=scaled(400), total_epochs=120,
                  step_epochs=2, step_epochs_rr=2)
 
 
-def test_table09_smt_tuneset(run_once):
-    result = run_once(table09_smt_tuneset, num_mixes=6, scale=SCALE)
+def test_table09_smt_tuneset():
+    result = table09_smt_tuneset(num_mixes=6, scale=SCALE)
     print()
     print(format_summary_table(
         result, title="Table 9: % of best-static-arm IPC (SMT fetch)"

@@ -42,8 +42,9 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for size flags: a zero or negative size would hang a
-    step loop or divide by zero deep inside a run, so reject it here."""
+    """argparse type for size flags and ``--jobs``: a zero or negative size
+    would hang a step loop or divide by zero deep inside a run, and a
+    worker count below one means nothing, so reject either here."""
     value = int(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
@@ -311,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--step-epochs-rr", type=_positive_int,
                          default=smt_defaults.step_epochs_rr,
                          help="HC epochs per round-robin step (Table 6)")
-        cmd.add_argument("--jobs", type=int, default=1,
+        cmd.add_argument("--jobs", type=_positive_int, default=1,
                          help="worker processes for trace replays")
         cmd.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
                          help="on-disk result cache directory")
@@ -322,7 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "profiles/<command>.prof and a JSON summary")
         cmd.add_argument("--replicates", type=_positive_int, default=5,
                          help="bandit seed replicates per workload "
-                              "(replication sweeps)")
+                              "(replication sweeps; single-core DUCB never "
+                              "draws from its RNG, so every replicate "
+                              "replays the same episode)")
         cmd.add_argument("--deterministic-manifest", action="store_true",
                          help="zero wall-clock fields in the run manifest "
                               "so identical runs produce byte-identical "

@@ -617,6 +617,12 @@ def fig08_replication_sweep(
     manifest. Returns, per workload, the best static arm and the bandit's
     normalized-IPC spread across seeds, plus an ``"all"`` entry with
     cross-workload gmeans.
+
+    The seeds replicate nothing: single-core DUCB never draws from its
+    RNG (only ε-Greedy and multicore round-robin restarts do), so every
+    bandit lane replays the same episode bit for bit: each workload's
+    ``bandit_min`` equals its ``bandit_max``, and both match its
+    ``bandit_mean`` up to float rounding.
     """
     if workloads is None:
         workloads = tune_specs()
@@ -668,6 +674,10 @@ def fig10_replication_sweep(
     ``replicates`` bandit seeds replay as one batched lane task. Returns
     ``{mtps: {best_static_gmean, bandit_gmean, bandit_min, bandit_max}}``
     (all IPC normalized to no-prefetching at the same bandwidth).
+
+    As in :func:`fig08_replication_sweep`, every bandit lane replays the
+    same episode, since single-core DUCB never draws from its RNG; so
+    ``bandit_min`` and ``bandit_max`` span workloads, not seeds.
     """
     from dataclasses import replace as dc_replace
 

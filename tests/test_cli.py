@@ -29,10 +29,12 @@ class TestParser:
     @pytest.mark.parametrize("flag", [
         "--trace-length", "--workloads", "--mixes", "--epochs",
         "--epoch-cycles", "--step-epochs", "--step-epochs-rr", "--replicates",
+        "--jobs",
     ])
     def test_size_flags_reject_non_positive_values(self, flag, capsys):
         """Zero or negative sizes used to hang a step loop or crash deep in
-        a run; they must exit 2 with a usage message before anything runs."""
+        a run, and ``--jobs -3`` ran serially while reporting ``jobs -3``;
+        each must exit 2 with a usage message before anything runs."""
         parser = build_parser()
         for value in ("0", "-1"):
             with pytest.raises(SystemExit) as excinfo:
@@ -131,6 +133,24 @@ class TestMain:
         manifest = json.loads((cache_dir / "fig12.manifest.json").read_text())
         assert manifest["totals"]["cache_misses"] == 0
         assert manifest["totals"]["tasks"] == manifest["totals"]["cache_hits"]
+
+    def test_profile_writes_dump_and_keeps_output(self, tmp_path, capsys):
+        """``--profile`` writes profiles/<cmd>.{prof,json} under the cache
+        dir and leaves stdout exactly the table of an unprofiled run."""
+        import json
+
+        base = ["fig12", "--trace-length", "1200", "--workloads", "1"]
+        cache_dir = tmp_path / "cache"
+        assert main(base + ["--profile", "--cache-dir", str(cache_dir)]) == 0
+        profiled = capsys.readouterr()
+        assert main(base + ["--no-cache"]) == 0
+        assert profiled.out == capsys.readouterr().out
+        profiles = cache_dir / "profiles"
+        assert (profiles / "fig12.prof").is_file()
+        summary = json.loads((profiles / "fig12.json").read_text())
+        assert summary["label"] == "fig12"
+        assert summary["top_cumulative"]
+        assert f"[profile] summary: {profiles / 'fig12.json'}" in profiled.err
 
     def test_jobs_match_serial_output(self, tmp_path, capsys):
         base = ["fig12", "--trace-length", "1200", "--workloads", "1",

@@ -1,4 +1,5 @@
-"""README.md and EXPERIMENTS.md cite only numbers and files that exist.
+"""README.md, EXPERIMENTS.md and the verify skill cite only numbers and
+files that exist.
 
 Two failure modes have shipped before: unfilled number placeholders (a
 ``PR<n>`` tag followed by a capitalized quantity name, meant to be
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DOCS = ["README.md", "EXPERIMENTS.md"]
+DOCS = ["README.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"]
 
 #: Unfilled placeholders: a ``PR<n>`` tag fused to a capitalized quantity
 #: name (``KERNEL``, ``SPEEDUP``), or a TBD/TODO/FIXME marker.
@@ -25,9 +26,6 @@ BENCH_FILE = re.compile(r"\bBENCH_PR\d+\.json\b")
 CODE_SPAN = re.compile(r"`([^`\s]+\.(?:json|txt|md|toml|cfg|yml|yaml|py))`")
 FENCE = re.compile(r"^```.*?^```", re.S | re.M)
 
-#: Files that documented workflows write rather than commit.
-GENERATED = {"bench-raw.json"}
-
 
 def _text(name):
     return (ROOT / name).read_text(encoding="utf-8")
@@ -36,8 +34,6 @@ def _text(name):
 def _cited_file_exists(token):
     if any(char in token for char in "<>*"):
         return True  # a name pattern, not a file
-    if token in GENERATED:
-        return True
     if "/" not in token:
         return (ROOT / token).is_file()
     return (ROOT / token).exists() or (ROOT / "src" / token).exists()

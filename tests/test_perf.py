@@ -1,311 +1,10 @@
-"""Tests for the perf observability module (profiling + benchmark gate)."""
+"""Tests for the profiling harness behind the CLI's ``--profile`` flag."""
 
 import json
 
 import pytest
 
-from repro.perf import (
-    compare_benchmarks,
-    history_report,
-    load_benchmark_stats,
-    main,
-    profile_call,
-)
-
-
-def _bench_json(path, mean_by_name):
-    payload = {
-        "benchmarks": [
-            {"name": name, "stats": {"mean": mean}}
-            for name, mean in mean_by_name.items()
-        ]
-    }
-    path.write_text(json.dumps(payload))
-    return path
-
-
-def _bench_json_full(path, stats_by_name):
-    """Like ``_bench_json`` but each value is a full stats dict."""
-    payload = {
-        "benchmarks": [
-            {"name": name, "stats": dict(stats)}
-            for name, stats in stats_by_name.items()
-        ]
-    }
-    path.write_text(json.dumps(payload))
-    return path
-
-
-class TestCompareBenchmarks:
-    def test_within_tolerance_passes(self, tmp_path):
-        base = _bench_json(tmp_path / "base.json", {"fig08": 10.0})
-        cur = _bench_json(tmp_path / "cur.json", {"fig08": 11.5})
-        ok, lines = compare_benchmarks(base, cur, max_regression=0.20)
-        assert ok
-        assert any("fig08" in line for line in lines)
-
-    def test_regression_fails(self, tmp_path):
-        base = _bench_json(tmp_path / "base.json", {"fig08": 10.0})
-        cur = _bench_json(tmp_path / "cur.json", {"fig08": 12.5})
-        ok, lines = compare_benchmarks(base, cur, max_regression=0.20)
-        assert not ok
-        assert any("REGRESSION" in line for line in lines)
-
-    def test_speedup_passes(self, tmp_path):
-        base = _bench_json(tmp_path / "base.json", {"fig08": 26.0})
-        cur = _bench_json(tmp_path / "cur.json", {"fig08": 11.0})
-        ok, _ = compare_benchmarks(base, cur)
-        assert ok
-
-    def test_new_benchmark_does_not_gate(self, tmp_path):
-        base = _bench_json(tmp_path / "base.json", {"fig08": 10.0})
-        cur = _bench_json(tmp_path / "cur.json",
-                          {"fig08": 10.0, "fig09": 99.0})
-        ok, lines = compare_benchmarks(base, cur)
-        assert ok
-        assert any("new" in line and "fig09" in line for line in lines)
-
-    def test_no_shared_benchmarks_fails(self, tmp_path):
-        base = _bench_json(tmp_path / "base.json", {"a": 1.0})
-        cur = _bench_json(tmp_path / "cur.json", {"b": 1.0})
-        ok, _ = compare_benchmarks(base, cur)
-        assert not ok
-
-    def test_zero_second_pair_is_not_a_regression(self, tmp_path):
-        """0s vs a 0s baseline is unchanged, not an infinite blow-up."""
-        base = _bench_json(tmp_path / "base.json", {"fig08": 0.0})
-        cur = _bench_json(tmp_path / "cur.json", {"fig08": 0.0})
-        ok, _ = compare_benchmarks(base, cur)
-        assert ok
-
-    def test_nonzero_against_zero_baseline_fails(self, tmp_path):
-        base = _bench_json(tmp_path / "base.json", {"fig08": 0.0})
-        cur = _bench_json(tmp_path / "cur.json", {"fig08": 0.1})
-        ok, _ = compare_benchmarks(base, cur)
-        assert not ok
-
-    def test_benchmark_missing_from_current_fails(self, tmp_path):
-        """A gated benchmark silently vanishing is a bypass, not a pass."""
-        base = _bench_json(tmp_path / "base.json",
-                           {"fig08": 10.0, "fig09": 5.0})
-        cur = _bench_json(tmp_path / "cur.json", {"fig08": 10.0})
-        ok, lines = compare_benchmarks(base, cur)
-        assert not ok
-        assert any("MISSING" in line and "fig09" in line for line in lines)
-
-    def test_cli_exit_codes(self, tmp_path, capsys):
-        base = _bench_json(tmp_path / "base.json", {"fig08": 10.0})
-        good = _bench_json(tmp_path / "good.json", {"fig08": 10.5})
-        bad = _bench_json(tmp_path / "bad.json", {"fig08": 20.0})
-        assert main(["--baseline", str(base), "--current", str(good)]) == 0
-        assert main(["--baseline", str(base), "--current", str(bad)]) == 1
-        out = capsys.readouterr().out
-        assert "FAIL" in out
-
-    def test_custom_tolerance(self, tmp_path):
-        base = _bench_json(tmp_path / "base.json", {"fig08": 10.0})
-        cur = _bench_json(tmp_path / "cur.json", {"fig08": 14.0})
-        assert main(["--baseline", str(base), "--current", str(cur),
-                     "--max-regression", "0.5"]) == 0
-
-
-class TestBenchmarkStats:
-    def test_loads_stddev_and_rounds(self, tmp_path):
-        path = _bench_json_full(
-            tmp_path / "b.json",
-            {"fig08": {"mean": 10.0, "stddev": 0.5, "rounds": 5}},
-        )
-        stats = load_benchmark_stats(path)
-        assert stats["fig08"].mean == 10.0
-        assert stats["fig08"].stddev == 0.5
-        assert stats["fig08"].rounds == 5
-        assert not stats["fig08"].single_round
-
-    def test_missing_fields_mean_single_round(self, tmp_path):
-        path = _bench_json(tmp_path / "b.json", {"fig08": 10.0})
-        stats = load_benchmark_stats(path)
-        assert stats["fig08"].stddev is None
-        assert stats["fig08"].single_round
-
-    def test_single_round_baseline_warns_but_gates(self, tmp_path):
-        """A rounds=1 baseline still gates; the report just says so."""
-        base = _bench_json_full(
-            tmp_path / "base.json",
-            {"fig08": {"mean": 10.0, "stddev": 0, "rounds": 1}},
-        )
-        cur = _bench_json(tmp_path / "cur.json", {"fig08": 10.5})
-        ok, lines = compare_benchmarks(base, cur)
-        assert ok
-        assert any(
-            "warning" in line and "single-round" in line for line in lines
-        )
-
-    def test_multi_round_baseline_shows_spread_and_no_warning(self, tmp_path):
-        base = _bench_json_full(
-            tmp_path / "base.json",
-            {"fig08": {"mean": 10.0, "stddev": 0.25, "rounds": 8}},
-        )
-        cur = _bench_json(tmp_path / "cur.json", {"fig08": 10.5})
-        ok, lines = compare_benchmarks(base, cur)
-        assert ok
-        assert not any("single-round" in line for line in lines)
-        assert any("±0.2500s" in line for line in lines)
-
-    def test_single_round_regression_still_fails(self, tmp_path):
-        base = _bench_json_full(
-            tmp_path / "base.json",
-            {"fig08": {"mean": 10.0, "stddev": 0, "rounds": 1}},
-        )
-        cur = _bench_json(tmp_path / "cur.json", {"fig08": 20.0})
-        ok, lines = compare_benchmarks(base, cur)
-        assert not ok
-        assert any("REGRESSION" in line for line in lines)
-
-
-class TestSignificanceGate:
-    """The variance-aware gate: max(tolerance, k·stddev) of slack."""
-
-    def _noisy_base(self, tmp_path):
-        # 2% fixed tolerance but stddev 0.5s on a 10s mean: the 3σ band
-        # (11.5s) is far wider than the ratio limit (10.2s).
-        return _bench_json_full(
-            tmp_path / "base.json",
-            {"fig08": {"mean": 10.0, "stddev": 0.5, "rounds": 5}},
-        )
-
-    def test_regression_within_noise_band_passes(self, tmp_path):
-        base = self._noisy_base(tmp_path)
-        cur = _bench_json(tmp_path / "cur.json", {"fig08": 11.4})
-        ok, lines = compare_benchmarks(
-            base, cur, max_regression=0.02, stddev_k=3.0
-        )
-        assert ok
-        assert not any("REGRESSION" in line for line in lines)
-
-    def test_regression_beyond_noise_band_fails(self, tmp_path):
-        base = self._noisy_base(tmp_path)
-        cur = _bench_json(tmp_path / "cur.json", {"fig08": 11.6})
-        ok, lines = compare_benchmarks(
-            base, cur, max_regression=0.02, stddev_k=3.0
-        )
-        assert not ok
-        assert any("REGRESSION" in line for line in lines)
-
-    def test_report_prints_effective_limit(self, tmp_path):
-        """The per-benchmark line shows the widened (significance) limit."""
-        base = self._noisy_base(tmp_path)
-        cur = _bench_json(tmp_path / "cur.json", {"fig08": 10.0})
-        _, lines = compare_benchmarks(
-            base, cur, max_regression=0.02, stddev_k=3.0
-        )
-        assert any("limit 1.15x" in line for line in lines)
-
-    def test_tolerance_still_floors_tight_baselines(self, tmp_path):
-        """A tiny stddev never *shrinks* the gate below max_regression."""
-        base = _bench_json_full(
-            tmp_path / "base.json",
-            {"fig08": {"mean": 10.0, "stddev": 0.002, "rounds": 5}},
-        )
-        cur = _bench_json(tmp_path / "cur.json", {"fig08": 11.5})
-        ok, _ = compare_benchmarks(
-            base, cur, max_regression=0.20, stddev_k=3.0
-        )
-        assert ok
-
-    def test_single_round_baseline_ignores_stddev_slack(self, tmp_path):
-        """rounds=1 baselines gate on the bare ratio (stddev is bogus)."""
-        base = _bench_json_full(
-            tmp_path / "base.json",
-            {"fig08": {"mean": 10.0, "stddev": 5.0, "rounds": 1}},
-        )
-        cur = _bench_json(tmp_path / "cur.json", {"fig08": 13.0})
-        ok, lines = compare_benchmarks(
-            base, cur, max_regression=0.20, stddev_k=3.0
-        )
-        assert not ok
-        assert any("single-round" in line for line in lines)
-
-    def test_stddev_k_cli_flag(self, tmp_path):
-        base = self._noisy_base(tmp_path)
-        cur = _bench_json(tmp_path / "cur.json", {"fig08": 11.4})
-        argv = ["--baseline", str(base), "--current", str(cur),
-                "--max-regression", "0.02"]
-        assert main(argv) == 0  # default k=3 → 11.5s limit
-        assert main(argv + ["--stddev-k", "1"]) == 1  # 10.5s limit
-
-
-class TestHistoryReport:
-    def _trajectory(self, tmp_path):
-        early = tmp_path / "BENCH_PR3.json"
-        early.write_text(json.dumps({
-            "comparison": {"benchmark": "fig08 sweep", "speedup": 2.1},
-            "benchmarks": [
-                {"name": "fig08", "stats": {"mean": 10.0}},
-            ],
-        }))
-        late = tmp_path / "BENCH_PR8.json"
-        late.write_text(json.dumps({
-            "comparison": {"speedup": 3.0},
-            "benchmarks": [
-                {"name": "thrash",
-                 "stats": {"mean": 4.0, "stddev": 0.1, "rounds": 3}},
-            ],
-        }))
-        return early, late
-
-    def test_blocks_in_filename_order(self, tmp_path):
-        early, late = self._trajectory(tmp_path)
-        lines = history_report([str(late), str(early)])  # reversed on input
-        assert lines[0].startswith("BENCH_PR3.json")
-        assert any(line.startswith("BENCH_PR8.json") for line in lines)
-        assert lines.index("BENCH_PR3.json:") < lines.index("BENCH_PR8.json:")
-
-    def test_two_digit_pr_sorts_numerically(self, tmp_path):
-        """Regression: lexicographic ordering put BENCH_PR10 before
-        BENCH_PR3, scrambling the trajectory at the first two-digit PR."""
-        for pr in (10, 3, 6):
-            (tmp_path / f"BENCH_PR{pr}.json").write_text(json.dumps({
-                "benchmarks": [{"name": "fig08", "stats": {"mean": 1.0}}],
-            }))
-        lines = history_report(sorted(tmp_path.glob("BENCH_PR*.json")))
-        blocks = [line for line in lines if line.endswith(":")]
-        assert blocks == [
-            "BENCH_PR3.json:", "BENCH_PR6.json:", "BENCH_PR10.json:",
-        ]
-
-    def test_nonconforming_names_follow_in_natural_order(self, tmp_path):
-        for name in ("BENCH_PR4.json", "bench-run10.json", "bench-run2.json"):
-            (tmp_path / name).write_text(json.dumps({"benchmarks": []}))
-        lines = history_report(sorted(tmp_path.glob("*.json")))
-        blocks = [line for line in lines if line.endswith(":")]
-        assert blocks == [
-            "BENCH_PR4.json:", "bench-run2.json:", "bench-run10.json:",
-        ]
-
-    def test_reports_speedup_spread_and_variance_caveat(self, tmp_path):
-        early, late = self._trajectory(tmp_path)
-        report = "\n".join(history_report([early, late]))
-        assert "same-tree speedup: 2.1x" in report
-        assert "same-tree speedup: 3x" in report
-        assert "subject: fig08 sweep" in report
-        assert "±0.1000s over 3 rounds" in report
-        assert "single round, no variance estimate" in report
-
-    def test_cli_history_mode(self, tmp_path, capsys):
-        early, late = self._trajectory(tmp_path)
-        assert main(["--history", str(early), str(late)]) == 0
-        out = capsys.readouterr().out
-        assert "BENCH_PR3.json" in out and "BENCH_PR8.json" in out
-
-    def test_cli_history_excludes_gate_flags(self, tmp_path):
-        early, late = self._trajectory(tmp_path)
-        with pytest.raises(SystemExit):
-            main(["--history", str(early), "--baseline", str(late),
-                  "--current", str(late)])
-
-    def test_cli_requires_baseline_and_current_without_history(self):
-        with pytest.raises(SystemExit):
-            main([])
+from repro.perf import profile_call
 
 
 class TestProfileCall:
