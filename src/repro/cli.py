@@ -27,7 +27,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Callable, Dict
+from typing import Callable, Dict, List
 
 import repro.experiments.figures as figures
 from repro.experiments.reporting import format_summary_table, format_table
@@ -51,6 +51,22 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _workload_names(text: str) -> List[str]:
+    """argparse type for ``--workload-names``: comma-separated workload
+    names, spaces around each ignored. An empty entry (a trailing comma)
+    or an unknown name would otherwise surface as a traceback once the
+    run starts, so reject either here."""
+    names = [name.strip() for name in text.split(",")]
+    for name in names:
+        if not name:
+            raise argparse.ArgumentTypeError(f"empty workload name in {text!r}")
+        try:
+            spec_by_name(name)
+        except ValueError as error:
+            raise argparse.ArgumentTypeError(str(error)) from None
+    return names
+
+
 def _tune_selection(args: argparse.Namespace):
     """The workload specs a prefetch subcommand sweeps.
 
@@ -59,7 +75,7 @@ def _tune_selection(args: argparse.Namespace):
     """
     names = getattr(args, "workload_names", None)
     if names:
-        return [spec_by_name(name.strip()) for name in names.split(",")]
+        return [spec_by_name(name) for name in names]
     return tune_specs()[: args.workloads]
 
 
@@ -297,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="memory accesses per trace (prefetch cases)")
         cmd.add_argument("--workloads", type=_positive_int, default=8,
                          help="number of workloads/mixes where applicable")
-        cmd.add_argument("--workload-names", default=None,
+        cmd.add_argument("--workload-names", type=_workload_names,
+                         default=None,
                          help="comma-separated tune-set workload names "
                               "(overrides the --workloads prefix)")
         cmd.add_argument("--mixes", type=_positive_int, default=6,

@@ -206,7 +206,7 @@ def run_replay_kernel(
                                          False, dirty)
             l2_resident += 1
 
-    # Core timing state (mirrors run_compiled's non-kernel loop).
+    # Core timing state (mirrors TraceCore.execute and _issue_time).
     rob_size = core.config.rob_size
     commit_cost = core._commit_cost
     dispatch_cost = core._dispatch_cost

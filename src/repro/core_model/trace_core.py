@@ -30,7 +30,7 @@ from repro.core_model.replay_kernel import run_replay_kernel
 from repro.core_model.sanitizer import sanitize_enabled
 from repro.uncore.cache import Cache
 from repro.uncore.hierarchy import CacheHierarchy
-from repro.workloads.trace import BLOCK_SHIFT, TraceRecord
+from repro.workloads.trace import TraceRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.workloads.compiled import CompiledTrace
@@ -131,12 +131,15 @@ class TraceCore:
         sanitize: Optional[bool] = None,
         shadow: Optional["TraceCore"] = None,
     ) -> None:
-        """Replay a compiled array-backed trace without per-record objects.
+        """Replay a compiled array-backed trace.
 
-        Semantically identical to :meth:`run` over the equivalent object
-        trace (bit-identical counters, cycles, and hierarchy state); the
-        loop body is :meth:`execute` inlined over the trace arrays with
-        every hot name bound locally.
+        A plain three-level hierarchy (plain :class:`Cache` levels, no L1
+        prefetcher) replays through the fused kernel of
+        :mod:`repro.core_model.replay_kernel`, without per-record objects.
+        Any other hierarchy replays ``trace.to_records()`` through
+        :meth:`execute`. Either way the result is bit-identical to
+        :meth:`run` over the equivalent object trace (counters, cycles, and
+        hierarchy state).
 
         ``record_hook(core)`` fires after each record with ``instructions``
         and ``retire_time`` (and the rest of the core state) flushed, which
@@ -144,8 +147,8 @@ class TraceCore:
         core itself. A hook may return ``(l2_threshold, cycle_threshold)``
         to promise it is a no-op until ``stats.l2_demand_accesses`` or
         ``retire_time`` reaches those bounds — the fused kernel then skips
-        the flush + call for the records in between (this loop, and the
-        object path, simply call every record; the promise makes that
+        the flush + call for the records in between (the object path
+        calls the hook after every record; the promise makes that
         equivalent).
 
         ``sanitize`` (default: ``$REPRO_SANITIZE``) additionally replays
@@ -167,106 +170,36 @@ class TraceCore:
 
             run_sanitized_replay(self, trace, max_records, shadow)
             return
-        pcs, blocks, all_flags, gaps = trace.as_lists()
-        if max_records is not None and max_records < len(pcs):
-            pcs = pcs[:max_records]
-            blocks = blocks[:max_records]
-            all_flags = all_flags[:max_records]
-            gaps = gaps[:max_records]
         hierarchy = self.hierarchy
-        if (
+        if not (
             type(hierarchy) is CacheHierarchy
             and hierarchy.l1_prefetcher is None
             and type(hierarchy.l1) is Cache
             and type(hierarchy.l2) is Cache
             and type(hierarchy.llc) is Cache
         ):
-            # Plain three-level hierarchy: run the fully fused kernel (the
-            # hierarchy's own demand path inlined into the replay loop).
-            # Cyclic garbage is not produced at replay rates worth the gen-0
-            # scans the kernel's transient tuples/lists trigger, so collection
-            # is paused for the duration (refcounting still frees everything).
-            gc_was_enabled = gc.isenabled()
-            if gc_was_enabled:
-                gc.disable()
-            try:
-                run_replay_kernel(self, pcs, blocks, all_flags, gaps,
-                                  record_hook)
-            finally:
-                if gc_was_enabled:
-                    gc.enable()
+            for record in trace.to_records()[:max_records]:
+                self.execute(record)
+                if record_hook is not None:
+                    record_hook(self)
             return
-        config = self.config
-        rob_size = config.rob_size
-        commit_cost = self._commit_cost
-        dispatch_cost = self._dispatch_cost
-        hierarchy_stats = hierarchy.stats
-        demand_access = hierarchy._demand_access
-        window = self._window
-        window_append = window.append
-        window_popleft = window.popleft
-        block_shift = BLOCK_SHIFT
-        instructions = self.instructions
-        retire_time = self.retire_time
-        dispatch_time = self.dispatch_time
-        last_load_ready = self._last_load_ready
-        anchor_index = self._anchor_index
-        anchor_retire = self._anchor_retire
-
-        for pc, block, flags, gap in zip(pcs, blocks, all_flags, gaps):
-            if gap:
-                instructions += gap
-                retire_time += gap * commit_cost
-                dispatch_time += gap * dispatch_cost
-
-            instructions += 1
-            index = instructions
-            dispatch_time += dispatch_cost
-            boundary = index - rob_size
-            if boundary > 0:
-                while window and window[0][0] <= boundary:
-                    anchor_index, anchor_retire = window_popleft()
-                behind = boundary - anchor_index
-                if behind > 0:
-                    floor = anchor_retire + behind * commit_cost
-                else:
-                    floor = anchor_retire
-                if floor > dispatch_time:
-                    dispatch_time = floor
-            issue = dispatch_time
-
-            # hierarchy.load/store inlined: their stat bumps happen here so
-            # the demand path is one direct call per record.
-            if flags & 1:  # FLAG_WRITE
-                hierarchy_stats.stores += 1
-                demand_access(pc, block << block_shift, issue, is_write=True)
-                retire_time += commit_cost
-            else:
-                if flags & 2 and last_load_ready > issue:  # FLAG_DEPENDENT
-                    issue = last_load_ready
-                hierarchy_stats.loads += 1
-                ready = demand_access(pc, block << block_shift, issue,
-                                      is_write=False)
-                last_load_ready = ready
-                next_retire = retire_time + commit_cost
-                retire_time = ready if ready > next_retire else next_retire
-            window_append((index, retire_time))
-
-            if record_hook is not None:
-                self.instructions = instructions
-                self.retire_time = retire_time
-                self.dispatch_time = dispatch_time
-                self._last_load_ready = last_load_ready
-                self._anchor_index = anchor_index
-                self._anchor_retire = anchor_retire
-                record_hook(self)
-
-        self.instructions = instructions
-        self.retire_time = retire_time
-        self.dispatch_time = dispatch_time
-        self._last_load_ready = last_load_ready
-        self._anchor_index = anchor_index
-        self._anchor_retire = anchor_retire
+        pcs, blocks, all_flags, gaps = trace.as_lists()
+        if max_records is not None and max_records < len(pcs):
+            pcs = pcs[:max_records]
+            blocks = blocks[:max_records]
+            all_flags = all_flags[:max_records]
+            gaps = gaps[:max_records]
+        # Cyclic garbage is not produced at replay rates worth the gen-0
+        # scans the kernel's transient tuples/lists trigger, so collection
+        # is paused for the duration (refcounting still frees everything).
+        gc_was_enabled = gc.isenabled()
+        if gc_was_enabled:
+            gc.disable()
+        try:
+            run_replay_kernel(self, pcs, blocks, all_flags, gaps, record_hook)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
 
     # -------------------------------------------------------------- internals
 

@@ -70,7 +70,7 @@ class Cache:
     def _set_for(self, block: int) -> Dict[int, CacheLine]:
         return self._sets[block % self.num_sets]
 
-    def lookup(self, block: int, *, update: bool = True) -> Optional[CacheLine]:
+    def lookup(self, block: int) -> Optional[CacheLine]:
         """Probe for ``block``; on a hit, refresh recency and mark it used."""
         cache_set = self._sets[block % self.num_sets]
         line = cache_set.get(block)
@@ -78,14 +78,13 @@ class Cache:
             self.misses += 1
             return None
         self.hits += 1
-        if update:
-            stamp = self._stamp + 1
-            self._stamp = stamp
-            line.last_use = stamp
-            line.used = True
-            # Move to the MRU end of the set's intrusive recency order.
-            del cache_set[block]
-            cache_set[block] = line
+        stamp = self._stamp + 1
+        self._stamp = stamp
+        line.last_use = stamp
+        line.used = True
+        # Move to the MRU end of the set's intrusive recency order.
+        del cache_set[block]
+        cache_set[block] = line
         return line
 
     def contains(self, block: int) -> bool:

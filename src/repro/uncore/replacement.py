@@ -6,7 +6,7 @@ standard alternatives — :class:`SRRIP`, :class:`DRRIP` (set-dueling), and
 drop-in :class:`PolicyCache` that accepts any of them.
 
 They exist for the §9 future-work extension explored in
-``benchmarks/test_ext_joint_replacement.py``: using a single Bandit to
+``benchmarks/test_ext_joint_control.py``: using a single Bandit to
 *jointly* select the prefetcher configuration and the cache replacement
 policy (the action space is the product of the two, as §9 notes).
 """
@@ -178,10 +178,10 @@ class PolicyCache(Cache):
         super().__init__(name, size_bytes, ways, block_bytes)
         self.policy = policy if policy is not None else LRUReplacement()
 
-    def lookup(self, block: int, *, update: bool = True):
-        line = super().lookup(block, update=update)
+    def lookup(self, block: int):
+        line = super().lookup(block)
         set_index = block % self.num_sets
-        if line is not None and update:
+        if line is not None:
             self.policy.on_hit(set_index, block)
         elif line is None and isinstance(self.policy, DRRIP):
             self.policy.record_miss(set_index)

@@ -12,8 +12,8 @@ flags / inst_gap), which
   (the 11-arm fan-outs and repeated no-prefetch baselines of the figures),
 - is memoized on disk keyed by the generator configuration and seed, so
   repeated CLI/benchmark invocations skip generation entirely, and
-- replays through :meth:`~repro.core_model.trace_core.TraceCore.run_compiled`
-  without constructing a single per-record object.
+- replays through :meth:`~repro.core_model.trace_core.TraceCore.run_compiled`,
+  whose fused kernel constructs no per-record object.
 
 Only the cache-block number of each access is stored (as ChampSim traces
 do): the simulator consumes addresses exclusively at block granularity, so

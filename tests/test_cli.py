@@ -80,6 +80,21 @@ class TestParser:
         prefix = [spec.name for spec in _tune_selection(args)]
         assert prefix == [spec.name for spec in tune_specs()[:2]]
 
+    @pytest.mark.parametrize("value", [
+        "milc06,nosuch", "milc06,", ",milc06", "milc06,,cactus06", " ",
+    ])
+    def test_workload_names_reject_unknown_or_empty_entries(self, value,
+                                                            capsys):
+        """An unknown name or an empty entry (a trailing comma) used to pass
+        argparse and die in the run with a ``ValueError`` traceback; each
+        must exit 2 with a usage message before anything runs."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["fig08rep", "--workload-names", value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "--workload-names" in err
+
     def test_execution_flags_exposed(self):
         args = build_parser().parse_args(
             ["fig08", "--jobs", "4", "--cache-dir", "/tmp/c", "--no-cache"]

@@ -8,7 +8,9 @@ bit-identical results:
   object path (the same trace as ``TraceRecord`` objects) for every
   comparator prefetcher, every ensemble arm and the bandit, over hostile
   hierarchies: 1-16 sets of 1-4 ways at every level, single-entry MSHRs
-  and prefetch budgets, and DRAM from 150 to 9600 MT/s.
+  and prefetch budgets, and DRAM from 150 to 9600 MT/s. The prefetcher
+  and bandit runners also draw Figure 12's L1 prefetchers, which send a
+  compiled trace down the object path instead of the kernel.
 - **SMT.** The fused cycle kernel against the ``SMTPipeline`` object path
   over evaluation mixes, all 64 PG policies, random pipeline configs
   (widths, queue and register-file sizes), random epoch lengths, and
@@ -32,6 +34,7 @@ from repro.experiments.prefetch import (
     run_fixed_arm,
     run_fixed_prefetcher,
 )
+from repro.experiments.runner import _make_l1
 from repro.experiments.smt import SMTScale, run_smt_bandit, run_smt_static
 from repro.prefetch.ensemble import TABLE7_ARMS
 from repro.smt.pg_policy import ALL_PG_POLICIES
@@ -76,10 +79,13 @@ def _hierarchy(l1, l2, llc, mshr, inflight, dram_mtps):
     )
 
 
-def _replay(runner, trace, hierarchy):
+def _replay(runner, trace, hierarchy, l1_kind):
     kind, value = runner
     if kind == "prefetcher":
-        return run_fixed_prefetcher(trace, value, hierarchy, CORE_CONFIG_TABLE4)
+        return run_fixed_prefetcher(
+            trace, value, hierarchy, CORE_CONFIG_TABLE4,
+            l1_prefetcher=_make_l1(l1_kind),
+        )
     if kind == "arm":
         return run_fixed_arm(trace, value, hierarchy, CORE_CONFIG_TABLE4)
     step, seed, ideal = value
@@ -92,6 +98,7 @@ def _replay(runner, trace, hierarchy):
         ),
         seed=seed,
         ideal_latency=ideal,
+        l1_prefetcher=_make_l1(l1_kind),
     )
 
 
@@ -107,15 +114,16 @@ def _replay(runner, trace, hierarchy):
     inflight=st.integers(1, 8),
     dram_mtps=st.sampled_from([150.0, 600.0, 2400.0, 9600.0]),
     runner=RUNNERS,
+    l1_kind=st.sampled_from([None, "stride2", "ipcp2"]),
 )
 def test_replay_kernel_matches_object_path(
     workload, length, trace_seed, l1, l2, llc, mshr, inflight, dram_mtps,
-    runner,
+    runner, l1_kind,
 ):
     trace = compiled_trace_for(workload, length, seed=trace_seed)
     hierarchy = _hierarchy(l1, l2, llc, mshr, inflight, dram_mtps)
-    kernel = _replay(runner, trace, hierarchy)
-    reference = _replay(runner, trace.to_records(), hierarchy)
+    kernel = _replay(runner, trace, hierarchy, l1_kind)
+    reference = _replay(runner, trace.to_records(), hierarchy, l1_kind)
     assert kernel == reference
 
 

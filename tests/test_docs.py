@@ -1,5 +1,5 @@
-"""README.md, EXPERIMENTS.md and the verify skill cite only numbers and
-files that exist.
+"""README.md, EXPERIMENTS.md, the verify skill and the source docstrings
+cite only numbers and files that exist.
 
 Two failure modes have shipped before: unfilled number placeholders (a
 ``PR<n>`` tag followed by a capitalized quantity name, meant to be
@@ -59,5 +59,20 @@ def test_cited_files_exist(name):
     missing = sorted(
         {token for token in CODE_SPAN.findall(prose)
          if not _cited_file_exists(token)}
+    )
+    assert missing == []
+
+
+def test_source_cites_only_files_that_exist():
+    """Docstrings and comments under ``src/repro`` name only real files.
+
+    Only spans with a ``/`` count: a bare name such as ``__init__.py`` is
+    generic prose in source, not a path from the repo root.
+    """
+    missing = sorted(
+        f"{path.relative_to(ROOT)}: {token}"
+        for path in (ROOT / "src" / "repro").rglob("*.py")
+        for token in CODE_SPAN.findall(path.read_text(encoding="utf-8"))
+        if "/" in token and not _cited_file_exists(token)
     )
     assert missing == []
