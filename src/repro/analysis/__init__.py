@@ -27,8 +27,9 @@ tests.
 Findings can be suppressed per line with ``# repro: ignore`` or
 ``# repro: ignore[R1,R11]``.
 
-Run it as ``python -m repro.analysis src tests benchmarks`` (``--format
-json`` emits a machine-readable report for CI artifacts).
+Run it as ``python -m repro.analysis src tests benchmarks examples
+perfbench`` (``--format json`` emits a machine-readable report for CI
+artifacts).
 """
 
 from repro.analysis.core import Finding, ParsedModule, default_rules, run_analysis

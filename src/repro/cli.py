@@ -67,6 +67,13 @@ def _workload_names(text: str) -> List[str]:
     return names
 
 
+#: The subcommands that sweep tune-set members through
+#: :func:`_tune_selection`, the only ones that take ``--workload-names``.
+_TUNE_SELECTION_COMMANDS = frozenset({
+    "table08", "fig09", "fig10", "fig08rep", "fig10rep", "fig12",
+})
+
+
 def _tune_selection(args: argparse.Namespace):
     """The workload specs a prefetch subcommand sweeps.
 
@@ -313,10 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="memory accesses per trace (prefetch cases)")
         cmd.add_argument("--workloads", type=_positive_int, default=8,
                          help="number of workloads/mixes where applicable")
-        cmd.add_argument("--workload-names", type=_workload_names,
-                         default=None,
-                         help="comma-separated tune-set workload names "
-                              "(overrides the --workloads prefix)")
+        if name in _TUNE_SELECTION_COMMANDS:
+            cmd.add_argument("--workload-names", type=_workload_names,
+                             default=None,
+                             help="comma-separated tune-set workload names "
+                                  "(overrides the --workloads prefix)")
         cmd.add_argument("--mixes", type=_positive_int, default=6,
                          help="number of SMT mixes where applicable")
         cmd.add_argument("--epochs", type=_positive_int, default=300,

@@ -44,6 +44,8 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -104,32 +106,106 @@ CACHE_SCHEMA_VERSION = 6
 # ============================================================== cache keys
 
 
-def _canonical(value: Any) -> Any:
-    """JSON-serializable canonical form of a task input.
+#: Exact field types whose values cannot change in place: a frozen
+#: dataclass holding only these keeps its text for life.
+_IMMUTABLE_SCALARS = frozenset({str, int, float, bool, type(None)})
+#: Bound on the memo below, which is cleared when full.
+_FROZEN_TEXT_LIMIT = 256
+#: ``id(instance) -> (instance, text)``. Holding the instance keeps its id
+#: from being reused by another object while the entry lives.
+_frozen_text: Dict[int, Tuple[Any, str]] = {}
 
-    Stable across processes and interpreter runs: dataclasses flatten to
-    ``[type name, sorted field/value pairs]``, dict items are sorted, floats
-    go through ``repr`` (shortest round-trip form), and sets/ids/objects are
-    rejected so unstable inputs fail loudly instead of hashing differently.
+
+@lru_cache(maxsize=None)
+def _dataclass_layout(
+    cls: type,
+) -> Optional[Tuple[bool, Tuple[Tuple[str, str], ...]]]:
+    """``(frozen, ((field name, its JSON text), ...))`` for a dataclass type.
+
+    ``None`` for any other type. Fields keep declaration order, as
+    :func:`dataclasses.fields` returns them.
     """
-    if is_dataclass(value) and not isinstance(value, type):
-        return [
-            "@dc",
-            type(value).__name__,
-            [[f.name, _canonical(getattr(value, f.name))] for f in fields(value)],
-        ]
+    if not is_dataclass(cls):
+        return None
+    frozen = bool(getattr(getattr(cls, "__dataclass_params__", None),
+                          "frozen", False))
+    names = tuple((f.name, encode_basestring_ascii(f.name)) for f in fields(cls))
+    return frozen, names
+
+
+def _canonical(value: Any, sep: str = ",") -> str:
+    """Canonical JSON text of a task input, written in one pass.
+
+    Stable across processes and interpreter runs. A dataclass encodes as
+    ``["@dc",type name,[[field,value],...]]`` with its fields in
+    declaration order, so reordering a config's fields changes every key
+    holding it (a cache miss, never a wrong hit). A dict encodes as
+    ``["@dict",[[key text,value],...]]``, its items stably sorted by key
+    text, where the key text is the key's own encoding under ``", "``
+    separators; lists and tuples encode as ``["@seq",[...]]``; floats as
+    ``["@f",repr]`` (shortest round-trip form, so ``-0.0``, ``nan`` and
+    ``inf`` stay distinct); ``None``, bools, ints and strs as JSON.
+    Sets, callables, classes and other objects raise :class:`TypeError`,
+    so unstable inputs fail loudly instead of hashing differently.
+    ``sep`` separates list items: ``","`` for the key payload, ``", "``
+    inside dict key texts.
+
+    The text of a frozen dataclass whose fields are all exact
+    ``str``/``int``/``float``/``bool``/``None`` is kept per instance
+    identity (never per value: ``0.0 == -0.0`` and ``1 == 1.0 == True``
+    encode differently), so the config shared by every task of a figure
+    is encoded once.
+    """
+    cls = type(value)
+    # Exact builtins first; none of them is a dataclass, so skipping the
+    # isinstance order below cannot change the encoding.
+    if cls is str:
+        return encode_basestring_ascii(value)
+    if cls is int:
+        return int.__repr__(value)
+    if cls is float:
+        return f'["@f"{sep}"{float.__repr__(value)}"]'
+    if value is None:
+        return "null"
+    if cls is bool:
+        return "true" if value else "false"
+    layout = _dataclass_layout(cls)
+    if layout is not None and not isinstance(value, type):
+        frozen, names = layout
+        memoize = frozen and sep == ","
+        if memoize:
+            cached = _frozen_text.get(id(value))
+            if cached is not None:
+                return cached[1]
+        parts = []
+        for name, name_text in names:
+            item = getattr(value, name)
+            memoize = memoize and type(item) in _IMMUTABLE_SCALARS
+            parts.append(f"[{name_text}{sep}{_canonical(item, sep)}]")
+        text = (f'["@dc"{sep}{encode_basestring_ascii(cls.__name__)}{sep}'
+                f'[{sep.join(parts)}]]')
+        if memoize:
+            if len(_frozen_text) >= _FROZEN_TEXT_LIMIT:
+                _frozen_text.clear()
+            _frozen_text[id(value)] = (value, text)
+        return text
     if isinstance(value, dict):
-        items = [
-            [json.dumps(_canonical(k), sort_keys=True), _canonical(v)]
-            for k, v in value.items()
-        ]
-        return ["@dict", sorted(items, key=lambda kv: kv[0])]
+        items = [(encode_basestring_ascii(k) if type(k) is str
+                  else _canonical(k, ", "), _canonical(v, sep))
+                 for k, v in value.items()]
+        items.sort(key=itemgetter(0))
+        body = sep.join([f"[{encode_basestring_ascii(k)}{sep}{v}]"
+                         for k, v in items])
+        return f'["@dict"{sep}[{body}]]'
     if isinstance(value, (list, tuple)):
-        return ["@seq", [_canonical(item) for item in value]]
+        body = sep.join([_canonical(item, sep) for item in value])
+        return f'["@seq"{sep}[{body}]]'
     if isinstance(value, float):
-        return ["@f", repr(value)]
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
+        return f'["@f"{sep}{encode_basestring_ascii(repr(value))}]'
+    if isinstance(value, int):  # int subclasses, such as IntEnum members
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
     raise TypeError(
         f"cannot build a stable cache key from {type(value).__name__!r}; "
         "pass plain data or dataclasses"
@@ -174,16 +250,9 @@ def task_key(fn: Callable[..., Any], kwargs: Dict[str, Any]) -> str:
         )
     bound = {name: value for name, value in _fn_defaults(fn)}
     bound.update(kwargs)
-    payload = json.dumps(
-        [
-            "repro-task",
-            CACHE_SCHEMA_VERSION,
-            f"{fn.__module__}.{qualname}",
-            _canonical(bound),
-        ],
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    qualified = encode_basestring_ascii(f"{fn.__module__}.{qualname}")
+    payload = (f'["repro-task",{CACHE_SCHEMA_VERSION},{qualified},'
+               f'{_canonical(bound)}]')
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -246,7 +315,9 @@ class ResultCache:
 
     def get(self, key: str) -> Tuple[bool, Any]:
         """Returns ``(hit, value)``; corrupt entries count as misses."""
-        path = self._path(key)
+        # The file ``self._path(key)`` names, joined from strings: the two
+        # pathlib joins were about a sixth of a warm lookup.
+        path = f"{self.directory}{os.sep}{key[:2]}{os.sep}{key}.pkl"
         try:
             with open(path, "rb") as handle:
                 return True, pickle.load(handle)

@@ -13,16 +13,19 @@ from typing import Dict, Iterable, Mapping, Sequence
 
 
 def geometric_mean(values: Iterable[float]) -> float:
-    """Geometric mean of strictly positive values.
+    """Geometric mean of finite, strictly positive values.
 
-    Raises ``ValueError`` on an empty input or any non-positive value, since
-    a silent 0/NaN would corrupt every downstream speedup table.
+    Raises ``ValueError`` on an empty input or any value that is not finite
+    and positive (zero, negative, NaN, ±inf), since a silent 0/NaN/inf
+    would corrupt every downstream speedup table.
     """
     log_sum = 0.0
     count = 0
     for value in values:
-        if value <= 0.0:
-            raise ValueError(f"geometric mean requires positive values, got {value}")
+        if not 0.0 < value < math.inf:
+            raise ValueError(
+                f"geometric mean requires finite positive values, got {value}"
+            )
         log_sum += math.log(value)
         count += 1
     if count == 0:
@@ -31,12 +34,14 @@ def geometric_mean(values: Iterable[float]) -> float:
 
 
 def harmonic_mean(values: Iterable[float]) -> float:
-    """Harmonic mean of strictly positive values."""
+    """Harmonic mean of finite, strictly positive values (else ``ValueError``)."""
     inv_sum = 0.0
     count = 0
     for value in values:
-        if value <= 0.0:
-            raise ValueError(f"harmonic mean requires positive values, got {value}")
+        if not 0.0 < value < math.inf:
+            raise ValueError(
+                f"harmonic mean requires finite positive values, got {value}"
+            )
         inv_sum += 1.0 / value
         count += 1
     if count == 0:
@@ -45,10 +50,16 @@ def harmonic_mean(values: Iterable[float]) -> float:
 
 
 def normalize_to(values: Mapping[str, float], baseline_key: str) -> Dict[str, float]:
-    """Return ``values`` divided by ``values[baseline_key]``."""
+    """Return ``values`` divided by ``values[baseline_key]``.
+
+    The baseline must be finite and positive (else ``ValueError``): a NaN
+    or infinite one would turn every normalized value into NaN or 0.
+    """
     baseline = values[baseline_key]
-    if baseline <= 0.0:
-        raise ValueError(f"baseline {baseline_key!r} must be positive, got {baseline}")
+    if not 0.0 < baseline < math.inf:
+        raise ValueError(
+            f"baseline {baseline_key!r} must be finite and positive, got {baseline}"
+        )
     return {key: value / baseline for key, value in values.items()}
 
 

@@ -95,6 +95,19 @@ class TestParser:
         assert err.startswith("usage:")
         assert "--workload-names" in err
 
+    @pytest.mark.parametrize("command", ["fig08", "sec65"])
+    def test_workload_names_rejected_where_nothing_reads_it(self, command,
+                                                           capsys):
+        """Only the tune-set sweeps read ``--workload-names``; elsewhere it
+        used to be accepted and dropped, so ``fig08`` still replayed every
+        trace. It must exit 2 with a usage message instead."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                [command, "--workload-names", "milc06"]
+            )
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.startswith("usage:")
+
     def test_execution_flags_exposed(self):
         args = build_parser().parse_args(
             ["fig08", "--jobs", "4", "--cache-dir", "/tmp/c", "--no-cache"]

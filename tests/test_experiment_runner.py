@@ -8,20 +8,25 @@ import sys
 import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
+from enum import IntEnum
 from pathlib import Path
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass, make_dataclass
+from typing import Any
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.experiments.configs import PREFETCH_BANDIT_CONFIG
 from repro.experiments.runner import (
     CACHE_SCHEMA_VERSION,
+    _FROZEN_TEXT_LIMIT,
     ExecutionContext,
     ResultCache,
     RunTelemetry,
     Task,
     TaskExecutionError,
     _canonical,
+    _frozen_text,
     bandit_prefetch_task,
     fixed_arm_task,
     get_context,
@@ -83,6 +88,117 @@ class _Cfg:
     count: int = 3
 
 
+@dataclass(frozen=True)
+class _Listed:
+    items: list
+
+
+def _reference_canonical(value: Any) -> Any:
+    """The nested-list encoder task keys were first defined by.
+
+    Kept here as the reference ``_canonical`` must match byte for byte
+    once dumped with ``sort_keys=True, separators=(",", ":")``, so a
+    change to the production encoder cannot silently move every key.
+    """
+    if is_dataclass(value) and not isinstance(value, type):
+        return [
+            "@dc",
+            type(value).__name__,
+            [[f.name, _reference_canonical(getattr(value, f.name))]
+             for f in fields(value)],
+        ]
+    if isinstance(value, dict):
+        items = [
+            [json.dumps(_reference_canonical(k), sort_keys=True),
+             _reference_canonical(v)]
+            for k, v in value.items()
+        ]
+        return ["@dict", sorted(items, key=lambda kv: kv[0])]
+    if isinstance(value, (list, tuple)):
+        return ["@seq", [_reference_canonical(item) for item in value]]
+    if isinstance(value, float):
+        return ["@f", repr(value)]
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    raise TypeError(f"cannot key {type(value).__name__!r}")
+
+
+def _reference_text(value: Any) -> str:
+    return json.dumps(_reference_canonical(value), sort_keys=True,
+                      separators=(",", ":"))
+
+
+class _Color(IntEnum):
+    RED = 1
+    BLUE = 2
+
+
+class _Label(str):
+    pass
+
+
+class _Ratio(float):
+    pass
+
+
+class _Items(list):
+    pass
+
+
+class _Pair(tuple):
+    pass
+
+
+@dataclass(frozen=True)
+class _FrozenBox:
+    a: Any
+    b: Any = None
+
+
+@dataclass
+class _PlainBox:
+    a: Any
+    b: Any = None
+
+
+# Same class name as _FrozenBox but never equal to one, so a dict can hold
+# both under one key text: the tie must keep insertion order.
+_FrozenTwin = make_dataclass("_FrozenBox", [("a", Any), ("b", Any)],
+                             frozen=True)
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-2**70, max_value=2**70),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf")]),
+    st.text(max_size=5),
+    st.sampled_from(list(_Color)),
+    st.text(max_size=3).map(_Label),
+    st.floats().map(_Ratio),
+)
+_KEYS = st.one_of(
+    st.text(max_size=4),
+    st.integers(min_value=-2**70, max_value=2**70),
+    st.tuples(_SCALARS, _SCALARS),
+    st.builds(_FrozenBox, _SCALARS, _SCALARS),
+    st.builds(_FrozenTwin, _SCALARS, _SCALARS),
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(children, max_size=3).map(_Items),
+        st.lists(children, max_size=3).map(_Pair),
+        st.builds(_FrozenBox, children, children),
+        st.builds(_PlainBox, children, children),
+        st.dictionaries(_KEYS, children, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
 class TestCacheKey:
     def test_stable_for_equal_inputs(self):
         key1 = task_key(_double, {"value": 7})
@@ -98,6 +214,35 @@ class TestCacheKey:
         assert _canonical(_Cfg()) == _canonical(_Cfg(alpha=1.5, count=3))
         assert _canonical({"b": 1, "a": 2}) == _canonical({"a": 2, "b": 1})
         assert _canonical(_Cfg(alpha=2.0)) != _canonical(_Cfg())
+        # Equal values that encode differently, each a temporary freed
+        # right after keying, so its id is free for the next instance.
+        assert task_key(_double, {"value": _Cfg(alpha=0.0)}) != task_key(
+            _double, {"value": _Cfg(alpha=-0.0)}
+        )
+        keys = [task_key(_double, {"value": _Cfg(count=count)})
+                for count in (1, 1.0, True)]
+        assert len(set(keys)) == 3
+        listed = _Listed([1])
+        before = task_key(_double, {"value": listed})
+        listed.items.append(2)
+        assert task_key(_double, {"value": listed}) != before
+        for count in range(1000):
+            _canonical(_Cfg(count=count))
+        assert len(_frozen_text) <= _FROZEN_TEXT_LIMIT
+
+    @settings(deadline=None, max_examples=150)
+    @given(_VALUES)
+    def test_matches_the_reference_encoder(self, value):
+        assert _canonical(value) == _reference_text(value)
+
+    @pytest.mark.parametrize("value", [
+        object(), {1, 2}, lambda: 1, _Cfg, [1, (2, object())],
+    ], ids=["object", "set", "lambda", "dataclass-class", "nested-object"])
+    def test_rejects_what_the_reference_rejects(self, value):
+        with pytest.raises(TypeError):
+            _reference_text(value)
+        with pytest.raises(TypeError):
+            _canonical(value)
 
     def test_rejects_unhashable_inputs(self):
         with pytest.raises(TypeError):

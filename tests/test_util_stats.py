@@ -1,5 +1,6 @@
 """Tests for repro.util.stats."""
 
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -37,6 +38,9 @@ class TestGeometricMean:
     def test_negative_raises(self):
         with pytest.raises(ValueError):
             geometric_mean([1.0, -2.0])
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                geometric_mean([2.0, bad])
 
     def test_accepts_generator(self):
         assert geometric_mean(x for x in [2.0, 2.0]) == pytest.approx(2.0)
@@ -69,6 +73,9 @@ class TestHarmonicMean:
     def test_nonpositive_raises(self):
         with pytest.raises(ValueError):
             harmonic_mean([1.0, 0.0])
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                harmonic_mean([2.0, bad])
 
     @given(st.lists(st.floats(min_value=0.01, max_value=100.0), min_size=2,
                     max_size=20))
@@ -88,6 +95,9 @@ class TestNormalizeTo:
     def test_zero_baseline_raises(self):
         with pytest.raises(ValueError):
             normalize_to({"a": 0.0, "b": 1.0}, "a")
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                normalize_to({"a": bad, "b": 1.0}, "a")
 
 
 class TestSummary:
