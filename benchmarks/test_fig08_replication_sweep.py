@@ -7,8 +7,8 @@ and the three L1-thrashing ones (milc06, cactus06, omnetpp06). On both
 trios the bandit's gmean IPC over no-prefetching must stay above 0.9.
 
 Single-core DUCB never draws from its random number generator, so all 24
-bandit lanes replay one episode bit for bit. More seeds would add time and
-change no number.
+bandit lanes replay one episode bit for bit, and the lane kernel replays it
+once. More seeds would change no number.
 """
 
 import pytest

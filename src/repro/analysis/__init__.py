@@ -21,8 +21,8 @@ table and call graph (:mod:`repro.analysis.symbols` /
 Rule codes are stable across releases; the gaps are retired rules whose
 guarantees now come from ruff's B006, the runtime ``task_key`` checks,
 ``tests/test_constants.py``, ``PrefetchBanditController``'s step-contract
-test, the runtime sanitizer, and the differential, tri-path and golden
-tests.
+test, the runtime sanitizer, and the differential, lane-property and
+golden tests.
 
 Findings can be suppressed per line with ``# repro: ignore`` or
 ``# repro: ignore[R1,R11]``.

@@ -350,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="bandit seed replicates per workload "
                               "(replication sweeps; single-core DUCB never "
                               "draws from its RNG, so every replicate "
-                              "replays the same episode)")
+                              "replays the same episode, and the lane "
+                              "kernel replays it once)")
         cmd.add_argument("--deterministic-manifest", action="store_true",
                          help="zero wall-clock fields in the run manifest "
                               "so identical runs produce byte-identical "

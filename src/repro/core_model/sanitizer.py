@@ -174,25 +174,25 @@ def verify_lane_batch(
     hierarchy_config: object,
     core_config: object,
     params: object,
-    kernel_mode: str = "array",
 ) -> None:
     """Prove every batched-kernel lane equals the object path, lane by lane.
 
-    The lane kernel (:mod:`repro.core_model.lane_kernel`) advances N
-    independent replay lanes through one fused loop; this is its dynamic
-    equivalence proof. Each lane is re-run through the object path
+    The lane kernel (:mod:`repro.core_model.lane_kernel`) advances the
+    distinct lanes of a batch through one fused loop and hands each copy
+    of a lane that lane's result; this is its dynamic equivalence proof.
+    ``lanes`` are the requested lanes, and ``results``, ``checkpoint_logs``
+    and ``step_logs`` are indexed by requested lane. Every requested lane,
+    copies included, is re-run through the object path with its own seed
     (``TraceCore.execute`` on a fresh stack, with a
     :class:`~repro.bandit.hardware.PrefetchBanditController` called on
-    every record for bandit lanes) and compared:
+    every record for bandit lanes), so a copy whose own replay would differ
+    fails here. Each is compared on:
 
     - per-checkpoint instructions / cycles / IPC / L2 demand accesses
       (same record stride the kernel checkpoints at),
     - for bandit lanes, the per-step arm choices and DUCB estimator state
       (reward estimates and selection counts, bit for bit),
     - the final hierarchy stats, the result scalars, and the arm trace.
-
-    ``kernel_mode`` names the memory side under test (``"array"`` or
-    ``"dict"``) so a divergence report says which implementation failed.
 
     Raises :class:`SanitizeDivergence` naming the lane, step and field at
     the first disagreement.
@@ -212,7 +212,7 @@ def verify_lane_batch(
 
     for lane_index, lane in enumerate(lanes):
         kind = lane.kind  # type: ignore[attr-defined]
-        context = f"lane_kernel[{kernel_mode}][lane={lane_index}:{kind}]"
+        context = f"lane_kernel[lane={lane_index}:{kind}]"
         ensemble = EnsemblePrefetcher()
         if kind == "arm":
             ensemble.set_arm(lane.arm)  # type: ignore[attr-defined]

@@ -608,21 +608,20 @@ def fig08_replication_sweep(
     """Seed-replication study behind Figure 8's bandit bars.
 
     For every workload, the full 11-arm static fan-out plus ``replicates``
-    independently seeded bandit episodes replay as *one* batched lane task
+    seeded bandit lanes go to *one* batched lane task
     (:func:`repro.experiments.runner.lane_batch_task`): a single kernel
-    invocation instead of ``11 + replicates`` pool tasks. Wide replication
-    sweeps (``11 + replicates >= 128`` lanes) take the kernel's
-    array-resident memory side, narrow ones its dict side — bit-identical
-    either way, with the chosen side recorded per task in the run
-    manifest. Returns, per workload, the best static arm and the bandit's
-    normalized-IPC spread across seeds, plus an ``"all"`` entry with
-    cross-workload gmeans.
+    invocation instead of ``11 + replicates`` pool tasks. Returns, per
+    workload, the best static arm and the bandit's normalized-IPC spread
+    across seeds, plus an ``"all"`` entry with cross-workload gmeans.
 
     The seeds replicate nothing: single-core DUCB never draws from its
     RNG (only ε-Greedy and multicore round-robin restarts do), so every
-    bandit lane replays the same episode bit for bit: each workload's
-    ``bandit_min`` equals its ``bandit_max``, and both match its
-    ``bandit_mean`` up to float rounding.
+    bandit lane replays the same episode bit for bit. The kernel replays
+    it once and gives every seed its result, so a task replays 12 lanes
+    whatever ``replicates`` is (the scalar path, ``REPRO_LANE_KERNEL=0``,
+    still replays every seed). Each workload's ``bandit_min`` equals its
+    ``bandit_max``, and both match its ``bandit_mean`` up to float
+    rounding.
     """
     if workloads is None:
         workloads = tune_specs()
@@ -671,13 +670,14 @@ def fig10_replication_sweep(
     """Seed-replication study behind Figure 10's bandwidth sweep.
 
     At each DRAM bandwidth point, every workload's 11 static arms and
-    ``replicates`` bandit seeds replay as one batched lane task. Returns
+    ``replicates`` bandit seeds go to one batched lane task. Returns
     ``{mtps: {best_static_gmean, bandit_gmean, bandit_min, bandit_max}}``
     (all IPC normalized to no-prefetching at the same bandwidth).
 
     As in :func:`fig08_replication_sweep`, every bandit lane replays the
-    same episode, since single-core DUCB never draws from its RNG; so
-    ``bandit_min`` and ``bandit_max`` span workloads, not seeds.
+    same episode, since single-core DUCB never draws from its RNG; the
+    kernel replays it once per task (12 lanes whatever ``replicates``
+    is), and ``bandit_min`` and ``bandit_max`` span workloads, not seeds.
     """
     from dataclasses import replace as dc_replace
 

@@ -99,7 +99,10 @@ from repro.workloads.suites import spec_by_name
 #: v5: defaulted parameters are folded into the fingerprint (see
 #: :func:`task_key`), so keys of tasks that omitted kwargs changed.
 #: v6: lane-batch payloads grew ``lane_kernel`` / ``lane_fallback``
-#: telemetry fields, so cached lane payloads from v5 lack them.
+#: telemetry fields, so cached lane payloads from v5 lack them. Replaying
+#: each distinct lane once changed no result and no payload field, so v6
+#: entries stay valid (``lane_kernel`` now reads ``"dict"`` or
+#: ``"scalar"``; older entries may read ``"array"``).
 CACHE_SCHEMA_VERSION = 6
 
 
@@ -364,9 +367,11 @@ class TaskRecord:
     cache_hit: bool
     #: Trace records the task replayed (0 when unknown or cache-served).
     records: int = 0
-    #: Resolved lane kernel that produced the payload ("array", "dict",
-    #: "scalar"); ``None`` for non-lane tasks. Cache hits report the kernel
-    #: that computed the stored result (all kernels are bit-identical).
+    #: Lane path that produced the payload ("dict" for the batched kernel,
+    #: "scalar" for the per-lane runners; entries cached before the array
+    #: side was deleted may say "array"); ``None`` for non-lane tasks.
+    #: Cache hits report the path that computed the stored result (all
+    #: paths are bit-identical).
     lane_kernel: Optional[str] = None
     #: Why the batch fell back to the scalar path (``None`` when it did not
     #: fall back, or for non-lane tasks).
@@ -863,24 +868,29 @@ def lane_batch_task(
     """One batched multi-lane replay (arm fan-outs, replication sweeps).
 
     Every lane replays the same trace, so one kernel invocation replaces
-    ``len(lanes)`` scalar pool tasks. The payload carries the per-lane
-    results in lane order plus the total replayed-record count for the
-    telemetry (each lane is a full replay of the trace), and the batch
-    disposition: which kernel produced the results (``lane_kernel``) and,
-    when the batch routed around the kernels, why (``lane_fallback``).
-    Every kernel is bit-identical, so the disposition is observability
-    metadata — it never changes the results — and is safe to cache.
+    ``len(lanes)`` scalar pool tasks, and the kernel replays each distinct
+    lane once (copies differ only in a seed the single-core agent never
+    reads; see :func:`repro.core_model.lane_kernel.run_lane_batch`). The
+    payload carries the per-lane results in requested lane order; the
+    record count for the telemetry, ``len(trace) * len(lanes)``, counts
+    every requested lane as a full replay, copies included, so it does not
+    depend on the path taken. It also carries the batch disposition: the
+    path that produced the results (``lane_kernel``, ``"dict"`` or
+    ``"scalar"``) and, when the batch routed around the kernel, why
+    (``lane_fallback``). Both paths are bit-identical, so the disposition
+    is observability metadata — it never changes the results — and is
+    safe to cache.
     """
     from repro.core_model.lane_kernel import (
         lane_batch_fallback_reason,
-        resolve_lane_kernel_mode,
+        lane_kernel_mode,
         run_lane_batch,
     )
 
     trace = compiled_trace_for(spec_name, trace_length, seed=seed,
                                gap_scale=gap_scale)
     fallback = lane_batch_fallback_reason(trace, lanes, params)
-    kernel = "scalar" if fallback else resolve_lane_kernel_mode(len(lanes))
+    kernel = "scalar" if fallback else lane_kernel_mode()
     results = run_lane_batch(
         trace, lanes, hierarchy_config, core_config, params
     )

@@ -16,7 +16,7 @@ bit-identical results:
   (widths, queue and register-file sizes), random epoch lengths, and
   epoch budgets that leave a partial bandit step at the end.
 
-The lane kernels have their own tri-path test in
+The lane kernel has its own batched-vs-scalar test in
 ``tests/test_lane_kernel_properties.py``.
 """
 

@@ -530,14 +530,14 @@ class TestTelemetryManifest:
     def test_lane_disposition_in_manifest(self, tmp_path):
         telemetry = RunTelemetry()
         telemetry.record("w:lanes", "k1", 1.0, cache_hit=False,
-                         records=100, lane_kernel="array")
+                         records=100, lane_kernel="dict")
         telemetry.record("w2:lanes", "k2", 1.0, cache_hit=False,
                          records=100, lane_kernel="scalar",
                          lane_fallback="trace is not a CompiledTrace")
         telemetry.record("plain", "k3", 1.0, cache_hit=False)
         body = telemetry.manifest()
         lane, fell, plain = body["tasks"]
-        assert lane["lane_kernel"] == "array"
+        assert lane["lane_kernel"] == "dict"
         assert lane["lane_fallback"] is None
         assert fell["lane_kernel"] == "scalar"
         assert "CompiledTrace" in fell["lane_fallback"]
@@ -593,7 +593,7 @@ class TestExperimentTasks:
             telemetry = RunTelemetry()
             payload = run_parallel([task], jobs=1, cache=cache,
                                    telemetry=telemetry)[0]
-            assert payload["lane_kernel"] == "dict"  # narrow batch -> auto
+            assert payload["lane_kernel"] == "dict"  # the batched kernel
             assert payload["lane_fallback"] is None
             (record,) = telemetry.tasks
             assert record.cache_hit is expect_hit

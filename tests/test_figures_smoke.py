@@ -87,9 +87,10 @@ class TestPrefetchFigures:
             "cb7250ee6c5e96eb176f4ee63534fedaa1d6059685de61c57c5dc1f6e5420501"
         )
 
-    @pytest.mark.parametrize("mode", ["dict", "array", "scalar"])
+    @pytest.mark.parametrize("mode", ["dict", "scalar"])
     def test_fig08_replication_sweep_golden(self, context, mode, monkeypatch):
-        # 11 arm lanes + 19 bandit lanes per trace; every lane backend
+        # 11 arm lanes + 19 bandit lanes per trace: the batched kernel
+        # replays 12 distinct lanes and the scalar path all 30, and both
         # must reproduce the one pin.
         monkeypatch.setenv(LANE_KERNEL_ENV, mode)
         result = figures.fig08_replication_sweep(
@@ -131,6 +132,28 @@ class TestPrefetchFigures:
         )
         assert task_list(context) == (
             "8f679565cd4945cdc5db7f2ce1e0c52c7f6ada83137a1fb180a7a622cc0413a9"
+        )
+
+    @pytest.mark.parametrize("mode", ["dict", "scalar"])
+    def test_fig10_replication_sweep_golden(self, context, mode, monkeypatch):
+        # 11 arm lanes + 3 bandit lanes per trace and bandwidth point.
+        monkeypatch.setenv(LANE_KERNEL_ENV, mode)
+        result = figures.fig10_replication_sweep(
+            trace_length=TINY_TRACE,
+            mtps_values=(600.0, 2400.0),
+            replicates=3,
+            workloads=TINY_WORKLOADS,
+        )
+        assert set(result) == {600.0, 2400.0}
+        for point in result.values():
+            assert set(point) == {"best_static_gmean", "bandit_gmean",
+                                  "bandit_min", "bandit_max"}
+            assert point["bandit_min"] <= point["bandit_max"]
+        assert digest(result) == (
+            "93f1957d65ed4feed0cb5936efe9608c50145930873725af7da62c320aeeec6c"
+        )
+        assert task_list(context) == (
+            "683f139874c76c19125111b15fc4ab8c755e9081239513461fa302327b961372"
         )
 
     def test_fig11_uses_alt_hierarchy(self, context):

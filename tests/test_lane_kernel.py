@@ -2,16 +2,13 @@
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from repro.core_model.lane_kernel import (
-    AUTO_ARRAY_MIN_LANES,
     LANE_KERNEL_ENV,
     LaneSpec,
     lane_batch_fallback_reason,
     lane_kernel_mode,
-    resolve_lane_kernel_mode,
     run_lane_batch,
 )
 from repro.core_model.sanitizer import SANITIZE_ENV, SanitizeDivergence
@@ -62,7 +59,7 @@ def _scalar_reference(trace, lane, hierarchy_config):
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("mode", ["array", "dict"])
+    @pytest.mark.parametrize("mode", ["dict"])
     @pytest.mark.parametrize(
         "hierarchy_config", [BASELINE_HIERARCHY_CONFIG, ALT_HIERARCHY_CONFIG],
         ids=["baseline", "alt"],
@@ -77,11 +74,11 @@ class TestBitIdentity:
         for lane, got in zip(LANES, batch):
             assert got == _scalar_reference(trace, lane, hierarchy_config)
 
-    @pytest.mark.parametrize("mode", ["array", "dict"])
+    @pytest.mark.parametrize("mode", ["dict"])
     def test_selection_ready_on_hit_row_matches_scalar(self, monkeypatch,
                                                        mode):
         """On soplex06 pending selections come ready on L1-hit rows, which
-        the kernels apply by a deferred fire at the next miss row."""
+        the kernel applies by a deferred fire at the next miss row."""
         monkeypatch.setenv(LANE_KERNEL_ENV, mode)
         trace = compiled_trace_for("soplex06", TRACE_LENGTH, seed=0)
         lanes = [LaneSpec("bandit", seed=seed) for seed in range(4)]
@@ -109,41 +106,62 @@ class TestBitIdentity:
         )
         assert kernel == scalar
 
-    def test_dict_kernel_matches_array_kernel(self, trace, monkeypatch):
-        """The narrow-batch dict kernel stays a bit-exact oracle."""
-        monkeypatch.setenv(LANE_KERNEL_ENV, "array")
-        assert lane_kernel_mode() == "array"
-        array_batch = run_lane_batch(
-            trace, LANES, BASELINE_HIERARCHY_CONFIG, CORE_CONFIG_TABLE4,
+
+class TestDistinctLanes:
+    def test_kernel_replays_each_distinct_lane_once(self, trace,
+                                                    monkeypatch):
+        """Copies of a lane replay once; each still equals its own replay.
+
+        A lane's replay reads its kind and, for an arm lane, its arm:
+        single-core DUCB never draws from its RNG, so bandit seeds 0, 5
+        and 9 are copies of one lane, and arm 3 twice is one lane. The
+        kernel gets the three distinct lanes; every requested lane's
+        result must still equal the scalar runner with that lane's own
+        seed, so a DUCB that read its seed would fail here.
+        """
+        import repro.core_model.lane_kernel as lk
+
+        monkeypatch.setenv(LANE_KERNEL_ENV, "dict")
+        lanes = [
+            LaneSpec("none"),
+            LaneSpec("arm", arm=3),
+            LaneSpec("arm", arm=3),
+            LaneSpec("bandit", seed=0),
+            LaneSpec("bandit", seed=5),
+            LaneSpec("bandit", seed=9),
+        ]
+        kernel_lanes = []
+        real_kernel = lk._lane_kernel
+
+        def spy(trace, lanes, *args, **kwargs):
+            kernel_lanes.append(list(lanes))
+            return real_kernel(trace, lanes, *args, **kwargs)
+
+        monkeypatch.setattr(lk, "_lane_kernel", spy)
+        batch = run_lane_batch(
+            trace, lanes, BASELINE_HIERARCHY_CONFIG, CORE_CONFIG_TABLE4,
             PARAMS,
         )
-        monkeypatch.setenv(LANE_KERNEL_ENV, "dict")
+        assert kernel_lanes == [[
+            LaneSpec("none"), LaneSpec("arm", arm=3),
+            LaneSpec("bandit", seed=0),
+        ]]
+        assert len(batch) == len(lanes)
+        for lane, got in zip(lanes, batch):
+            assert got == _scalar_reference(
+                trace, lane, BASELINE_HIERARCHY_CONFIG
+            )
+
+
+class TestModeSelection:
+    def test_default_mode_is_dict(self, monkeypatch):
+        monkeypatch.delenv(LANE_KERNEL_ENV, raising=False)
         assert lane_kernel_mode() == "dict"
-        dict_batch = run_lane_batch(
-            trace, LANES, BASELINE_HIERARCHY_CONFIG, CORE_CONFIG_TABLE4,
-            PARAMS,
-        )
-        assert array_batch == dict_batch
 
-
-class TestAutoRouting:
-    def test_default_mode_is_auto(self, monkeypatch):
-        monkeypatch.delenv(LANE_KERNEL_ENV, raising=False)
-        assert lane_kernel_mode() == "auto"
-
-    def test_auto_resolves_by_batch_width(self, monkeypatch):
-        monkeypatch.delenv(LANE_KERNEL_ENV, raising=False)
-        assert resolve_lane_kernel_mode(len(LANES)) == "dict"
-        assert resolve_lane_kernel_mode(AUTO_ARRAY_MIN_LANES - 1) == "dict"
-        assert resolve_lane_kernel_mode(AUTO_ARRAY_MIN_LANES) == "array"
-
-    def test_explicit_mode_ignores_batch_width(self, monkeypatch):
+    def test_retired_array_value_selects_the_kernel(self, monkeypatch):
+        """Benchmark probes still set ``array``: it runs the batched path."""
         monkeypatch.setenv(LANE_KERNEL_ENV, "array")
-        assert resolve_lane_kernel_mode(1) == "array"
-        monkeypatch.setenv(LANE_KERNEL_ENV, "dict")
-        assert resolve_lane_kernel_mode(10_000) == "dict"
-        monkeypatch.setenv(LANE_KERNEL_ENV, "0")
-        assert resolve_lane_kernel_mode(10_000) == "scalar"
+        assert lane_kernel_mode() == "dict"
 
 
 class TestEligibilityRouting:
@@ -202,7 +220,7 @@ class TestEligibilityRouting:
 
 class TestSanitizedBatch:
     def test_sanitized_batch_matches_plain(self, trace, monkeypatch):
-        monkeypatch.setenv(LANE_KERNEL_ENV, "array")
+        monkeypatch.setenv(LANE_KERNEL_ENV, "dict")
         plain = run_lane_batch(
             trace, LANES, BASELINE_HIERARCHY_CONFIG, CORE_CONFIG_TABLE4,
             PARAMS,
@@ -214,7 +232,7 @@ class TestSanitizedBatch:
         )
         assert sanitized == plain
 
-    @pytest.mark.parametrize("mode", ["dict", "array"])
+    @pytest.mark.parametrize("mode", ["dict"])
     def test_sanitizer_catches_kernel_skew(self, trace, monkeypatch, mode):
         """A perturbed lane kernel must be caught lane-by-lane."""
         import repro.core_model.lane_kernel as lk
@@ -235,49 +253,3 @@ class TestSanitizedBatch:
                 PARAMS,
             )
 
-
-class TestDuplicateScatterRegression:
-    """Why the array kernel's fill accounting uses ``np.add.at``.
-
-    ``_fill_l2_rows``-style accounting: a wave of fills carries one row
-    per lane *today*, but if a batch ever repeats a lane, buffered fancy
-    ``+=`` silently drops every duplicate while ``np.add.at`` matches the
-    scalar reference loop bit-for-bit.
-    """
-
-    ROWS = np.array([0, 3, 3, 3, 1, 0], dtype=np.intp)
-    VICTIMS = np.array([5, 9, 13, 4, 1, 21], dtype=np.int64)
-
-    def scalar_reference(self):
-        pf_wrong = np.zeros(4, dtype=np.int64)
-        for row, victim in zip(self.ROWS, self.VICTIMS):
-            if (victim & 3) == 1:
-                pf_wrong[row] += 1
-        return pf_wrong
-
-    def test_buffered_fancy_add_drops_duplicates(self):
-        wrong = (self.VICTIMS & 3) == 1
-        pf_wrong = np.zeros(4, dtype=np.int64)
-        pf_wrong[self.ROWS[wrong]] += 1
-        reference = self.scalar_reference()
-        # Row 3 takes two wrong-path victims (9 and 13); the buffered
-        # gather-modify-scatter applies only one of them.
-        assert reference[3] == 2
-        assert pf_wrong[3] == 1
-        assert not np.array_equal(pf_wrong, reference)
-
-    def test_unbuffered_add_at_matches_scalar_loop(self):
-        wrong = (self.VICTIMS & 3) == 1
-        pf_wrong = np.zeros(4, dtype=np.int64)
-        np.add.at(pf_wrong, self.ROWS[wrong], 1)
-        assert np.array_equal(pf_wrong, self.scalar_reference())
-
-    def test_unique_rows_make_both_forms_agree(self):
-        # The kernel's plain fancy += sites rely on exactly this: with one
-        # fill per lane the buffered and unbuffered forms coincide.
-        rows = np.array([2, 0, 3], dtype=np.intp)
-        buffered = np.zeros(4, dtype=np.int64)
-        buffered[rows] += 1
-        exact = np.zeros(4, dtype=np.int64)
-        np.add.at(exact, rows, 1)
-        assert np.array_equal(buffered, exact)

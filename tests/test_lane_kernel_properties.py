@@ -1,13 +1,13 @@
-"""Randomized tri-path bit-identity properties for the lane kernel.
+"""Randomized batched-vs-scalar bit-identity properties for the lane kernel.
 
-The batched kernel with its array memory side, with its narrow-batch dict
-side, and the scalar runners are three implementations of the same replay
-semantics; every divergence is a bug in exactly one of them. These tests
-drive all three over randomized small traces and deliberately hostile
+The batched kernel and the scalar runners are two implementations of the
+same replay semantics; every divergence is a bug in one of them. These
+tests drive both over randomized small traces and deliberately hostile
 hierarchy geometries — tiny set counts so eviction order matters from the
 first few records, single-digit MSHR budgets so fills supersede and stall,
 and aggressive prefetch arms so wrong-victim accounting triggers — and
-demand bit-identical results lane by lane.
+demand bit-identical results lane by lane. The two bandit lanes differ only
+in seed, so the batched kernel replays them once and the scalar path twice.
 """
 
 import dataclasses
@@ -64,13 +64,12 @@ def _run_mode(mode, trace, hierarchy):
             os.environ[LANE_KERNEL_ENV] = previous
 
 
-def _assert_tri_path_identical(trace, hierarchy):
-    array = _run_mode("array", trace, hierarchy)
-    assert _run_mode("dict", trace, hierarchy) == array
-    assert _run_mode("scalar", trace, hierarchy) == array
+def _assert_batched_matches_scalar(trace, hierarchy):
+    batched = _run_mode("dict", trace, hierarchy)
+    assert _run_mode("scalar", trace, hierarchy) == batched
 
 
-class TestRandomizedTriPathIdentity:
+class TestRandomizedBatchedScalarIdentity:
     @settings(max_examples=12, deadline=None)
     @given(
         workload=st.sampled_from(["bwaves06", "milc06", "mcf06"]),
@@ -84,7 +83,7 @@ class TestRandomizedTriPathIdentity:
         inflight=st.integers(min_value=1, max_value=8),
     )
     # A dependent load that hits in L1 runs past the next miss row's cycle;
-    # the batched kernels once drained the MSHR only up to miss-row cycles.
+    # the batched kernel once drained the MSHR only up to miss-row cycles.
     @example(workload="mcf06", length=390, seed=2, l2_sets=4, l2_ways=1,
              llc_sets=8, llc_ways=1, mshr=2, inflight=1)
     def test_random_geometry_and_trace(self, workload, length, seed, l2_sets,
@@ -93,7 +92,7 @@ class TestRandomizedTriPathIdentity:
         trace = compiled_trace_for(workload, length, seed=seed)
         hierarchy = _tiny_hierarchy(l2_sets, l2_ways, llc_sets, llc_ways,
                                     mshr, inflight)
-        _assert_tri_path_identical(trace, hierarchy)
+        _assert_batched_matches_scalar(trace, hierarchy)
 
 
 class TestCornerGeometries:
@@ -101,24 +100,24 @@ class TestCornerGeometries:
 
     def test_eviction_order_direct_mapped(self):
         """Single-way caches: every conflicting fill evicts, so any LRU
-        bookkeeping skew between the kernels surfaces immediately."""
+        bookkeeping skew between the paths surfaces immediately."""
         trace = compiled_trace_for("milc06", 600, seed=0)
-        _assert_tri_path_identical(trace, _tiny_hierarchy(8, 1, 16, 1, 4, 4))
+        _assert_batched_matches_scalar(trace, _tiny_hierarchy(8, 1, 16, 1, 4, 4))
 
     def test_dirty_writeback_cascade(self):
         """Tiny L2 over a store-heavy trace: dirty victims cascade into
         LLC fills, which themselves evict."""
         trace = compiled_trace_for("mcf06", 700, seed=1)
-        _assert_tri_path_identical(trace, _tiny_hierarchy(4, 2, 8, 2, 6, 4))
+        _assert_batched_matches_scalar(trace, _tiny_hierarchy(4, 2, 8, 2, 6, 4))
 
     def test_superseded_mshr_entries(self):
         """A 2-entry MSHR forces merges and drops while prefetches are in
-        flight, exercising the fill queue's supersede path."""
+        flight, exercising the MSHR's supersede path."""
         trace = compiled_trace_for("bwaves06", 600, seed=2)
-        _assert_tri_path_identical(trace, _tiny_hierarchy(8, 2, 16, 2, 2, 2))
+        _assert_batched_matches_scalar(trace, _tiny_hierarchy(8, 2, 16, 2, 2, 2))
 
     def test_prefetch_wrong_victim_accounting(self):
         """Thrash trace + tiny L2: prefetched-never-used lines are evicted
         constantly, so the pf_wrong counters must match bit for bit."""
         trace = compiled_trace_for("milc06", 800, seed=3)
-        _assert_tri_path_identical(trace, _tiny_hierarchy(4, 2, 32, 4, 8, 8))
+        _assert_batched_matches_scalar(trace, _tiny_hierarchy(4, 2, 32, 4, 8, 8))
