@@ -1,4 +1,4 @@
-"""Fused allocation-free cycle kernel for the 2-thread SMT pipeline.
+"""Fused cycle kernel for the 2-thread SMT pipeline.
 
 This is the SMT counterpart of :mod:`repro.core_model.replay_kernel`: one
 function that runs a batch of Hill-Climbing epochs with every per-cycle
@@ -15,7 +15,31 @@ for store drains and load latencies, same round-robin tie-breaking, and
 the same floating-point expressions for gating thresholds and epoch IPC.
 The runtime sanitizer (``REPRO_SANITIZE=1``) checks per-epoch equality end
 to end, and ``tests/test_differential_paths.py`` fuzzes the kernel against
-the object path over random mixes, policies and epoch budgets.
+the object path over random mixes, policies, pipeline configs (zero
+latencies included) and epoch budgets.
+
+The issue stage is the one stage built differently. The object path scans
+the whole IQ every cycle and issues the first ``issue_width`` entries whose
+producers have completed; most entries it visits are still waiting. The
+kernel instead wakes an entry when its producers issue:
+
+- **Rename.** Each entry takes an age, its rename order, and registers
+  with every producer above ``committed_seq`` that has not issued yet.
+- **Wake-up.** When a producer issues, its consumers learn its completion
+  cycle. A consumer with no unissued producer left waits in a heap keyed
+  by its ready cycle, or, when that cycle is not after the current one (a
+  zero latency), joins the ready heap at once: the scan would reach this
+  younger entry later in the same cycle.
+- **Issue.** Each cycle, entries whose ready cycle has come move to a heap
+  keyed by age, and the kernel issues the oldest ``issue_width`` of them.
+
+Oldest-ready-first is the scan's order. The IQ holds entries in rename
+order, so the scan visits them oldest first and issues each ready one
+until the budget runs out; an issue can only make a younger entry ready,
+which the scan has not reached yet. The issued entries, their order and
+so the load-latency RNG draws are the same. The IQ is the hand-off
+between the two paths: the kernel rebuilds its wake-up state from
+``pipeline._iq`` on entry and writes the IQ back in age order on exit.
 
 The epoch-boundary hook is the kernel's only mid-run exit: after each
 epoch the per-thread committed counters and the cycle count are flushed
@@ -30,7 +54,7 @@ from __future__ import annotations
 
 import os
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.smt.pipeline import SMTPipeline
 from repro.smt.uop import (
@@ -55,6 +79,11 @@ EpochHook = Callable[[SMTPipeline, float], None]
 _ORDER_01: Tuple[int, int] = (0, 1)
 _ORDER_10: Tuple[int, int] = (1, 0)
 
+#: The kernel's IQ entry, ``[age, thread, seq, dep1, dep2, kind, unissued,
+#: ready]``: the pipeline's ``[thread, seq, dep1, dep2, kind]`` between its
+#: rename order and its wake-up state (see :func:`_admit`).
+_Entry = List[Any]
+
 
 def kernel_enabled() -> bool:
     """Is the fused SMT kernel switched on (the default)?"""
@@ -72,6 +101,46 @@ def kernel_eligible(pipeline: object) -> bool:
     methods, so any override would silently be skipped.
     """
     return kernel_enabled() and type(pipeline) is SMTPipeline
+
+
+def _admit(
+    entry: _Entry,
+    committed_seq: int,
+    completion_get: Callable[[int], Optional[float]],
+    thread_waiters: Dict[int, List[_Entry]],
+    ready: List[_Entry],
+    waiting: List[Tuple[float, _Entry]],
+    next_issue: int,
+) -> None:
+    """Register a renamed IQ ``entry`` with its producers that have not issued.
+
+    A producer at or below ``committed_seq`` has completed; an issued one
+    bounds ``ready`` by its completion cycle. An entry with an unissued
+    producer counts them in ``unissued`` (a producer named twice counts
+    twice, as it wakes the entry twice). Any other entry goes to ``ready``
+    when it may issue at ``next_issue``, else to ``waiting``.
+    """
+    ready_at: float = 0
+    unissued = 0
+    for dep in (entry[3], entry[4]):
+        if dep > committed_seq:
+            done_at = completion_get(dep)
+            if done_at is None:
+                consumers = thread_waiters.get(dep)
+                if consumers is None:
+                    thread_waiters[dep] = [entry]
+                else:
+                    consumers.append(entry)
+                unissued += 1
+            elif done_at > ready_at:
+                ready_at = done_at
+    if unissued:
+        entry[6] = unissued
+        entry[7] = ready_at
+    elif ready_at <= next_issue:
+        heappush(ready, entry)
+    else:
+        heappush(waiting, (ready_at, entry))
 
 
 def run_smt_epochs_kernel(
@@ -153,12 +222,26 @@ def run_smt_epochs_kernel(
     irf_occ = [thread0.irf_occ, thread1.irf_occ]
     branches = [thread0.branches_in_rob, thread1.branches_in_rob]
 
-    iq = pipeline._iq
-    iq_append = iq.append
     sq_releases = pipeline._sq_releases
     mem_random = pipeline._mem_rng.random
     cycle = pipeline.cycle
     rr = pipeline._rr_counter
+
+    # Wake-up state, rebuilt from the IQ on every call: ``live`` maps age
+    # to entry in age order, ``waiters[ti]`` an unissued producer's seq to
+    # its consumers, ``waiting`` holds ``(ready cycle, entry)`` pairs and
+    # ``ready`` the entries that may issue at the next issue stage.
+    live: Dict[int, _Entry] = {}
+    waiters: Tuple[Dict[int, List[_Entry]], ...] = ({}, {})
+    waiting: List[Tuple[float, _Entry]] = []
+    ready: List[_Entry] = []
+    age = 0
+    for ti, seq, dep1, dep2, kind in pipeline._iq:
+        entry = [age, ti, seq, dep1, dep2, kind, 0, 0]
+        live[age] = entry
+        age += 1
+        _admit(entry, committed_seqs[ti], completion_gets[ti], waiters[ti],
+               ready, waiting, cycle)
 
     activity = pipeline.rename_activity
     act_cycles = activity.cycles
@@ -231,43 +314,44 @@ def run_smt_epochs_kernel(
                         irf_occ[ti] -= 1
 
             # ---------------------------------------------------- issue
-            if iq:
-                budget = issue_width
-                issued_any = False
-                for entry in iq:
-                    if budget == 0:
-                        break
-                    ti, seq, dep1, dep2, kind = entry
-                    completion_get = completion_gets[ti]
-                    committed_seq = committed_seqs[ti]
-                    if dep1 > committed_seq:
-                        ready_at = completion_get(dep1)
-                        if ready_at is None or ready_at > cycle:
-                            continue
-                    if dep2 > committed_seq:
-                        ready_at = completion_get(dep2)
-                        if ready_at is None or ready_at > cycle:
-                            continue
-                    if kind == KIND_LOAD:
-                        draw = mem_random()
-                        if draw < l1_cut[ti]:
-                            latency = l1_latency
-                        elif draw < l2_cut[ti]:
-                            latency = l2_latency
-                        else:
-                            latency = dram_latency
-                    elif kind == KIND_LONG:
-                        latency = long_latency[ti]
+            while waiting and waiting[0][0] <= cycle:
+                heappush(ready, heappop(waiting)[1])
+            budget = issue_width
+            while budget and ready:
+                entry = heappop(ready)
+                ti = entry[1]
+                kind = entry[5]
+                if kind == KIND_LOAD:
+                    draw = mem_random()
+                    if draw < l1_cut[ti]:
+                        latency = l1_latency
+                    elif draw < l2_cut[ti]:
+                        latency = l2_latency
                     else:
-                        latency = 1
-                    completions[ti][seq] = cycle + latency
-                    iq_occ[ti] -= 1
-                    entry[0] = -1
-                    issued_any = True
-                    budget -= 1
-                if issued_any:
-                    iq = [entry for entry in iq if entry[0] >= 0]
-                    iq_append = iq.append
+                        latency = dram_latency
+                elif kind == KIND_LONG:
+                    latency = long_latency[ti]
+                else:
+                    latency = 1
+                seq = entry[2]
+                done_at = cycle + latency
+                completions[ti][seq] = done_at
+                iq_occ[ti] -= 1
+                del live[entry[0]]
+                budget -= 1
+                consumers = waiters[ti].pop(seq, None)
+                if consumers is not None:
+                    for consumer in consumers:
+                        if done_at > consumer[7]:
+                            consumer[7] = done_at
+                        consumer[6] -= 1
+                        if consumer[6] == 0:
+                            if consumer[7] <= cycle:
+                                # Zero latency: the scan would reach this
+                                # younger entry later in this same cycle.
+                                heappush(ready, consumer)
+                            else:
+                                heappush(waiting, (consumer[7], consumer))
 
             # --------------------------------------------------- rename
             act_cycles += 1
@@ -312,7 +396,11 @@ def run_smt_epochs_kernel(
                     rob_total += 1
                     iq_occ[ti] += 1
                     iq_total += 1
-                    iq_append([ti, seq, dep1, dep2, kind])
+                    entry = [age, ti, seq, dep1, dep2, kind, 0, 0]
+                    live[age] = entry
+                    age += 1
+                    _admit(entry, committed_seqs[ti], completion_gets[ti],
+                           waiters[ti], ready, waiting, cycle + 1)
                     if kind == KIND_LOAD:
                         lq_occ[ti] += 1
                         lq_total += 1
@@ -485,7 +573,7 @@ def run_smt_epochs_kernel(
     thread1.branches_in_rob = branches[1]
     pipeline.cycle = cycle
     pipeline._rr_counter = rr
-    pipeline._iq = iq
+    pipeline._iq = [entry[1:6] for entry in live.values()]
     pipeline.allowances = allowances
     activity.cycles = act_cycles
     activity.running = act_running

@@ -13,8 +13,11 @@ bit-identical results:
   compiled trace down the object path instead of the kernel.
 - **SMT.** The fused cycle kernel against the ``SMTPipeline`` object path
   over evaluation mixes, all 64 PG policies, random pipeline configs
-  (widths, queue and register-file sizes), random epoch lengths, and
-  epoch budgets that leave a partial bandit step at the end.
+  (widths, queue and register-file sizes, memory latencies), random
+  long-op latencies, random epoch lengths, and epoch budgets that leave a
+  partial bandit step at the end. Every latency range includes 0: a
+  zero-latency producer makes a younger consumer ready in the same issue
+  stage, which the kernel's wake-up lists must reproduce.
 
 The lane kernel has its own batched-vs-scalar test in
 ``tests/test_lane_kernel_properties.py``.
@@ -145,6 +148,7 @@ QUEUE = st.integers(8, 96)
 
 #: Pipeline configs. Every IQ holds two minimum Hill-Climbing allowances
 #: (8 entries each) and every IRF two threads' 32 architectural registers.
+#: Memory latencies run from 0 to above the Table 5 defaults.
 SMT_CONFIGS = st.builds(
     SMTConfig,
     fetch_width=WIDTH,
@@ -157,12 +161,24 @@ SMT_CONFIGS = st.builds(
     sq_size=QUEUE,
     irf_size=st.integers(80, 220),
     fetchq_capacity=st.integers(2, 32),
+    l1_latency=st.integers(0, 8),
+    l2_latency=st.integers(0, 30),
+    dram_latency=st.integers(0, 300),
 )
+
+
+@st.composite
+def _smt_mixes(draw):
+    """An evaluation mix with each thread's long-op latency redrawn."""
+    return tuple(
+        dataclasses.replace(profile, long_op_latency=draw(st.integers(0, 20)))
+        for profile in draw(st.sampled_from(smt_eval_mixes()))
+    )
 
 
 @settings(max_examples=50, deadline=None)
 @given(
-    mix=st.sampled_from(smt_eval_mixes()),
+    mix=_smt_mixes(),
     policy=st.sampled_from(ALL_PG_POLICIES),
     arms=st.lists(
         st.sampled_from(ALL_PG_POLICIES), min_size=2, max_size=6, unique=True

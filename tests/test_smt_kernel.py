@@ -3,9 +3,13 @@
 The kernel (:mod:`repro.core_model.smt_kernel`) must be *bit-identical* to
 the per-object :class:`~repro.smt.pipeline.SMTPipeline` loop — same floats,
 same RNG draw order, same epoch boundaries. These tests pin that contract
-plus the dispatch rules (env kill-switch, subclass fallback) and the
-sanitizer plumbing that checks the two paths against each other.
+plus the dispatch rules (env kill-switch, subclass fallback), the hand-off
+of one pipeline between the two paths, and the sanitizer plumbing that
+checks the two paths against each other.
 """
+
+import dataclasses
+from collections import Counter
 
 import pytest
 
@@ -19,9 +23,12 @@ from repro.core_model.smt_kernel import (
     kernel_eligible,
     kernel_enabled,
 )
+from repro.experiments.configs import scaled_hill_climbing
 from repro.experiments.smt import SMTScale, run_smt_bandit, run_smt_static
+from repro.smt.bandit_control import run_epochs
+from repro.smt.hill_climbing import HillClimbing
 from repro.smt.pg_policy import BANDIT_PG_ARMS, CHOI_POLICY, ICOUNT_POLICY
-from repro.smt.pipeline import SMTPipeline
+from repro.smt.pipeline import SMTConfig, SMTPipeline
 from repro.workloads.smt import thread_profile
 
 GCC = thread_profile("gcc")
@@ -90,6 +97,104 @@ class TestEquivalence:
         a = run_smt_static(MIX, CHOI_POLICY, SCALE, seed=0, use_kernel=True)
         b = run_smt_static(MIX, CHOI_POLICY, SCALE, seed=7, use_kernel=True)
         assert a.ipc != b.ipc
+
+
+#: A pointer-chasing thread beside a DRAM-bound one, issuing one or two
+#: uops a cycle: the IQ fills with entries waiting on loads, so epoch
+#: boundaries find consumers sharing a producer and entries naming one
+#: producer twice (``TestHandOff`` asserts that both occur).
+HAND_OFF_MIX = (thread_profile("mcf"), LBM)
+HAND_OFF_EPOCHS = 6
+HAND_OFF_EPOCH_CYCLES = 100
+HAND_OFF_SPLITS = (1, 2, 3, 5)
+
+
+def _hand_off_pipeline(config):
+    """A fresh pipeline on ``HAND_OFF_MIX`` and its Hill-Climbing state."""
+    pipeline = SMTPipeline(list(HAND_OFF_MIX), CHOI_POLICY, config, seed=3)
+    hill_climbing = HillClimbing(
+        scaled_hill_climbing(HAND_OFF_EPOCH_CYCLES, config=config)
+    )
+    return pipeline, hill_climbing
+
+
+def _wake_shapes(pipeline):
+    """Does the IQ hold an entry naming one unissued producer twice, and
+    an unissued producer with two or more waiting consumers?"""
+    named_twice = False
+    consumers = Counter()
+    for ti, _, dep1, dep2, _ in pipeline._iq:
+        thread = pipeline.threads[ti]
+        unissued = [
+            dep for dep in (dep1, dep2)
+            if dep > thread.committed_seq and dep not in thread.completion
+        ]
+        if len(unissued) == 2 and dep1 == dep2:
+            named_twice = True
+        consumers.update((ti, dep) for dep in dict.fromkeys(unissued))
+    return named_twice, max(consumers.values(), default=0) >= 2
+
+
+def _pipeline_state(pipeline, hill_climbing):
+    """Everything a later cycle can read, the streams' next uops included
+    (drawing them consumes the streams, so call this once per run)."""
+    threads = [
+        dict(
+            completion=thread.completion,
+            rob=list(thread.rob),
+            fetchq=list(thread.fetchq),
+            occupancies=(thread.iq_occ, thread.rob_occ, thread.lq_occ,
+                         thread.sq_occ, thread.irf_occ,
+                         thread.branches_in_rob),
+            committed=thread.committed,
+            committed_seq=thread.committed_seq,
+            blocked_seq=thread.blocked_seq,
+            next_seq=thread.next_seq,
+            next_uops=[next(thread.stream) for _ in range(32)],
+        )
+        for thread in pipeline.threads
+    ]
+    return dict(
+        iq=[list(entry) for entry in pipeline._iq],
+        threads=threads,
+        rename_activity=dataclasses.asdict(pipeline.rename_activity),
+        cycle=pipeline.cycle,
+        rr_counter=pipeline._rr_counter,
+        mem_rng=pipeline._mem_rng.getstate(),
+        sq_releases=list(pipeline._sq_releases),
+        allowances=pipeline.allowances,
+        hill_climbing=hill_climbing.state(),
+    )
+
+
+class TestHandOff:
+    """A pipeline handed between the paths mid-run matches the object path.
+
+    The kernel rebuilds its wake-up state from ``pipeline._iq`` on entry
+    and writes the IQ back on exit; the equivalence tests above compare run
+    results only, so a slip in either direction could hide behind them.
+    """
+
+    @pytest.mark.parametrize("issue_width", [1, 2])
+    @pytest.mark.parametrize("kernel_first", [True, False])
+    def test_hand_off_matches_object_path(self, issue_width, kernel_first):
+        config = SMTConfig(issue_width=issue_width)
+        pipeline, hill_climbing = _hand_off_pipeline(config)
+        run_epochs(pipeline, hill_climbing, HAND_OFF_EPOCHS,
+                   HAND_OFF_EPOCH_CYCLES, use_kernel=False)
+        reference = _pipeline_state(pipeline, hill_climbing)
+        shapes = []
+        for split in HAND_OFF_SPLITS:
+            pipeline, hill_climbing = _hand_off_pipeline(config)
+            run_epochs(pipeline, hill_climbing, split, HAND_OFF_EPOCH_CYCLES,
+                       use_kernel=kernel_first)
+            shapes.append(_wake_shapes(pipeline))
+            run_epochs(pipeline, hill_climbing, HAND_OFF_EPOCHS - split,
+                       HAND_OFF_EPOCH_CYCLES, use_kernel=not kernel_first)
+            assert _pipeline_state(pipeline, hill_climbing) == reference, split
+        # The hand-offs above crossed the wake-up lists' two harder shapes.
+        assert any(named_twice for named_twice, _ in shapes)
+        assert any(shared for _, shared in shapes)
 
 
 class TestSanitizer:
