@@ -14,7 +14,7 @@ evaluation depends on:
 - :mod:`repro.core_model` — a trace-driven out-of-order core timing model in
   the style of ChampSim, plus a multi-core wrapper.
 - :mod:`repro.prefetch` — the lightweight prefetchers Bandit orchestrates and
-  all evaluated comparators (IP-stride, BOP, MLOP, Bingo, IPCP, Pythia).
+  all evaluated comparators (IP-stride, MLOP, Bingo, IPCP, Pythia).
 - :mod:`repro.smt` — a cycle-level SMT pipeline with shared structures, fetch
   priority/gating policies, Choi Hill-Climbing, and Bandit PG-policy control.
 - :mod:`repro.workloads` — seeded synthetic workload generators standing in

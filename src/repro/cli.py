@@ -12,12 +12,14 @@ Each subcommand prints the regenerated table/series in the same format as
 the benchmark harness. This exists so downstream users can reproduce a
 single figure without running pytest.
 
-Execution knobs shared by every subcommand: ``--jobs N`` fans trace
-replays out over a process pool (tables are byte-identical to a serial
-run), ``--cache-dir``/``--no-cache`` control the on-disk result cache, and
-a telemetry summary plus a JSON run manifest record what was executed
-versus served from cache. Telemetry goes to stderr so stdout stays
-exactly the table.
+Each subcommand accepts only the figure flags its handler reads, so a
+size flag a figure would ignore exits 2 with the usage line instead of
+being dropped. Execution knobs shared by every subcommand: ``--jobs N``
+fans trace replays out over a process pool (tables are byte-identical to a
+serial run), ``--cache-dir``/``--no-cache`` control the on-disk result
+cache, and a telemetry summary plus a JSON run manifest record what was
+executed versus served from cache. Telemetry goes to stderr so stdout
+stays exactly the table.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List
+from typing import Any, Callable, Dict, List, Tuple
 
 import repro.experiments.figures as figures
 from repro.experiments.reporting import format_summary_table, format_table
@@ -67,11 +69,31 @@ def _workload_names(text: str) -> List[str]:
     return names
 
 
-#: The subcommands that sweep tune-set members through
-#: :func:`_tune_selection`, the only ones that take ``--workload-names``.
-_TUNE_SELECTION_COMMANDS = frozenset({
-    "table08", "fig09", "fig10", "fig08rep", "fig10rep", "fig12",
-})
+#: The flags :func:`_tune_selection` reads.
+_TUNE_SELECTION = ("--trace-length", "--workloads", "--workload-names")
+#: The flags :func:`_smt_scale` reads.
+_SMT_SCALE = ("--epochs", "--epoch-cycles", "--step-epochs", "--step-epochs-rr")
+
+#: The figure flags each subcommand's handler reads, and so accepts.
+_COMMAND_FLAGS: Dict[str, Tuple[str, ...]] = {
+    "fig02": ("--trace-length",),
+    "fig05": ("--mixes", *_SMT_SCALE),
+    "table08": _TUNE_SELECTION,
+    "table09": ("--mixes", *_SMT_SCALE),
+    "fig07": ("--trace-length", *_SMT_SCALE),
+    "fig08": ("--trace-length",),
+    "fig09": _TUNE_SELECTION,
+    "fig10": _TUNE_SELECTION,
+    "fig08rep": (*_TUNE_SELECTION, "--replicates"),
+    "fig10rep": (*_TUNE_SELECTION, "--replicates"),
+    "fig11": ("--trace-length",),
+    "fig12": _TUNE_SELECTION,
+    "fig13": ("--mixes", *_SMT_SCALE),
+    "fig14": ("--trace-length", "--workloads"),
+    "fig15": ("--mixes", *_SMT_SCALE),
+    "sec65": (),
+    "traces": ("--trace-length", "--output-dir"),
+}
 
 
 def _tune_selection(args: argparse.Namespace):
@@ -80,7 +102,7 @@ def _tune_selection(args: argparse.Namespace):
     ``--workload-names milc06,cactus06`` selects exact members (any order);
     otherwise the first ``--workloads`` of the tune set, as before.
     """
-    names = getattr(args, "workload_names", None)
+    names = args.workload_names
     if names:
         return [spec_by_name(name) for name in names]
     return tune_specs()[: args.workloads]
@@ -314,29 +336,42 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
     sub.add_parser("list", help="list available experiments")
     smt_defaults = SMTBanditConfig()
+    figure_flags: Dict[str, Dict[str, Any]] = {
+        "--trace-length": dict(type=_positive_int, default=10_000,
+                               help="memory accesses per trace"),
+        "--workloads": dict(type=_positive_int, default=8,
+                            help="number of workloads (Figure 14: mixes)"),
+        "--workload-names": dict(type=_workload_names, default=None,
+                                 help="comma-separated tune-set workload "
+                                      "names (overrides the --workloads "
+                                      "prefix)"),
+        "--mixes": dict(type=_positive_int, default=6,
+                        help="number of SMT mixes"),
+        "--epochs": dict(type=_positive_int, default=300,
+                         help="SMT episode length in HC epochs"),
+        "--epoch-cycles": dict(type=_positive_int, default=500,
+                               help="cycles per Hill-Climbing epoch"),
+        "--step-epochs": dict(type=_positive_int,
+                              default=smt_defaults.step_epochs,
+                              help="HC epochs per SMT bandit step (Table 6)"),
+        "--step-epochs-rr": dict(type=_positive_int,
+                                 default=smt_defaults.step_epochs_rr,
+                                 help="HC epochs per round-robin step "
+                                      "(Table 6)"),
+        "--replicates": dict(type=_positive_int, default=5,
+                             help="bandit seed replicates per workload "
+                                  "(single-core DUCB never draws from its "
+                                  "RNG, so every replicate replays the same "
+                                  "episode, and the lane kernel replays it "
+                                  "once)"),
+        "--output-dir": dict(default="traces",
+                             help="directory to write .trace.gz files into"),
+    }
     for name in COMMANDS:
         cmd = sub.add_parser(name, help=f"regenerate {name}")
-        cmd.add_argument("--trace-length", type=_positive_int, default=10_000,
-                         help="memory accesses per trace (prefetch cases)")
-        cmd.add_argument("--workloads", type=_positive_int, default=8,
-                         help="number of workloads/mixes where applicable")
-        if name in _TUNE_SELECTION_COMMANDS:
-            cmd.add_argument("--workload-names", type=_workload_names,
-                             default=None,
-                             help="comma-separated tune-set workload names "
-                                  "(overrides the --workloads prefix)")
-        cmd.add_argument("--mixes", type=_positive_int, default=6,
-                         help="number of SMT mixes where applicable")
-        cmd.add_argument("--epochs", type=_positive_int, default=300,
-                         help="SMT episode length in HC epochs")
-        cmd.add_argument("--epoch-cycles", type=_positive_int, default=500,
-                         help="cycles per Hill-Climbing epoch")
-        cmd.add_argument("--step-epochs", type=_positive_int,
-                         default=smt_defaults.step_epochs,
-                         help="HC epochs per SMT bandit step (Table 6)")
-        cmd.add_argument("--step-epochs-rr", type=_positive_int,
-                         default=smt_defaults.step_epochs_rr,
-                         help="HC epochs per round-robin step (Table 6)")
+        for flag, spec in figure_flags.items():
+            if flag in _COMMAND_FLAGS[name]:
+                cmd.add_argument(flag, **spec)
         cmd.add_argument("--jobs", type=_positive_int, default=1,
                          help="worker processes for trace replays")
         cmd.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
@@ -346,25 +381,16 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--profile", action="store_true",
                          help="run under cProfile; writes <cache-dir>/"
                               "profiles/<command>.prof and a JSON summary")
-        cmd.add_argument("--replicates", type=_positive_int, default=5,
-                         help="bandit seed replicates per workload "
-                              "(replication sweeps; single-core DUCB never "
-                              "draws from its RNG, so every replicate "
-                              "replays the same episode, and the lane "
-                              "kernel replays it once)")
         cmd.add_argument("--deterministic-manifest", action="store_true",
                          help="zero wall-clock fields in the run manifest "
                               "so identical runs produce byte-identical "
                               "manifests")
         cmd.add_argument("--sanitize", action="store_true",
-                         help="replay every compiled-kernel run through the "
-                              "object path too and assert step-by-step "
-                              "equivalence (same as REPRO_SANITIZE=1); "
-                              "combine with --no-cache so cached results "
-                              "don't skip the replays")
-        if name == "traces":
-            cmd.add_argument("--output-dir", default="traces",
-                             help="directory to write .trace.gz files into")
+                         help="run every fast-path simulation on its "
+                              "reference path too and assert equal "
+                              "checkpoints and results (same as "
+                              "REPRO_SANITIZE=1); combine with --no-cache so "
+                              "cached results don't skip the runs")
     return parser
 
 

@@ -1,18 +1,20 @@
-"""Runtime equivalence sanitizer for the dual replay paths.
+"""Runtime equivalence sanitizer for the dual simulation paths.
 
-The replay engine keeps two implementations of the same semantics: the
-allocation-free fused kernel (:mod:`repro.core_model.replay_kernel`) and
-the object path (``TraceCore.execute`` + ``CacheHierarchy``). This module
-checks that contract at run time: with ``REPRO_SANITIZE=1`` (or
-``--sanitize`` on the experiment CLI), every compiled-trace replay also
-runs the same trace
-through the object path on a shadow copy of the stack and asserts
-step-by-step equality — per-checkpoint instruction counts, cycles, IPC
-and L2 demand accesses, and (for bandit runs) the per-step arm choices
-and DUCB state. The first divergence aborts the run with a report naming
-the step, the field, and both values.
+Each fast path keeps a reference implementation of the same semantics:
+the fused replay kernel (:mod:`repro.core_model.replay_kernel`) has the
+object path (``TraceCore.execute`` + ``CacheHierarchy``), and the SMT
+cycle kernel (:mod:`repro.core_model.smt_kernel`) has the per-object
+``SMTPipeline``. This module checks that contract at run time: with
+``REPRO_SANITIZE=1`` (or ``--sanitize`` on the experiment CLI), every
+runner call goes through :func:`run_checked`, which runs the fast path
+and the reference on fresh stacks and asserts that both record the same
+checkpoints (per-1/64-trace instructions/cycles/IPC/L2 accesses for a
+hook-free replay, each bandit step's arm, counters and estimator state,
+every SMT epoch) and return the same result, field by field. The first
+divergence aborts the run with a report naming the step, the field, and
+both values.
 
-This is a debugging/verification mode: it replays every trace twice and
+This is a debugging/verification mode: it runs everything twice and
 checkpoints frequently, so expect roughly 2-3x the runtime. Run it after
 touching any fast path; ``tests/test_differential_paths.py`` covers the
 same equivalence over randomized inputs in tier-1.
@@ -22,8 +24,11 @@ from __future__ import annotations
 
 import copy
 import os
-from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, fields, is_dataclass
+from typing import (
+    TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple, TypeVar,
+    Union,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.core_model.trace_core import TraceCore
@@ -34,6 +39,8 @@ SANITIZE_ENV = "REPRO_SANITIZE"
 
 #: Target number of mid-run checkpoints per hook-free sanitized replay.
 _CHECKPOINTS = 64
+
+_Result = TypeVar("_Result")
 
 
 def sanitize_enabled() -> bool:
@@ -147,22 +154,6 @@ def snapshot(step: int, core: "TraceCore") -> StepRecord:
         ipc=core.ipc,
         l2_demand_accesses=core.hierarchy.stats.l2_demand_accesses,
     )
-
-
-def _compare_stats(
-    kernel_core: "TraceCore", object_core: "TraceCore", context: str
-) -> None:
-    """Final hierarchy-stats comparison, field by field."""
-    kernel_stats = kernel_core.hierarchy.stats
-    object_stats = object_core.hierarchy.stats
-    for stats_field in fields(kernel_stats):
-        kernel_value = getattr(kernel_stats, stats_field.name)
-        object_value = getattr(object_stats, stats_field.name)
-        if kernel_value != object_value:
-            raise SanitizeDivergence(
-                context, -1, f"stats.{stats_field.name}",
-                kernel_value, object_value,
-            )
 
 
 def verify_lane_batch(
@@ -293,51 +284,47 @@ def verify_lane_batch(
                 )
 
 
-def run_sanitized_replay(
-    core: "TraceCore",
-    trace: "CompiledTrace",
-    max_records: Optional[int] = None,
-    shadow: Optional["TraceCore"] = None,
-) -> None:
-    """Replay ``trace`` on ``core`` (kernel) and ``shadow`` (object path).
+def run_checked(
+    context: str,
+    eligible: bool,
+    run: Callable[..., _Result],
+    *inputs: Any,
+) -> _Result:
+    """Run ``run`` on the fast path, and under the sanitizer on both paths.
 
-    ``shadow`` must be an independent but identically configured stack;
-    when ``None`` it is deep-copied from ``core`` before the replay (which
-    is correct for self-contained stacks, but callers whose prefetchers
-    close over external state — e.g. Pythia's bandwidth probe — must build
-    and pass their own shadow).
+    ``run(reference, log, *inputs)`` builds a fresh stack, simulates on the
+    fast path (``reference`` false) or the reference path (true), appends
+    its checkpoints to ``log`` when that is a list, and returns a dataclass
+    result. When ``eligible`` holds (a reference path exists that the fast
+    call does not already take) and ``REPRO_SANITIZE`` is on, the fast run
+    gets ``inputs`` and the reference run deep copies taken before either
+    starts; their logs must match (:func:`compare_step_logs`) and so must
+    their results, field by field into nested dataclasses. The fast result
+    is returned, so a sanitized call returns what a plain one does.
     """
-    if shadow is None:
-        shadow = copy.deepcopy(core)
+    if not (eligible and sanitize_enabled()):
+        return run(False, None, *inputs)
+    copies = copy.deepcopy(inputs)
+    fast_log: List[AnyStepRecord] = []
+    fast = run(False, fast_log, *inputs)
+    reference_log: List[AnyStepRecord] = []
+    reference = run(True, reference_log, *copies)
+    compare_step_logs(fast_log, reference_log, context)
+    _compare_fields(fast, reference, context, "")
+    return fast
 
-    total = len(trace)
-    if max_records is not None and max_records < total:
-        total = max_records
-    stride = max(1, total // _CHECKPOINTS)
 
-    kernel_log: List[StepRecord] = []
-    seen = 0
-
-    def checkpoint_hook(hook_core: "TraceCore") -> None:
-        nonlocal seen
-        seen += 1
-        if seen % stride == 0 or seen == total:
-            kernel_log.append(snapshot(seen, hook_core))
-
-    core.run_compiled(
-        trace, max_records=max_records, record_hook=checkpoint_hook,
-        sanitize=False,
-    )
-
-    object_log: List[StepRecord] = []
-    replayed = 0
-    for record in trace.to_records():
-        if replayed >= total:
-            break
-        shadow.execute(record)
-        replayed += 1
-        if replayed % stride == 0 or replayed == total:
-            object_log.append(snapshot(replayed, shadow))
-
-    compare_step_logs(kernel_log, object_log, context="run_compiled")
-    _compare_stats(core, shadow, context="run_compiled")
+def _compare_fields(
+    fast: Any, reference: Any, context: str, prefix: str
+) -> None:
+    """Raise at the first differing field, naming its dotted path."""
+    for result_field in fields(fast):
+        name = prefix + result_field.name
+        fast_value = getattr(fast, result_field.name)
+        reference_value = getattr(reference, result_field.name)
+        if is_dataclass(fast_value):
+            _compare_fields(fast_value, reference_value, context, name + ".")
+        elif fast_value != reference_value:
+            raise SanitizeDivergence(
+                context, -1, name, fast_value, reference_value
+            )

@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING, Callable, Deque, Iterable, Optional, Tuple
 
 from repro.bandit.rewards import PerformanceCounters
 from repro.core_model.replay_kernel import run_replay_kernel
-from repro.core_model.sanitizer import sanitize_enabled
 from repro.uncore.cache import Cache
 from repro.uncore.hierarchy import CacheHierarchy
 from repro.workloads.trace import TraceRecord
@@ -114,22 +113,17 @@ class TraceCore:
             self.retire_time = ready if ready > next_retire else next_retire
         self._window.append((index, self.retire_time))
 
-    def run(self, trace: Iterable[TraceRecord], max_records: Optional[int] = None) -> None:
-        """Replay ``trace`` (optionally truncated) to completion."""
-        for count, record in enumerate(trace):
-            if max_records is not None and count >= max_records:
-                break
+    def run(self, trace: Iterable[TraceRecord]) -> None:
+        """Replay ``trace`` to completion."""
+        for record in trace:
             self.execute(record)
 
     def run_compiled(
         self,
         trace: "CompiledTrace",
-        max_records: Optional[int] = None,
         record_hook: Optional[
             Callable[["TraceCore"], Optional[Tuple[float, float]]]
         ] = None,
-        sanitize: Optional[bool] = None,
-        shadow: Optional["TraceCore"] = None,
     ) -> None:
         """Replay a compiled array-backed trace.
 
@@ -139,7 +133,8 @@ class TraceCore:
         Any other hierarchy replays ``trace.to_records()`` through
         :meth:`execute`. Either way the result is bit-identical to
         :meth:`run` over the equivalent object trace (counters, cycles, and
-        hierarchy state).
+        hierarchy state); the runtime sanitizer checks that, run by run,
+        from the experiment runners (see :mod:`repro.core_model.sanitizer`).
 
         ``record_hook(core)`` fires after each record with ``instructions``
         and ``retire_time`` (and the rest of the core state) flushed, which
@@ -150,26 +145,7 @@ class TraceCore:
         the flush + call for the records in between (the object path
         calls the hook after every record; the promise makes that
         equivalent).
-
-        ``sanitize`` (default: ``$REPRO_SANITIZE``) additionally replays
-        the trace through the object path on ``shadow`` (a deep copy of
-        this core when not given) and asserts step-by-step equivalence —
-        see :mod:`repro.core_model.sanitizer`. Hook-driven replays manage
-        their own sanitization (the bandit runners compare per-step
-        decisions), so ``sanitize`` with a ``record_hook`` is an error.
         """
-        if sanitize is None:
-            sanitize = sanitize_enabled()
-        if sanitize:
-            if record_hook is not None:
-                raise ValueError(
-                    "sanitize=True cannot wrap a record_hook replay; the "
-                    "hook's caller must run its own dual-path comparison"
-                )
-            from repro.core_model.sanitizer import run_sanitized_replay
-
-            run_sanitized_replay(self, trace, max_records, shadow)
-            return
         hierarchy = self.hierarchy
         if not (
             type(hierarchy) is CacheHierarchy
@@ -178,17 +154,12 @@ class TraceCore:
             and type(hierarchy.l2) is Cache
             and type(hierarchy.llc) is Cache
         ):
-            for record in trace.to_records()[:max_records]:
+            for record in trace.to_records():
                 self.execute(record)
                 if record_hook is not None:
                     record_hook(self)
             return
         pcs, blocks, all_flags, gaps = trace.as_lists()
-        if max_records is not None and max_records < len(pcs):
-            pcs = pcs[:max_records]
-            blocks = blocks[:max_records]
-            all_flags = all_flags[:max_records]
-            gaps = gaps[:max_records]
         # Cyclic garbage is not produced at replay rates worth the gen-0
         # scans the kernel's transient tuples/lists trigger, so collection
         # is paused for the duration (refcounting still frees everything).

@@ -37,7 +37,6 @@ from repro.experiments.smt import (
     SMTRunResult,
     run_smt_bandit,
     run_smt_static,
-    smt_best_static_arm,
 )
 
 __all__ = [
@@ -62,5 +61,4 @@ __all__ = [
     "run_multicore_fixed",
     "run_smt_bandit",
     "run_smt_static",
-    "smt_best_static_arm",
 ]

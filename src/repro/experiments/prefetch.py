@@ -3,8 +3,8 @@
 The runners replay a workload trace through the trace-driven core and
 hierarchy with a chosen prefetcher configuration:
 
-- :func:`run_fixed_prefetcher` — any named comparator (none, stride, bop,
-  mlop, bingo, pythia, ipcp) or a fixed ensemble arm.
+- :func:`run_fixed_prefetcher` — any named comparator (none, stride,
+  mlop, bingo, pythia, ipcp); :func:`run_fixed_arm` — a fixed ensemble arm.
 - :func:`run_bandit_prefetch` — the Micro-Armed Bandit driving the ensemble:
   one bandit step per 1,000 L2 demand accesses (Table 6), IPC reward from
   the core's counters, and the conservative 500-cycle selection latency
@@ -13,11 +13,18 @@ hierarchy with a chosen prefetcher configuration:
 - :func:`run_multicore_fixed` / :func:`run_multicore_bandit` — the 4-core
   experiments of §7.2.3 with per-core bandits and the §4.3 round-robin
   restart.
+
+The three single-core runners each define one ``run(reference, log, ...)``
+that builds a fresh stack and replays through :func:`_replay`, and hand it
+to :func:`~repro.core_model.sanitizer.run_checked`: a compiled trace
+replays through :meth:`TraceCore.run_compiled` (the fused kernel where
+the hierarchy allows it), and under ``REPRO_SANITIZE=1`` also through the
+object path, the two compared checkpoint by checkpoint and field by
+field.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -25,9 +32,10 @@ from repro.bandit.base import MABAlgorithm
 from repro.bandit.hardware import PrefetchBanditController
 from repro.core_model.multicore import MulticoreSystem
 from repro.core_model.sanitizer import (
+    _CHECKPOINTS,
     StepRecord,
-    compare_step_logs,
-    sanitize_enabled,
+    run_checked,
+    snapshot,
 )
 from repro.core_model.trace_core import CoreConfig, TraceCore
 from repro.experiments.configs import (
@@ -39,7 +47,6 @@ from repro.experiments.configs import (
 )
 from repro.prefetch.base import Prefetcher
 from repro.prefetch.bingo import BingoPrefetcher
-from repro.prefetch.bop import BOPrefetcher
 from repro.prefetch.ensemble import EnsemblePrefetcher
 from repro.prefetch.ip_stride import IPStridePrefetcher
 from repro.prefetch.ipcp import IPCPPrefetcher
@@ -72,24 +79,60 @@ class PrefetchRunResult:
 def _replay(
     core: TraceCore,
     trace: TraceInput,
-    shadow_factory: Optional[Callable[[], TraceCore]] = None,
+    reference: bool,
+    log: Optional[List[StepRecord]],
+    hook: Optional[Callable[[TraceCore], Optional[Tuple[float, float]]]],
 ) -> None:
-    """Replay ``trace`` on ``core`` via the fastest applicable kernel.
+    """Replay ``trace`` on ``core``: a compiled trace through
+    :meth:`TraceCore.run_compiled` unless ``reference`` asks for the object
+    path, which replays the records through :meth:`TraceCore.execute`.
 
-    Under ``REPRO_SANITIZE=1``, compiled replays also run the object path
-    on a shadow stack and assert equivalence. ``shadow_factory`` builds
-    that stack; runners whose prefetchers close over external state (the
-    Pythia bandwidth probe) must provide it, because a deep copy of the
-    core would leave the copied prefetcher probing the *original*
-    hierarchy.
+    ``hook(core)`` follows ``run_compiled``'s thresholded record-hook
+    protocol, and the object path calls it after every record. Without a
+    hook, a ``log`` receives a checkpoint every 1/64 of the trace, so the
+    sanitizer compares hook-free replays mid-run as well as at the end.
     """
-    if isinstance(trace, CompiledTrace):
-        if shadow_factory is not None and sanitize_enabled():
-            core.run_compiled(trace, sanitize=True, shadow=shadow_factory())
-        else:
-            core.run_compiled(trace)
-    else:
-        core.run(trace)
+    if hook is None and log is not None:
+        checkpoints = log
+        total = len(trace)
+        stride = max(1, total // _CHECKPOINTS)
+        seen = 0
+
+        def checkpoint(hook_core: TraceCore) -> None:
+            nonlocal seen
+            seen += 1
+            if seen % stride == 0 or seen == total:
+                checkpoints.append(snapshot(seen, hook_core))
+
+        hook = checkpoint
+    if isinstance(trace, CompiledTrace) and not reference:
+        core.run_compiled(trace, record_hook=hook)
+        return
+    records = trace.to_records() if isinstance(trace, CompiledTrace) else trace
+    for record in records:
+        core.execute(record)
+        if hook is not None:
+            hook(core)
+
+
+def _result(
+    core: TraceCore,
+    trace: TraceInput,
+    arm_history: List[int],
+    arm_trace: List[Tuple[float, int]],
+) -> PrefetchRunResult:
+    """Drain the hierarchy and package what the replay produced."""
+    hierarchy = core.hierarchy
+    hierarchy.finalize()
+    return PrefetchRunResult(
+        ipc=core.ipc,
+        instructions=core.instructions,
+        cycles=core.cycles,
+        stats=hierarchy.stats,
+        arm_history=arm_history,
+        arm_trace=arm_trace,
+        records=len(trace),
+    )
 
 
 def make_prefetcher(
@@ -104,8 +147,6 @@ def make_prefetcher(
         return None
     if name == "stride":
         return IPStridePrefetcher()
-    if name == "bop":
-        return BOPrefetcher()
     if name == "mlop":
         return MLOPPrefetcher()
     if name == "bingo":
@@ -139,28 +180,25 @@ def run_fixed_prefetcher(
 ) -> PrefetchRunResult:
     """Replay ``trace`` with a fixed comparator prefetcher at the L2."""
 
-    def build_core(l1: Optional[Prefetcher]) -> TraceCore:
+    def run(
+        reference: bool,
+        log: Optional[List[StepRecord]],
+        l1: Optional[Prefetcher],
+    ) -> PrefetchRunResult:
+        # Pythia's bandwidth probe reads the hierarchy through the holder.
         holder: list = []
         prefetcher = make_prefetcher(prefetcher_name, holder)
-        built = CacheHierarchy(
+        hierarchy = CacheHierarchy(
             hierarchy_config, l2_prefetcher=prefetcher, l1_prefetcher=l1
         )
-        holder.append(built)
-        return TraceCore(built, core_config)
+        holder.append(hierarchy)
+        core = TraceCore(hierarchy, core_config)
+        _replay(core, trace, reference, log, None)
+        return _result(core, trace, [], [])
 
-    core = build_core(l1_prefetcher)
-    hierarchy = core.hierarchy
-    _replay(
-        core, trace,
-        shadow_factory=lambda: build_core(copy.deepcopy(l1_prefetcher)),
-    )
-    hierarchy.finalize()
-    return PrefetchRunResult(
-        ipc=core.ipc,
-        instructions=core.instructions,
-        cycles=core.cycles,
-        stats=hierarchy.stats,
-        records=len(trace),
+    return run_checked(
+        "run_fixed_prefetcher", isinstance(trace, CompiledTrace), run,
+        l1_prefetcher,
     )
 
 
@@ -172,26 +210,17 @@ def run_fixed_arm(
 ) -> PrefetchRunResult:
     """Replay ``trace`` with one ensemble arm held for the whole run."""
 
-    def build_core() -> TraceCore:
+    def run(reference: bool, log: Optional[List[StepRecord]]) -> PrefetchRunResult:
         ensemble = EnsemblePrefetcher()
         ensemble.set_arm(arm)
-        return TraceCore(
+        core = TraceCore(
             CacheHierarchy(hierarchy_config, l2_prefetcher=ensemble),
             core_config,
         )
+        _replay(core, trace, reference, log, None)
+        return _result(core, trace, [arm], [])
 
-    core = build_core()
-    hierarchy = core.hierarchy
-    _replay(core, trace, shadow_factory=build_core)
-    hierarchy.finalize()
-    return PrefetchRunResult(
-        ipc=core.ipc,
-        instructions=core.instructions,
-        cycles=core.cycles,
-        stats=hierarchy.stats,
-        arm_history=[arm],
-        records=len(trace),
-    )
+    return run_checked("run_fixed_arm", isinstance(trace, CompiledTrace), run)
 
 
 def best_static_arm(
@@ -218,109 +247,52 @@ def run_bandit_prefetch(
     seed: int = 0,
     ideal_latency: bool = False,
     l1_prefetcher: Optional[Prefetcher] = None,
-    sanitize: Optional[bool] = None,
-    _step_log: Optional[List[StepRecord]] = None,
 ) -> PrefetchRunResult:
     """Replay ``trace`` with the Micro-Armed Bandit driving the ensemble.
 
     ``ideal_latency`` removes the 500-cycle selection latency (the
     *BanditIdeal* configuration of Figure 9). ``l1_prefetcher`` optionally
     adds a fixed L1 prefetcher underneath (Figure 12's Stride_Bandit).
-
-    ``sanitize`` (default: ``$REPRO_SANITIZE``, for compiled traces) runs
-    the trace through *both* replay paths — the fused kernel with the
-    record hook, and the object loop on an independent shadow stack — and
-    asserts that every bandit step is identical across them: arm choices,
-    step-boundary counters, and the DUCB reward estimates and selection
-    counts. ``_step_log`` is the internal per-step capture those two runs
-    compare; callers should not pass it.
+    A compiled trace runs the controller as the kernel's thresholded
+    record hook; the sanitizer's object-path run calls it on every record,
+    and both log each step's arm, counters and estimator state.
     """
-    if sanitize is None:
-        sanitize = (
-            sanitize_enabled()
-            and isinstance(trace, CompiledTrace)
-            and _step_log is None
+
+    def run(
+        reference: bool,
+        log: Optional[List[StepRecord]],
+        algorithm: Optional[MABAlgorithm],
+        l1: Optional[Prefetcher],
+    ) -> PrefetchRunResult:
+        if algorithm is None:
+            algorithm = prefetch_bandit_algorithm(seed=seed, params=params)
+        ensemble = EnsemblePrefetcher()
+        hierarchy = CacheHierarchy(
+            hierarchy_config, l2_prefetcher=ensemble, l1_prefetcher=l1
         )
-    if sanitize:
-        return _run_bandit_sanitized(
-            trace, algorithm, hierarchy_config, core_config, params,
-            seed, ideal_latency, l1_prefetcher,
+        core = TraceCore(hierarchy, core_config)
+        stats = hierarchy.stats
+        controller = PrefetchBanditController(
+            algorithm, ensemble.set_arm, params.step_l2_accesses,
+            0 if ideal_latency else params.selection_latency_cycles,
+            step_log=log,
         )
-    if algorithm is None:
-        algorithm = prefetch_bandit_algorithm(seed=seed, params=params)
-    ensemble = EnsemblePrefetcher()
-    hierarchy = CacheHierarchy(
-        hierarchy_config, l2_prefetcher=ensemble, l1_prefetcher=l1_prefetcher
-    )
-    core = TraceCore(hierarchy, core_config)
-    stats = hierarchy.stats
-    controller = PrefetchBanditController(
-        algorithm, ensemble.set_arm, params.step_l2_accesses,
-        0 if ideal_latency else params.selection_latency_cycles,
-        step_log=_step_log,
-    )
-    if isinstance(trace, CompiledTrace):
-        # The fused kernel skips the hook between the thresholds it returns.
-        core.run_compiled(
-            trace,
-            record_hook=lambda hook_core: controller.on_record(
+        _replay(
+            core, trace, reference, log,
+            lambda hook_core: controller.on_record(
                 stats.l2_demand_accesses, hook_core.counters()
             ),
-            sanitize=False,
         )
-    else:
-        for record in trace:
-            core.execute(record)
-            controller.on_record(stats.l2_demand_accesses, core.counters())
-    controller.finish(core.counters(), stats.l2_demand_accesses)
-    hierarchy.finalize()
-    return PrefetchRunResult(
-        ipc=core.ipc,
-        instructions=core.instructions,
-        cycles=core.cycles,
-        stats=stats,
-        arm_history=list(algorithm.selection_history),
-        arm_trace=controller.arm_trace,
-        records=len(trace),
+        controller.finish(core.counters(), stats.l2_demand_accesses)
+        return _result(
+            core, trace, list(algorithm.selection_history),
+            controller.arm_trace,
+        )
+
+    return run_checked(
+        "run_bandit_prefetch", isinstance(trace, CompiledTrace), run,
+        algorithm, l1_prefetcher,
     )
-
-
-def _run_bandit_sanitized(
-    trace: TraceInput,
-    algorithm: Optional[MABAlgorithm],
-    hierarchy_config: HierarchyConfig,
-    core_config: CoreConfig,
-    params: PrefetchBanditParams,
-    seed: int,
-    ideal_latency: bool,
-    l1_prefetcher: Optional[Prefetcher],
-) -> PrefetchRunResult:
-    """Run both bandit replay paths and assert per-step equivalence.
-
-    The kernel-path run goes first with the caller's objects; the object-
-    path run uses independent copies (a deep copy of ``algorithm`` taken
-    *before* the first run trains it, and a fresh hierarchy stack), so the
-    caller's result is exactly what the unsanitized call would return.
-    """
-    if not isinstance(trace, CompiledTrace):
-        raise ValueError("sanitized bandit replay requires a CompiledTrace")
-    shadow_algorithm = copy.deepcopy(algorithm)
-    shadow_l1 = copy.deepcopy(l1_prefetcher)
-
-    kernel_log: List[StepRecord] = []
-    result = run_bandit_prefetch(
-        trace, algorithm, hierarchy_config, core_config, params,
-        seed=seed, ideal_latency=ideal_latency, l1_prefetcher=l1_prefetcher,
-        sanitize=False, _step_log=kernel_log,
-    )
-    object_log: List[StepRecord] = []
-    run_bandit_prefetch(
-        trace.to_records(), shadow_algorithm, hierarchy_config, core_config,
-        params, seed=seed, ideal_latency=ideal_latency,
-        l1_prefetcher=shadow_l1, sanitize=False, _step_log=object_log,
-    )
-    compare_step_logs(kernel_log, object_log, context="run_bandit_prefetch")
-    return result
 
 
 # --------------------------------------------------------------------- 4-core

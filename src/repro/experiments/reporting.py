@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Iterable, List, Mapping, Sequence
 
 
 def format_table(
@@ -52,10 +52,3 @@ def format_summary_table(
             row.append(f"{getattr(summary, metric):.1f}")
         rows.append(row)
     return format_table(headers, rows, title)
-
-
-def normalized_percent(values: Mapping[str, float], baseline: float) -> Dict[str, float]:
-    """Express each value as a percent of ``baseline``."""
-    if baseline <= 0:
-        raise ValueError("baseline must be positive")
-    return {key: 100.0 * value / baseline for key, value in values.items()}

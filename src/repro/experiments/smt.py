@@ -8,29 +8,24 @@ scaling that keeps total run lengths tractable in Python.
 
 Both runners dispatch to the fused SMT kernel
 (:mod:`repro.core_model.smt_kernel`) by default and fall back to the
-per-object pipeline when ``REPRO_SMT_KERNEL`` is off, ``use_kernel=False``
-is passed, or the pipeline is subclassed. With ``REPRO_SANITIZE=1`` every
-run executes on *both* paths against independent, identically seeded
-stacks and asserts per-epoch equality (per-thread committed counts,
-cycles, IPC) plus — for bandit runs — bit-identical arm histories and
-estimator state.
+per-object pipeline when ``REPRO_SMT_KERNEL`` is off or ``use_kernel=False``
+is passed. Each defines one ``run(reference, log, ...)`` that builds a
+fresh, identically seeded pipeline, and hands it to
+:func:`~repro.core_model.sanitizer.run_checked`: with ``REPRO_SANITIZE=1``
+a kernel run also runs on the object path, and the two must agree on
+every epoch and bandit-step record (per-thread committed counts, cycles,
+IPC, arm and estimator state) and on every field of the result.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.bandit.base import MABAlgorithm
 from repro.constants import SMT_STEP_EPOCHS
-from repro.core_model.sanitizer import (
-    SanitizeDivergence,
-    SMTStepRecord,
-    compare_step_logs,
-    sanitize_enabled,
-)
-from repro.core_model.smt_kernel import kernel_eligible
+from repro.core_model.sanitizer import SMTStepRecord, run_checked
+from repro.core_model.smt_kernel import kernel_enabled
 from repro.experiments.configs import SMT_CONFIG_TABLE5, scaled_hill_climbing
 from repro.smt.bandit_control import (
     BanditFetchController,
@@ -80,72 +75,32 @@ class SMTScale:
 DEFAULT_SMT_SCALE = SMTScale()
 
 
-def _want_sanitize(use_kernel: Optional[bool], pipeline_ready: bool) -> bool:
-    """Sanitize by default only when both paths are actually available."""
-    return sanitize_enabled() and use_kernel is None and pipeline_ready
-
-
 def run_smt_static(
     mix: Tuple[ThreadProfile, ThreadProfile],
     policy: PGPolicy = CHOI_POLICY,
     scale: SMTScale = DEFAULT_SMT_SCALE,
     config: SMTConfig = SMT_CONFIG_TABLE5,
     seed: int = 0,
-    sanitize: Optional[bool] = None,
     use_kernel: Optional[bool] = None,
-    _epoch_log: Optional[List[SMTStepRecord]] = None,
 ) -> SMTRunResult:
-    """One mix under a fixed PG policy with Hill Climbing active.
+    """One mix under a fixed PG policy with Hill Climbing active."""
 
-    ``sanitize=None`` defers to ``REPRO_SANITIZE``; a sanitized run
-    executes the kernel and object paths on independent pipelines and
-    compares their per-epoch checkpoints before returning the kernel
-    result.
-    """
-    pipeline = SMTPipeline(list(mix), policy, config, seed=seed)
-    if sanitize is None:
-        sanitize = _want_sanitize(use_kernel, kernel_eligible(pipeline)) and (
-            _epoch_log is None
+    def run(reference: bool, log: Optional[List[SMTStepRecord]]) -> SMTRunResult:
+        pipeline = SMTPipeline(list(mix), policy, config, seed=seed)
+        ipc = run_static_policy(
+            pipeline, policy, scale.total_epochs,
+            scaled_hill_climbing(scale.epoch_cycles, config=config),
+            use_kernel=False if reference else use_kernel, epoch_log=log,
         )
-    if sanitize:
-        return _run_smt_static_sanitized(mix, policy, scale, config, seed)
-    hc_config = scaled_hill_climbing(scale.epoch_cycles, config=config)
-    ipc = run_static_policy(
-        pipeline, policy, scale.total_epochs, hc_config,
-        use_kernel=use_kernel, epoch_log=_epoch_log,
-    )
-    return SMTRunResult(
-        ipc=ipc,
-        per_thread=pipeline.per_thread_committed(),
-        rename=pipeline.rename_activity,
-    )
-
-
-def _run_smt_static_sanitized(
-    mix: Tuple[ThreadProfile, ThreadProfile],
-    policy: PGPolicy,
-    scale: SMTScale,
-    config: SMTConfig,
-    seed: int,
-) -> SMTRunResult:
-    """Static run on both paths; returns the kernel result."""
-    kernel_log: List[SMTStepRecord] = []
-    result = run_smt_static(
-        mix, policy, scale, config, seed,
-        sanitize=False, use_kernel=True, _epoch_log=kernel_log,
-    )
-    object_log: List[SMTStepRecord] = []
-    shadow = run_smt_static(
-        mix, policy, scale, config, seed,
-        sanitize=False, use_kernel=False, _epoch_log=object_log,
-    )
-    compare_step_logs(kernel_log, object_log, context="run_smt_static")
-    if result.rename != shadow.rename:
-        raise SanitizeDivergence(
-            "run_smt_static", -1, "rename_activity", result.rename,
-            shadow.rename,
+        return SMTRunResult(
+            ipc=ipc,
+            per_thread=pipeline.per_thread_committed(),
+            rename=pipeline.rename_activity,
         )
-    return result
+
+    return run_checked(
+        "run_smt_static", use_kernel is None and kernel_enabled(), run
+    )
 
 
 def run_smt_bandit(
@@ -155,9 +110,7 @@ def run_smt_bandit(
     arms: Sequence[PGPolicy] = BANDIT_PG_ARMS,
     algorithm: Optional[MABAlgorithm] = None,
     seed: int = 0,
-    sanitize: Optional[bool] = None,
     use_kernel: Optional[bool] = None,
-    _epoch_log: Optional[List[SMTStepRecord]] = None,
 ) -> SMTRunResult:
     """One mix under Bandit PG-policy control (§5.3).
 
@@ -167,105 +120,37 @@ def run_smt_bandit(
     trailing remainder is flushed as one short final step, so static and
     bandit runs cover identical cycle counts.
     """
-    pipeline = SMTPipeline(list(mix), arms[0], config, seed=seed)
-    if sanitize is None:
-        sanitize = _want_sanitize(use_kernel, kernel_eligible(pipeline)) and (
-            _epoch_log is None
-        )
-    if sanitize:
-        return _run_smt_bandit_sanitized(
-            mix, scale, config, arms, algorithm, seed
-        )
-    controller_config = SMTBanditConfig(
-        step_epochs=scale.step_epochs,
-        step_epochs_rr=scale.step_epochs_rr,
-        hill_climbing=scaled_hill_climbing(scale.epoch_cycles, config=config),
-        seed=seed,
-    )
-    controller = BanditFetchController(
-        pipeline, arms=arms, config=controller_config, algorithm=algorithm,
-        use_kernel=use_kernel, epoch_log=_epoch_log,
-    )
-    ipc = controller.run_epoch_budget(scale.total_epochs)
-    return SMTRunResult(
-        ipc=ipc,
-        per_thread=pipeline.per_thread_committed(),
-        rename=pipeline.rename_activity,
-        arm_history=list(controller.arm_history),
-    )
 
-
-def _run_smt_bandit_sanitized(
-    mix: Tuple[ThreadProfile, ThreadProfile],
-    scale: SMTScale,
-    config: SMTConfig,
-    arms: Sequence[PGPolicy],
-    algorithm: Optional[MABAlgorithm],
-    seed: int,
-) -> SMTRunResult:
-    """Bandit run on both paths; returns the kernel result.
-
-    The caller's ``algorithm`` (when given) drives the kernel path; the
-    object path runs a deep copy so both start from identical estimator
-    state.
-    """
-    shadow_algorithm = copy.deepcopy(algorithm)
-    kernel_log: List[SMTStepRecord] = []
-    result = run_smt_bandit(
-        mix, scale, config, arms, algorithm, seed,
-        sanitize=False, use_kernel=True, _epoch_log=kernel_log,
-    )
-    object_log: List[SMTStepRecord] = []
-    shadow = run_smt_bandit(
-        mix, scale, config, arms, shadow_algorithm, seed,
-        sanitize=False, use_kernel=False, _epoch_log=object_log,
-    )
-    compare_step_logs(kernel_log, object_log, context="run_smt_bandit")
-    if result.arm_history != shadow.arm_history:
-        raise SanitizeDivergence(
-            "run_smt_bandit", -1, "arm_history", result.arm_history,
-            shadow.arm_history,
-        )
-    if result.rename != shadow.rename:
-        raise SanitizeDivergence(
-            "run_smt_bandit", -1, "rename_activity", result.rename,
-            shadow.rename,
-        )
-    return result
-
-
-def smt_best_static_arm(
-    mix: Tuple[ThreadProfile, ThreadProfile],
-    arms: Sequence[PGPolicy] = BANDIT_PG_ARMS,
-    scale: SMTScale = DEFAULT_SMT_SCALE,
-    config: SMTConfig = SMT_CONFIG_TABLE5,
-    seed: int = 0,
-) -> Tuple[int, Dict[int, float]]:
-    """Exhaustive per-arm evaluation (the Table 9 oracle).
-
-    Fans the per-arm runs out through the active execution context
-    (parallel + cached when configured); results are identical to a
-    serial loop because each arm run is independent and fully seeded.
-    """
-    # Imported here: runner imports this module at top level.
-    from repro.experiments.runner import Task, run_parallel, smt_static_task
-
-    thread_names = (mix[0].name, mix[1].name)
-    tasks = [
-        Task(
-            smt_static_task,
-            dict(
-                thread_names=thread_names,
-                policy_mnemonic=policy.mnemonic,
-                scale=scale,
-                config=config,
+    def run(
+        reference: bool,
+        log: Optional[List[SMTStepRecord]],
+        algorithm: Optional[MABAlgorithm],
+    ) -> SMTRunResult:
+        pipeline = SMTPipeline(list(mix), arms[0], config, seed=seed)
+        controller = BanditFetchController(
+            pipeline,
+            arms=arms,
+            config=SMTBanditConfig(
+                step_epochs=scale.step_epochs,
+                step_epochs_rr=scale.step_epochs_rr,
+                hill_climbing=scaled_hill_climbing(
+                    scale.epoch_cycles, config=config
+                ),
                 seed=seed,
             ),
-            label=f"{thread_names[0]}-{thread_names[1]}:arm{index}",
+            algorithm=algorithm,
+            use_kernel=False if reference else use_kernel,
+            epoch_log=log,
         )
-        for index, policy in enumerate(arms)
-    ]
-    results = run_parallel(tasks)
-    per_arm = {index: result.ipc for index, result in enumerate(results)}
-    best = max(per_arm, key=per_arm.__getitem__)
-    return best, per_arm
+        ipc = controller.run_epoch_budget(scale.total_epochs)
+        return SMTRunResult(
+            ipc=ipc,
+            per_thread=pipeline.per_thread_committed(),
+            rename=pipeline.rename_activity,
+            arm_history=list(controller.arm_history),
+        )
+
+    return run_checked(
+        "run_smt_bandit", use_kernel is None and kernel_enabled(), run,
+        algorithm,
+    )

@@ -4,14 +4,13 @@
   :class:`StreamPrefetcher`, :class:`StridePrefetcher` — composed by
   :class:`EnsemblePrefetcher` under the Table 7 arm encoding.
 - Baseline: :class:`IPStridePrefetcher` (§6.4).
-- Non-RL comparators: :class:`BOPrefetcher`, :class:`MLOPPrefetcher`,
-  :class:`BingoPrefetcher`, :class:`IPCPPrefetcher`.
+- Non-RL comparators: :class:`MLOPPrefetcher`, :class:`BingoPrefetcher`,
+  :class:`IPCPPrefetcher`.
 - MDP-RL comparator: :class:`PythiaPrefetcher` (SARSA, §2.2/§6.4).
 """
 
 from repro.prefetch.base import NullPrefetcher, Prefetcher
 from repro.prefetch.bingo import BingoPrefetcher
-from repro.prefetch.bop import BOPrefetcher
 from repro.prefetch.ensemble import ArmSpec, EnsemblePrefetcher
 from repro.prefetch.ip_stride import IPStridePrefetcher
 from repro.prefetch.ipcp import IPCPPrefetcher
@@ -23,7 +22,6 @@ from repro.prefetch.stride import StridePrefetcher
 
 __all__ = [
     "ArmSpec",
-    "BOPrefetcher",
     "BingoPrefetcher",
     "EnsemblePrefetcher",
     "IPCPPrefetcher",

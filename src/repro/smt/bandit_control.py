@@ -11,9 +11,11 @@ state restored (§5.3, last paragraph).
 
 Epoch batches run through :func:`run_epochs`, which dispatches to the fused
 cycle kernel (:mod:`repro.core_model.smt_kernel`) when the pipeline is
-eligible, or to the per-object loop otherwise; both paths are bit-identical
-and the runtime sanitizer (``REPRO_SANITIZE=1``) checks them against each
-other per epoch.
+eligible, or to the per-object loop otherwise; both paths are bit-identical.
+Under ``REPRO_SANITIZE=1`` the experiment runners run both and hand each
+an ``epoch_log``, which records every epoch and, for the bandit, every
+step's arm and estimator state;
+:func:`~repro.core_model.sanitizer.run_checked` compares the two logs.
 """
 
 from __future__ import annotations
@@ -103,23 +105,16 @@ class BanditFetchController:
         arms: Sequence[PGPolicy] = BANDIT_PG_ARMS,
         config: SMTBanditConfig = SMTBanditConfig(),
         algorithm: Optional[MABAlgorithm] = None,
-        reward_metric=None,
         use_kernel: Optional[bool] = None,
         epoch_log: Optional[List[SMTStepRecord]] = None,
     ) -> None:
-        """``reward_metric`` is an :data:`repro.smt.rewards.SMTRewardMetric`;
-        the default is the paper's sum-of-IPCs (§6.4). ``use_kernel`` pins
-        the simulation path (``None`` = auto); ``epoch_log`` collects
-        sanitizer checkpoints (one per epoch, plus one per bandit step
-        carrying the arm and estimator state)."""
+        """The step reward is the paper's sum of per-thread IPCs (§6.4).
+        ``use_kernel`` pins the simulation path (``None`` = auto);
+        ``epoch_log`` collects the sanitizer's checkpoints (one per epoch,
+        plus one per bandit step carrying the arm and estimator state)."""
         self.pipeline = pipeline
         self.arms: Tuple[PGPolicy, ...] = tuple(arms)
         self.config = config
-        if reward_metric is None:
-            from repro.smt.rewards import total_ipc
-
-            reward_metric = total_ipc()
-        self.reward_metric = reward_metric
         if algorithm is None:
             algorithm = DUCB(
                 BanditConfig(
@@ -250,8 +245,9 @@ class BanditFetchController:
             epoch_hook=hook, use_kernel=self.use_kernel,
         )
         end = self.pipeline.per_thread_committed()
-        deltas = [after - before for before, after in zip(start, end)]
-        return self.reward_metric(deltas, epochs * epoch_cycles)
+        cycles = epochs * epoch_cycles
+        committed = sum(after - before for before, after in zip(start, end))
+        return committed / cycles if cycles > 0 else 0.0
 
 
 def run_static_policy(

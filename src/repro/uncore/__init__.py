@@ -15,29 +15,23 @@ from repro.uncore.hierarchy import (
 )
 from repro.uncore.mshr import MSHR
 from repro.uncore.replacement import (
-    BRRIP,
-    DRRIP,
     LRUReplacement,
     PolicyCache,
-    RandomReplacement,
     ReplacementPolicy,
     SRRIP,
 )
 
 __all__ = [
-    "BRRIP",
     "Cache",
     "CacheHierarchy",
     "CacheLine",
     "DRAMModel",
-    "DRRIP",
     "HierarchyConfig",
     "HierarchyStats",
     "LRUReplacement",
     "MSHR",
     "PolicyCache",
     "PrefetchOutcome",
-    "RandomReplacement",
     "ReplacementPolicy",
     "SRRIP",
     "mtps_to_cycles_per_line",

@@ -1,9 +1,8 @@
 """Cache replacement policies.
 
-The base :class:`~repro.uncore.cache.Cache` uses LRU. This module adds the
-standard alternatives — :class:`SRRIP`, :class:`DRRIP` (set-dueling), and
-:class:`RandomReplacement` — behind one victim-selection interface, plus a
-drop-in :class:`PolicyCache` that accepts any of them.
+The base :class:`~repro.uncore.cache.Cache` uses LRU. This module puts
+LRU and :class:`SRRIP` behind one victim-selection interface, plus a
+drop-in :class:`PolicyCache` that accepts either.
 
 They exist for the §9 future-work extension explored in
 ``benchmarks/test_ext_joint_control.py``: using a single Bandit to
@@ -13,7 +12,6 @@ policy (the action space is the product of the two, as §9 notes).
 
 from __future__ import annotations
 
-import random
 from typing import Dict, Optional
 
 from repro.uncore.cache import Cache, CacheLine
@@ -47,18 +45,6 @@ class LRUReplacement(ReplacementPolicy):
 
     def choose_victim(self, set_index, candidates):
         return min(candidates, key=lambda block: candidates[block].last_use)
-
-
-class RandomReplacement(ReplacementPolicy):
-    """Uniform random victim."""
-
-    name = "random"
-
-    def __init__(self, seed: int = 0) -> None:
-        self._rng = random.Random(seed)
-
-    def choose_victim(self, set_index, candidates):
-        return self._rng.choice(list(candidates))
 
 
 class SRRIP(ReplacementPolicy):
@@ -96,79 +82,6 @@ class SRRIP(ReplacementPolicy):
                 self._rrpv[block] = self._rrpv.get(block, 0) + 1
 
 
-class BRRIP(SRRIP):
-    """Bimodal RRIP: mostly distant insertion, occasionally long."""
-
-    name = "brrip"
-
-    def __init__(self, max_rrpv: int = 3, long_probability: float = 1 / 32,
-                 seed: int = 0) -> None:
-        super().__init__(max_rrpv)
-        self.long_probability = long_probability
-        self._rng = random.Random(seed)
-
-    def on_insert(self, set_index, block):
-        if self._rng.random() < self.long_probability:
-            self._rrpv[block] = self.max_rrpv - 1
-        else:
-            self._rrpv[block] = self.max_rrpv
-
-
-class DRRIP(ReplacementPolicy):
-    """Dynamic RRIP: set-dueling between SRRIP and BRRIP.
-
-    A few leader sets are dedicated to each component policy; a saturating
-    miss counter (PSEL) picks the winner for the follower sets.
-    """
-
-    name = "drrip"
-
-    def __init__(self, num_sets: int, max_rrpv: int = 3,
-                 leaders_per_policy: int = 4, seed: int = 0) -> None:
-        if num_sets < 2 * leaders_per_policy:
-            raise ValueError("not enough sets for the requested leader count")
-        self.num_sets = num_sets
-        self._srrip = SRRIP(max_rrpv)
-        self._brrip = BRRIP(max_rrpv, seed=seed)
-        stride = num_sets // (2 * leaders_per_policy)
-        self._srrip_leaders = {i * 2 * stride for i in range(leaders_per_policy)}
-        self._brrip_leaders = {
-            i * 2 * stride + stride for i in range(leaders_per_policy)
-        }
-        self.psel = 512
-        self._psel_max = 1023
-
-    def _policy_for(self, set_index: int) -> ReplacementPolicy:
-        if set_index in self._srrip_leaders:
-            return self._srrip
-        if set_index in self._brrip_leaders:
-            return self._brrip
-        return self._srrip if self.psel >= 512 else self._brrip
-
-    def record_miss(self, set_index: int) -> None:
-        """Misses in leader sets train PSEL (called by PolicyCache)."""
-        if set_index in self._srrip_leaders:
-            self.psel = max(self.psel - 1, 0)
-        elif set_index in self._brrip_leaders:
-            self.psel = min(self.psel + 1, self._psel_max)
-
-    def on_insert(self, set_index, block):
-        self._policy_for(set_index).on_insert(set_index, block)
-
-    def on_hit(self, set_index, block):
-        # Both components share RRPV state through their dicts; promote in
-        # both so follower flips stay consistent.
-        self._srrip.on_hit(set_index, block)
-        self._brrip.on_hit(set_index, block)
-
-    def on_evict(self, set_index, block):
-        self._srrip.on_evict(set_index, block)
-        self._brrip.on_evict(set_index, block)
-
-    def choose_victim(self, set_index, candidates):
-        return self._policy_for(set_index).choose_victim(set_index, candidates)
-
-
 class PolicyCache(Cache):
     """A :class:`Cache` whose victim selection delegates to a policy."""
 
@@ -180,11 +93,8 @@ class PolicyCache(Cache):
 
     def lookup(self, block: int):
         line = super().lookup(block)
-        set_index = block % self.num_sets
         if line is not None:
-            self.policy.on_hit(set_index, block)
-        elif line is None and isinstance(self.policy, DRRIP):
-            self.policy.record_miss(set_index)
+            self.policy.on_hit(block % self.num_sets, block)
         return line
 
     def insert(self, block: int, *, prefetched: bool = False,

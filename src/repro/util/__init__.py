@@ -1,22 +1,12 @@
 """Shared utilities: statistics helpers and seeded random streams."""
 
 from repro.util.rng import derive_seed, make_rng
-from repro.util.stats import (
-    RunningMean,
-    Summary,
-    geometric_mean,
-    harmonic_mean,
-    normalize_to,
-    summarize_ratios,
-)
+from repro.util.stats import Summary, geometric_mean, summarize_ratios
 
 __all__ = [
-    "RunningMean",
     "Summary",
     "derive_seed",
     "geometric_mean",
-    "harmonic_mean",
     "make_rng",
-    "normalize_to",
     "summarize_ratios",
 ]

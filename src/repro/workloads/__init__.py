@@ -34,12 +34,10 @@ from repro.workloads.suites import (
     ALL_SUITES,
     WorkloadSpec,
     eval_specs,
-    four_core_mixes,
     spec_by_name,
-    suite_specs,
     tune_specs,
 )
-from repro.workloads.trace import TraceRecord, TraceStats, read_trace, write_trace
+from repro.workloads.trace import TraceRecord, read_trace, write_trace
 
 __all__ = [
     "ALL_SUITES",
@@ -47,10 +45,8 @@ __all__ = [
     "SMT_MIX_NAMES",
     "ThreadProfile",
     "TraceRecord",
-    "TraceStats",
     "WorkloadSpec",
     "eval_specs",
-    "four_core_mixes",
     "generate_trace",
     "mixed_trace",
     "phased_trace",
@@ -62,7 +58,6 @@ __all__ = [
     "spec_by_name",
     "stream_trace",
     "strided_trace",
-    "suite_specs",
     "thread_profile",
     "tune_specs",
     "write_trace",

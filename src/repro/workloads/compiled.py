@@ -176,11 +176,6 @@ class CompiledTrace:
             )
 
 
-def compile_trace(records: Sequence[TraceRecord]) -> CompiledTrace:
-    """Module-level alias for :meth:`CompiledTrace.from_records`."""
-    return CompiledTrace.from_records(records)
-
-
 # ================================================================ trace keys
 
 

@@ -189,16 +189,6 @@ def spec_by_name(name: str) -> WorkloadSpec:
         ) from None
 
 
-def suite_specs(suite: str) -> Tuple[WorkloadSpec, ...]:
-    """All specs in one suite."""
-    try:
-        return ALL_SUITES[suite]
-    except KeyError:
-        raise ValueError(
-            f"unknown suite {suite!r}; known: {sorted(ALL_SUITES)}"
-        ) from None
-
-
 def tune_specs() -> List[WorkloadSpec]:
     """The prefetching tune set: SPEC-like workloads only (§6.3)."""
     return list(SPEC06_SPECS) + list(SPEC17_SPECS)
@@ -207,19 +197,3 @@ def tune_specs() -> List[WorkloadSpec]:
 def eval_specs() -> List[WorkloadSpec]:
     """The full evaluation set: every suite (§6.2)."""
     return [spec for specs in ALL_SUITES.values() for spec in specs]
-
-
-def four_core_mixes(max_heterogeneous: int = 8) -> Dict[str, List[WorkloadSpec]]:
-    """Four-core mixes: homogeneous (same app ×4) and heterogeneous (§6.2).
-
-    Homogeneous mixes replicate each SPEC-like workload on all four cores;
-    heterogeneous mixes rotate through the SPEC-like list in windows of four.
-    """
-    mixes: Dict[str, List[WorkloadSpec]] = {}
-    spec_like = tune_specs()
-    for spec in spec_like:
-        mixes[f"homog-{spec.name}"] = [spec] * 4
-    for start in range(min(max_heterogeneous, len(spec_like))):
-        window = [spec_like[(start + offset) % len(spec_like)] for offset in range(4)]
-        mixes[f"hetero-{start}"] = window
-    return mixes

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import gzip
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, List, NamedTuple
 
@@ -38,35 +37,6 @@ class TraceRecord(NamedTuple):
     def block(self) -> int:
         """Cache-block number of the access."""
         return self.address >> BLOCK_SHIFT
-
-
-@dataclass(frozen=True)
-class TraceStats:
-    """Summary statistics of a trace (used by tests and reporting)."""
-
-    accesses: int
-    instructions: int
-    unique_blocks: int
-    unique_pcs: int
-    write_fraction: float
-
-
-def trace_stats(trace: Iterable[TraceRecord]) -> TraceStats:
-    """Compute :class:`TraceStats` in one pass."""
-    accesses = 0
-    instructions = 0
-    writes = 0
-    blocks = set()
-    pcs = set()
-    for record in trace:
-        accesses += 1
-        instructions += record.inst_gap + 1
-        if record.is_write:
-            writes += 1
-        blocks.add(record.address >> BLOCK_SHIFT)
-        pcs.add(record.pc)
-    write_fraction = writes / accesses if accesses else 0.0
-    return TraceStats(accesses, instructions, len(blocks), len(pcs), write_fraction)
 
 
 _RECORD_STRUCT = struct.Struct("<QQBHB")
@@ -131,11 +101,3 @@ def read_trace(path: str | Path) -> List[TraceRecord]:
     if pending:
         raise ValueError(f"truncated trace file: {path}")
     return records
-
-
-def concatenate(traces: Iterable[List[TraceRecord]]) -> List[TraceRecord]:
-    """Concatenate traces — used to extend short traces to length (§6.2)."""
-    result: List[TraceRecord] = []
-    for trace in traces:
-        result.extend(trace)
-    return result

@@ -2,7 +2,47 @@
 
 import pytest
 
+import repro.experiments.figures as figures
+import repro.workloads.suites as suites
 from repro.cli import COMMANDS, build_parser, main
+
+_TUNE_SELECTION = {"--trace-length", "--workloads", "--workload-names"}
+_SMT = {"--mixes", "--epochs", "--epoch-cycles", "--step-epochs",
+        "--step-epochs-rr"}
+
+#: The figure flags each subcommand's handler reads.
+READS = {
+    "fig02": {"--trace-length"},
+    "fig05": _SMT,
+    "table08": _TUNE_SELECTION,
+    "table09": _SMT,
+    "fig07": _SMT - {"--mixes"} | {"--trace-length"},
+    "fig08": {"--trace-length"},
+    "fig09": _TUNE_SELECTION,
+    "fig10": _TUNE_SELECTION,
+    "fig08rep": _TUNE_SELECTION | {"--replicates"},
+    "fig10rep": _TUNE_SELECTION | {"--replicates"},
+    "fig11": {"--trace-length"},
+    "fig12": _TUNE_SELECTION,
+    "fig13": _SMT,
+    "fig14": {"--trace-length", "--workloads"},
+    "fig15": _SMT,
+    "sec65": set(),
+    "traces": {"--trace-length", "--output-dir"},
+}
+#: A value each figure flag parses.
+FLAG_VALUES = {
+    "--trace-length": "1000", "--workloads": "2", "--workload-names": "milc06",
+    "--mixes": "1", "--epochs": "10", "--epoch-cycles": "100",
+    "--step-epochs": "2", "--step-epochs-rr": "4", "--replicates": "2",
+    "--output-dir": "out",
+}
+UNREAD = [
+    (command, flag)
+    for command in READS
+    for flag in FLAG_VALUES
+    if flag not in READS[command]
+]
 
 
 class TestParser:
@@ -35,14 +75,62 @@ class TestParser:
         """Zero or negative sizes used to hang a step loop or crash deep in
         a run, and ``--jobs -3`` ran serially while reporting ``jobs -3``;
         each must exit 2 with a usage message before anything runs."""
+        command = {"--trace-length": "fig08", "--workloads": "fig14",
+                   "--replicates": "fig08rep"}.get(flag, "fig13")
         parser = build_parser()
         for value in ("0", "-1"):
             with pytest.raises(SystemExit) as excinfo:
-                parser.parse_args(["fig13", flag, value])
+                parser.parse_args([command, flag, value])
             assert excinfo.value.code == 2
             assert "must be a positive integer" in capsys.readouterr().err
-        args = parser.parse_args(["fig13", flag, "1"])
+        args = parser.parse_args([command, flag, "1"])
         assert getattr(args, flag.lstrip("-").replace("-", "_")) == 1
+
+    @pytest.mark.parametrize("command,flag", UNREAD)
+    def test_unread_figure_flags_are_rejected(self, command, flag, capsys):
+        """A figure flag the subcommand's handler never reads used to be
+        accepted and dropped (``fig08 --workloads 2`` still replayed all 38
+        traces); it must exit 2 with the usage line instead."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([command, flag, FLAG_VALUES[flag]])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"unrecognized arguments: {flag}" in err
+
+    @pytest.mark.parametrize("command", sorted(READS))
+    def test_handlers_read_exactly_their_flags(self, command, tmp_path,
+                                               monkeypatch):
+        """Each handler reads every figure flag its subcommand accepts and
+        no other, so no accepted flag is dropped."""
+
+        class Stop(Exception):
+            pass
+
+        def stop(*args, **kwargs):
+            raise Stop
+
+        class Spy:
+            def __init__(self, namespace):
+                self.__dict__["values"] = vars(namespace)
+                self.__dict__["reads"] = set()
+
+            def __getattr__(self, name):
+                self.reads.add("--" + name.replace("_", "-"))
+                return self.values[name]
+
+        for name in dir(figures):
+            if name.startswith(("fig", "table", "sec")):
+                monkeypatch.setattr(figures, name, stop)
+        spec = type("Spec", (), {"suite": "S", "name": "n", "trace": stop})
+        monkeypatch.setattr(suites, "eval_specs", lambda: [spec()])
+        argv = [command]
+        if command == "traces":
+            argv += ["--output-dir", str(tmp_path)]
+        spy = Spy(build_parser().parse_args(argv))
+        with pytest.raises(Stop):
+            COMMANDS[command](spy)
+        assert spy.reads == READS[command]
 
     def test_smt_scale_defaults_match_canonical_config(self):
         """Regression: the CLI once hardcoded step_epochs_rr=2 instead of

@@ -30,7 +30,6 @@ from repro.workloads.compiled import (
     FLAG_WRITE,
     CompiledTrace,
     TraceStore,
-    compile_trace,
     trace_key,
     use_trace_store,
 )
@@ -91,7 +90,7 @@ def _result_fields(result):
 class TestCompiledTrace:
     def test_round_trip_through_records(self):
         records = _object_trace(SUITE_REPRESENTATIVES[0])
-        compiled = compile_trace(records)
+        compiled = CompiledTrace.from_records(records)
         assert len(compiled) == len(records)
         rebuilt = compiled.to_records()
         # Addresses are block-granular after compilation; everything the
@@ -109,13 +108,13 @@ class TestCompiledTrace:
             TraceRecord(2, 128, False, 3, True),
             TraceRecord(3, 192, True, 1, True),
         ]
-        compiled = compile_trace(records)
+        compiled = CompiledTrace.from_records(records)
         assert list(compiled.flags) == [
             FLAG_WRITE, FLAG_DEPENDENT, FLAG_WRITE | FLAG_DEPENDENT,
         ]
 
     def test_mismatched_lengths_rejected(self):
-        compiled = compile_trace([TraceRecord(1, 64, False, 0)])
+        compiled = CompiledTrace.from_records([TraceRecord(1, 64, False, 0)])
         with pytest.raises(ValueError):
             CompiledTrace(
                 compiled.pc, compiled.block, compiled.flags,
@@ -123,7 +122,7 @@ class TestCompiledTrace:
             )
 
     def test_save_load_round_trip(self, tmp_path):
-        compiled = compile_trace(_object_trace(SUITE_REPRESENTATIVES[0]))
+        compiled = CompiledTrace.from_records(_object_trace(SUITE_REPRESENTATIVES[0]))
         path = tmp_path / "trace.npz"
         compiled.save(path)
         loaded = CompiledTrace.load(path)
@@ -277,7 +276,7 @@ def test_fixed_prefetcher_equivalence(workload, prefetcher):
     records = _object_trace(workload)
     with use_trace_store(TraceStore()):
         via_objects = run_fixed_prefetcher(records, prefetcher)
-        via_compiled = run_fixed_prefetcher(compile_trace(records), prefetcher)
+        via_compiled = run_fixed_prefetcher(CompiledTrace.from_records(records), prefetcher)
     assert _result_fields(via_compiled) == _result_fields(via_objects)
 
 
@@ -287,7 +286,7 @@ def test_bandit_equivalence(workload):
     records = _object_trace(workload)
     with use_trace_store(TraceStore()):
         via_objects = run_bandit_prefetch(records, seed=3)
-        via_compiled = run_bandit_prefetch(compile_trace(records), seed=3)
+        via_compiled = run_bandit_prefetch(CompiledTrace.from_records(records), seed=3)
     assert _result_fields(via_compiled) == _result_fields(via_objects)
     assert via_compiled.arm_history == via_objects.arm_history
     assert via_compiled.arm_trace == via_objects.arm_trace
@@ -298,7 +297,7 @@ def test_core_state_flush_matches_object_path():
     path's — not just the derived counters."""
     records = _object_trace(SUITE_REPRESENTATIVES[0], length=500)
     cores = []
-    for trace in (records, compile_trace(records)):
+    for trace in (records, CompiledTrace.from_records(records)):
         hierarchy = CacheHierarchy(HierarchyConfig())
         core = TraceCore(hierarchy, CoreConfig())
         if isinstance(trace, CompiledTrace):

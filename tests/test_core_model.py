@@ -54,11 +54,6 @@ class TestBasicTiming:
         assert counters.committed_instructions == 6
         assert counters.cycles == core.retire_time
 
-    def test_max_records_limit(self):
-        core = make_core()
-        core.run([load(i) for i in range(10)], max_records=3)
-        assert core.instructions == 3
-
 
 class TestMLP:
     def test_independent_misses_overlap(self):

@@ -50,7 +50,7 @@ BLOCK = BASELINE_HIERARCHY_CONFIG.block_bytes
 #: Streaming, strided, pointer-chasing (dependent-load) and graph traces.
 WORKLOADS = ["bwaves06", "milc06", "mcf06", "omnetpp06", "ligra_bfs"]
 
-PREFETCHERS = ["none", "stride", "bop", "mlop", "bingo", "ipcp", "pythia"]
+PREFETCHERS = ["none", "stride", "mlop", "bingo", "ipcp", "pythia"]
 
 #: One cache level as ``(sets, ways)``.
 LEVEL = st.tuples(st.integers(1, 16), st.integers(1, 4))

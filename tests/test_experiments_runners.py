@@ -14,12 +14,7 @@ from repro.experiments.prefetch import (
     run_multicore_bandit,
     run_multicore_fixed,
 )
-from repro.experiments.smt import (
-    SMTScale,
-    run_smt_bandit,
-    run_smt_static,
-    smt_best_static_arm,
-)
+from repro.experiments.smt import SMTScale, run_smt_bandit, run_smt_static
 from repro.smt.pg_policy import CHOI_POLICY
 from repro.workloads.smt import smt_tune_mixes
 from repro.workloads.suites import spec_by_name
@@ -36,7 +31,7 @@ SMALL_PARAMS = replace(PREFETCH_BANDIT_CONFIG, step_l2_accesses=50)
 
 class TestMakePrefetcher:
     @pytest.mark.parametrize(
-        "name", ["none", "stride", "bop", "mlop", "bingo", "ipcp", "pythia"]
+        "name", ["none", "stride", "mlop", "bingo", "ipcp", "pythia"]
     )
     def test_known_names(self, name):
         prefetcher = make_prefetcher(name)
@@ -174,11 +169,6 @@ class TestSMTRunners:
         result = run_smt_bandit(self.MIX, FAST_SCALE)
         assert result.ipc > 0
         assert len(result.arm_history) >= 6
-
-    def test_best_static_arm(self):
-        best, per_arm = smt_best_static_arm(self.MIX, scale=FAST_SCALE)
-        assert len(per_arm) == 6
-        assert per_arm[best] == max(per_arm.values())
 
     @pytest.mark.parametrize(
         "knob", ["epoch_cycles", "total_epochs", "step_epochs", "step_epochs_rr"]

@@ -1,48 +1,11 @@
-"""Tests for the comparator prefetchers: BOP, MLOP, Bingo, IPCP, Pythia."""
+"""Tests for the comparator prefetchers: MLOP, Bingo, IPCP, Pythia."""
 
 import pytest
 
 from repro.prefetch.bingo import REGION_BLOCKS, BingoPrefetcher
-from repro.prefetch.bop import BOPrefetcher
 from repro.prefetch.ipcp import IPCPPrefetcher
 from repro.prefetch.mlop import MLOPPrefetcher
 from repro.prefetch.pythia import PythiaConfig, PythiaPrefetcher
-
-
-class TestBOP:
-    def test_learns_dominant_offset(self):
-        prefetcher = BOPrefetcher(round_length=50)
-        block = 0
-        for _ in range(120):
-            block += 3
-            prefetcher.observe(0, block, 0.0, False)
-        assert prefetcher.best_offset == 3
-
-    def test_degree_is_one(self):
-        prefetcher = BOPrefetcher(round_length=50)
-        block = 0
-        out = []
-        for _ in range(120):
-            block += 3
-            out = prefetcher.observe(0, block, 0.0, False)
-        assert len(out) <= 1
-
-    def test_turns_off_on_random_stream(self):
-        prefetcher = BOPrefetcher(round_length=50, score_threshold=20)
-        import random
-
-        rng = random.Random(3)
-        out_lengths = []
-        for _ in range(200):
-            out = prefetcher.observe(0, rng.randrange(10**6), 0.0, False)
-            out_lengths.append(len(out))
-        assert out_lengths[-1] == 0  # self-disabled
-
-    def test_reset(self):
-        prefetcher = BOPrefetcher()
-        prefetcher.observe(0, 10, 0.0, False)
-        prefetcher.reset()
-        assert prefetcher.best_offset == 1
 
 
 class TestMLOP:

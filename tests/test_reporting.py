@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.experiments.reporting import (
-    format_summary_table,
-    format_table,
-    normalized_percent,
-)
+from repro.experiments.reporting import format_summary_table, format_table
 from repro.util.stats import Summary
 
 
@@ -52,13 +48,3 @@ class TestSummaryTable:
         assert "DUCB" in text
         assert "gmean" in text
         assert "99.1" in text
-
-
-class TestNormalizedPercent:
-    def test_basic(self):
-        out = normalized_percent({"a": 1.0, "b": 2.0}, baseline=2.0)
-        assert out == {"a": 50.0, "b": 100.0}
-
-    def test_zero_baseline_rejected(self):
-        with pytest.raises(ValueError):
-            normalized_percent({"a": 1.0}, baseline=0.0)

@@ -1,11 +1,11 @@
 """Tests for the runtime equivalence sanitizer (REPRO_SANITIZE).
 
-The sanitizer replays every compiled trace through both implementations of
-the replay semantics — the fused kernel and the object path — and must (a)
-pass silently when they agree, without changing any result, and (b) abort
-with a first-divergence report (step, field, both values) when they do
-not. The divergence cases perturb the kernel side only, exactly the class
-of bug R10 exists to catch statically.
+Under the sanitizer every runner call goes through ``run_checked``, which
+runs the fast path and its reference on fresh stacks and must (a) pass
+silently when they agree, without changing any result, and (b) abort with
+a first-divergence report (step, field, both values) when they do not.
+The divergence cases perturb the fused replay kernel only, so the object
+path stays the reference.
 """
 
 import pytest
@@ -18,17 +18,15 @@ from repro.core_model.sanitizer import (
     compare_step_logs,
     sanitize_enabled,
 )
-from repro.core_model.trace_core import TraceCore
-from repro.experiments.configs import (
-    BASELINE_HIERARCHY_CONFIG,
-    CORE_CONFIG_TABLE4,
-)
+from repro.core_model.smt_kernel import KERNEL_ENV
+from repro.experiments.configs import scaled_prefetch_params
 from repro.experiments.prefetch import (
     run_bandit_prefetch,
     run_fixed_arm,
     run_fixed_prefetcher,
 )
-from repro.uncore.hierarchy import CacheHierarchy
+from repro.experiments.runner import bandit_prefetch_task, smt_bandit_task
+from repro.experiments.smt import SMTScale
 from repro.workloads.compiled import CompiledTrace
 from repro.workloads.suites import tune_specs
 
@@ -68,15 +66,6 @@ class TestEnablement:
         monkeypatch.delenv(SANITIZE_ENV)
         assert not sanitize_enabled()
 
-    def test_sanitize_rejects_record_hook(self, compiled_trace):
-        core = TraceCore(
-            CacheHierarchy(BASELINE_HIERARCHY_CONFIG), CORE_CONFIG_TABLE4
-        )
-        with pytest.raises(ValueError, match="record_hook"):
-            core.run_compiled(
-                compiled_trace, record_hook=lambda c: None, sanitize=True
-            )
-
 
 class TestCompareStepLogs:
     LOG = [
@@ -115,53 +104,42 @@ class TestCompareStepLogs:
 
 
 class TestHookFreeReplay:
-    def build_core(self):
-        return TraceCore(
-            CacheHierarchy(BASELINE_HIERARCHY_CONFIG), CORE_CONFIG_TABLE4
-        )
+    def test_sanitized_replay_matches_plain(self, compiled_trace,
+                                            monkeypatch):
+        monkeypatch.delenv(SANITIZE_ENV, raising=False)
+        plain = run_fixed_prefetcher(compiled_trace)
+        monkeypatch.setenv(SANITIZE_ENV, "1")
+        checked = run_fixed_prefetcher(compiled_trace)
+        assert checked == plain
 
-    def test_sanitized_replay_matches_plain(self, compiled_trace):
-        plain = self.build_core()
-        plain.run_compiled(compiled_trace, sanitize=False)
-        checked = self.build_core()
-        checked.run_compiled(compiled_trace, sanitize=True)
-        assert checked.instructions == plain.instructions
-        assert checked.cycles == plain.cycles
-        assert checked.hierarchy.stats == plain.hierarchy.stats
-
-    def test_env_variable_switches_it_on(self, compiled_trace, sanitize_env,
-                                         monkeypatch):
+    def test_env_variable_switches_it_on(self, compiled_trace, monkeypatch):
         perturb_kernel(monkeypatch)
-        with pytest.raises(SanitizeDivergence):
-            self.build_core().run_compiled(compiled_trace)
+        monkeypatch.delenv(SANITIZE_ENV, raising=False)
+        run_fixed_arm(compiled_trace, 5)
+        monkeypatch.setenv(SANITIZE_ENV, "1")
+        with pytest.raises(SanitizeDivergence) as info:
+            run_fixed_arm(compiled_trace, 5)
+        assert info.value.context == "run_fixed_arm"
 
     def test_perturbed_kernel_reports_first_divergence(self, compiled_trace,
+                                                       sanitize_env,
                                                        monkeypatch):
         perturb_kernel(monkeypatch)
         with pytest.raises(SanitizeDivergence) as info:
-            self.build_core().run_compiled(compiled_trace, sanitize=True)
+            run_fixed_prefetcher(compiled_trace)
         error = info.value
         assert error.field_name == "instructions"
         assert error.kernel_value == error.object_value + 1
 
-    def test_max_records_is_respected(self, compiled_trace):
-        core = self.build_core()
-        core.run_compiled(compiled_trace, max_records=500, sanitize=True)
-        reference = self.build_core()
-        reference.run_compiled(compiled_trace, max_records=500,
-                               sanitize=False)
-        assert core.instructions == reference.instructions
-
 
 class TestExperimentRunners:
     def test_sanitized_bandit_run_is_bit_identical(self, compiled_trace,
-                                                   sanitize_env):
+                                                   monkeypatch):
+        monkeypatch.setenv(SANITIZE_ENV, "1")
         checked = run_bandit_prefetch(compiled_trace, seed=0)
-        plain = run_bandit_prefetch(compiled_trace, seed=0, sanitize=False)
-        assert checked.ipc == plain.ipc
-        assert checked.cycles == plain.cycles
-        assert checked.arm_history == plain.arm_history
-        assert checked.stats == plain.stats
+        monkeypatch.delenv(SANITIZE_ENV)
+        plain = run_bandit_prefetch(compiled_trace, seed=0)
+        assert checked == plain
 
     def test_sanitized_bandit_catches_kernel_skew(self, compiled_trace,
                                                   sanitize_env, monkeypatch):
@@ -172,16 +150,75 @@ class TestExperimentRunners:
         assert error.context == "run_bandit_prefetch"
         assert error.field_name == "instructions"
 
-    def test_sanitized_fixed_prefetcher_runs(self, compiled_trace,
-                                             sanitize_env):
-        # Pythia's bandwidth probe closes over the live hierarchy, the case
-        # that forces the runner to build its own shadow stack.
-        checked = run_fixed_prefetcher(compiled_trace, "pythia")
-        plain = run_fixed_prefetcher(compiled_trace, "pythia")
-        assert checked.ipc == plain.ipc
+    def test_sanitized_bandit_compares_final_stats(self, compiled_trace,
+                                                   sanitize_env, monkeypatch):
+        """A kernel that miscounts one late prefetch after its last step
+        leaves every step record equal; Figure 9 reports that count, so
+        the final result must be compared too."""
+        real_kernel = trace_core_module.run_replay_kernel
 
-    def test_sanitized_fixed_arm_runs(self, compiled_trace, sanitize_env):
+        def one_more_late(core, *args):
+            real_kernel(core, *args)
+            core.hierarchy.stats.prefetch.late += 1
+
+        monkeypatch.setattr(
+            trace_core_module, "run_replay_kernel", one_more_late
+        )
+        with pytest.raises(SanitizeDivergence) as info:
+            run_bandit_prefetch(compiled_trace, seed=0)
+        assert info.value.context == "run_bandit_prefetch"
+        assert info.value.field_name == "stats.prefetch.late"
+        assert info.value.kernel_value == info.value.object_value + 1
+
+    def test_sanitized_fixed_prefetcher_runs(self, compiled_trace,
+                                             monkeypatch):
+        # Pythia's bandwidth probe closes over the live hierarchy, so each
+        # path must build its own stack.
+        monkeypatch.setenv(SANITIZE_ENV, "1")
+        checked = run_fixed_prefetcher(compiled_trace, "pythia")
+        monkeypatch.delenv(SANITIZE_ENV)
+        plain = run_fixed_prefetcher(compiled_trace, "pythia")
+        assert checked == plain
+
+    def test_sanitized_fixed_arm_runs(self, compiled_trace, monkeypatch):
+        monkeypatch.setenv(SANITIZE_ENV, "1")
         checked = run_fixed_arm(compiled_trace, 5)
-        plain = run_fixed_arm(compiled_trace, 5)
-        assert checked.ipc == plain.ipc
+        monkeypatch.delenv(SANITIZE_ENV)
+        assert checked == run_fixed_arm(compiled_trace, 5)
         assert checked.arm_history == [5]
+
+
+class TestAlgorithmLineups:
+    """The caller's algorithm drives the fast run, and the reference run
+    gets a copy taken before either starts, so it replays from the same
+    untrained state; a sanitized run returns what a plain one does."""
+
+    @pytest.mark.parametrize("algorithm_name", ["eGreedy", "Periodic", "DUCB"])
+    def test_table08_bandit_task(self, algorithm_name, monkeypatch):
+        kwargs = dict(
+            spec_name=tune_specs()[1].name,
+            trace_length=TRACE_LENGTH,
+            params=scaled_prefetch_params(2_000),
+            algorithm_name=algorithm_name,
+        )
+        monkeypatch.delenv(SANITIZE_ENV, raising=False)
+        plain = bandit_prefetch_task(**kwargs)
+        monkeypatch.setenv(SANITIZE_ENV, "1")
+        assert bandit_prefetch_task(**kwargs) == plain
+        # The agent chose arms of its own after the 11-arm round robin.
+        assert len(plain.arm_history) > 11
+
+    @pytest.mark.parametrize("algorithm_name", ["eGreedy", "UCB"])
+    def test_table09_smt_bandit_task(self, algorithm_name, monkeypatch):
+        kwargs = dict(
+            thread_names=("gcc", "lbm"),
+            scale=SMTScale(epoch_cycles=200, total_epochs=30),
+            algorithm_name=algorithm_name,
+        )
+        monkeypatch.delenv(KERNEL_ENV, raising=False)
+        monkeypatch.delenv(SANITIZE_ENV, raising=False)
+        plain = smt_bandit_task(**kwargs)
+        monkeypatch.setenv(SANITIZE_ENV, "1")
+        assert smt_bandit_task(**kwargs) == plain
+        # The agent chose arms of its own after the 6-arm round robin.
+        assert len(plain.arm_history) > 6

@@ -25,7 +25,11 @@ from repro.core_model.smt_kernel import (
 )
 from repro.experiments.configs import scaled_hill_climbing
 from repro.experiments.smt import SMTScale, run_smt_bandit, run_smt_static
-from repro.smt.bandit_control import run_epochs
+from repro.smt.bandit_control import (
+    BanditFetchController,
+    SMTBanditConfig,
+    run_epochs,
+)
 from repro.smt.hill_climbing import HillClimbing
 from repro.smt.pg_policy import BANDIT_PG_ARMS, CHOI_POLICY, ICOUNT_POLICY
 from repro.smt.pipeline import SMTConfig, SMTPipeline
@@ -85,12 +89,22 @@ class TestEquivalence:
         assert kernel.arm_history == objct.arm_history
 
     def test_epoch_logs_bit_identical(self):
-        kernel_log = []
-        objct_log = []
-        run_smt_bandit(MIX, SCALE, use_kernel=True, _epoch_log=kernel_log)
-        run_smt_bandit(MIX, SCALE, use_kernel=False, _epoch_log=objct_log)
-        assert len(kernel_log) > 0
-        compare_step_logs(kernel_log, objct_log, context="test")
+        logs = {True: [], False: []}
+        for use_kernel, log in logs.items():
+            controller = BanditFetchController(
+                SMTPipeline(list(MIX), BANDIT_PG_ARMS[0], seed=0),
+                config=SMTBanditConfig(
+                    step_epochs=SCALE.step_epochs,
+                    step_epochs_rr=SCALE.step_epochs_rr,
+                    hill_climbing=scaled_hill_climbing(SCALE.epoch_cycles),
+                ),
+                use_kernel=use_kernel,
+                epoch_log=log,
+            )
+            controller.run_epoch_budget(SCALE.total_epochs)
+        # One record per epoch plus one per bandit step.
+        assert len(logs[True]) > SCALE.total_epochs
+        compare_step_logs(logs[True], logs[False], context="test")
 
     def test_different_seeds_diverge(self):
         # Sanity: the equality above is meaningful, not vacuous.
@@ -199,20 +213,20 @@ class TestHandOff:
 
 class TestSanitizer:
     def test_sanitized_static_run_passes(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
         monkeypatch.delenv(KERNEL_ENV, raising=False)
-        plain = run_smt_static(MIX, CHOI_POLICY, SCALE, sanitize=False,
-                               use_kernel=True)
+        plain = run_smt_static(MIX, CHOI_POLICY, SCALE)
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
         sanitized = run_smt_static(MIX, CHOI_POLICY, SCALE)
-        assert sanitized.ipc == plain.ipc
+        assert sanitized == plain
 
     def test_sanitized_bandit_run_passes(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
         monkeypatch.delenv(KERNEL_ENV, raising=False)
-        plain = run_smt_bandit(MIX, SCALE, sanitize=False, use_kernel=True)
+        plain = run_smt_bandit(MIX, SCALE)
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
         sanitized = run_smt_bandit(MIX, SCALE)
-        assert sanitized.ipc == plain.ipc
-        assert sanitized.arm_history == plain.arm_history
+        assert sanitized == plain
 
     def test_compare_step_logs_reports_field(self):
         a = SMTStepRecord(step=0, committed0=10, committed1=9, cycles=200.0,

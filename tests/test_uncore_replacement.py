@@ -3,14 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.uncore.replacement import (
-    BRRIP,
-    DRRIP,
-    LRUReplacement,
-    PolicyCache,
-    RandomReplacement,
-    SRRIP,
-)
+from repro.uncore.replacement import LRUReplacement, PolicyCache, SRRIP
 
 
 def make_cache(policy, sets=4, ways=2):
@@ -26,27 +19,6 @@ class TestLRUPolicy:
         cache.lookup(0)
         victim = cache.insert(8)
         assert victim.block == 4
-
-
-class TestRandomPolicy:
-    def test_victim_is_a_resident_block(self):
-        cache = make_cache(RandomReplacement(seed=1))
-        cache.insert(0)
-        cache.insert(4)
-        victim = cache.insert(8)
-        assert victim.block in (0, 4)
-
-    def test_deterministic_per_seed(self):
-        def run(seed):
-            cache = make_cache(RandomReplacement(seed=seed))
-            victims = []
-            for block in range(0, 64, 4):
-                victim = cache.insert(block)
-                if victim:
-                    victims.append(victim.block)
-            return victims
-
-        assert run(3) == run(3)
 
 
 class TestSRRIP:
@@ -102,46 +74,15 @@ class TestSRRIP:
         assert not hits_after_scan(LRUReplacement())
 
 
-class TestDRRIP:
-    def test_leader_sets_disjoint(self):
-        policy = DRRIP(num_sets=64)
-        assert not (policy._srrip_leaders & policy._brrip_leaders)
-
-    def test_psel_moves_on_leader_misses(self):
-        policy = DRRIP(num_sets=64)
-        start = policy.psel
-        leader = next(iter(policy._srrip_leaders))
-        policy.record_miss(leader)
-        assert policy.psel == start - 1
-        brrip_leader = next(iter(policy._brrip_leaders))
-        policy.record_miss(brrip_leader)
-        policy.record_miss(brrip_leader)
-        assert policy.psel == start + 1
-
-    def test_rejects_too_few_sets(self):
-        with pytest.raises(ValueError):
-            DRRIP(num_sets=4, leaders_per_policy=4)
-
-    def test_end_to_end_in_cache(self):
-        cache = PolicyCache("t", size_bytes=64 * 64, ways=4,
-                            policy=DRRIP(num_sets=16))
-        for block in range(200):
-            if cache.lookup(block) is None:
-                cache.insert(block)
-        assert cache.occupancy() <= 64
-
-
 class TestPolicyCacheInvariants:
     @settings(max_examples=25, deadline=None)
-    @given(st.sampled_from(["lru", "random", "srrip", "brrip"]),
+    @given(st.sampled_from(["lru", "srrip"]),
            st.lists(st.integers(min_value=0, max_value=120), min_size=1,
                     max_size=250))
     def test_associativity_never_exceeded(self, policy_name, blocks):
         policy = {
             "lru": LRUReplacement(),
-            "random": RandomReplacement(seed=1),
             "srrip": SRRIP(),
-            "brrip": BRRIP(seed=1),
         }[policy_name]
         cache = make_cache(policy, sets=4, ways=2)
         for block in blocks:

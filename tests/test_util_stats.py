@@ -5,14 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.stats import (
-    RunningMean,
-    Summary,
-    geometric_mean,
-    harmonic_mean,
-    normalize_to,
-    summarize_ratios,
-)
+from repro.util.stats import Summary, geometric_mean, summarize_ratios
 
 
 class TestGeometricMean:
@@ -59,47 +52,6 @@ class TestGeometricMean:
         assert scaled == pytest.approx(geometric_mean(values) * scale, rel=1e-6)
 
 
-class TestHarmonicMean:
-    def test_known_pair(self):
-        assert harmonic_mean([1.0, 3.0]) == pytest.approx(1.5)
-
-    def test_constant(self):
-        assert harmonic_mean([5.0, 5.0, 5.0]) == pytest.approx(5.0)
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            harmonic_mean([])
-
-    def test_nonpositive_raises(self):
-        with pytest.raises(ValueError):
-            harmonic_mean([1.0, 0.0])
-        for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError):
-                harmonic_mean([2.0, bad])
-
-    @given(st.lists(st.floats(min_value=0.01, max_value=100.0), min_size=2,
-                    max_size=20))
-    def test_at_most_geometric(self, values):
-        assert harmonic_mean(values) <= geometric_mean(values) + 1e-9
-
-
-class TestNormalizeTo:
-    def test_basic(self):
-        out = normalize_to({"a": 2.0, "b": 4.0}, "a")
-        assert out == {"a": 1.0, "b": 2.0}
-
-    def test_missing_key_raises(self):
-        with pytest.raises(KeyError):
-            normalize_to({"a": 1.0}, "b")
-
-    def test_zero_baseline_raises(self):
-        with pytest.raises(ValueError):
-            normalize_to({"a": 0.0, "b": 1.0}, "a")
-        for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError):
-                normalize_to({"a": bad, "b": 1.0}, "a")
-
-
 class TestSummary:
     def test_summarize(self):
         summary = summarize_ratios([0.5, 1.0, 2.0])
@@ -120,30 +72,3 @@ class TestSummary:
     def test_str_format(self):
         text = str(Summary(1.0, 2.0, 1.5))
         assert "min=1.0" in text and "gmean=1.5" in text
-
-
-class TestRunningMean:
-    def test_mean_of_sequence(self):
-        mean = RunningMean()
-        for value in [1.0, 2.0, 3.0, 4.0]:
-            mean.add(value)
-        assert mean.mean == pytest.approx(2.5)
-        assert mean.count == 4
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            RunningMean().mean
-
-    def test_reset(self):
-        mean = RunningMean()
-        mean.add(10.0)
-        mean.reset()
-        assert mean.count == 0
-
-    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1,
-                    max_size=50))
-    def test_matches_arithmetic_mean(self, values):
-        mean = RunningMean()
-        for value in values:
-            mean.add(value)
-        assert mean.mean == pytest.approx(sum(values) / len(values), abs=1e-6)

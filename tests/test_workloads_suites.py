@@ -10,14 +10,7 @@ from repro.workloads.smt import (
     smt_tune_mixes,
     thread_profile,
 )
-from repro.workloads.suites import (
-    ALL_SUITES,
-    eval_specs,
-    four_core_mixes,
-    spec_by_name,
-    suite_specs,
-    tune_specs,
-)
+from repro.workloads.suites import ALL_SUITES, eval_specs, spec_by_name, tune_specs
 
 
 class TestSuiteCatalog:
@@ -39,10 +32,6 @@ class TestSuiteCatalog:
         with pytest.raises(ValueError):
             spec_by_name("quake")
 
-    def test_unknown_suite_rejected(self):
-        with pytest.raises(ValueError):
-            suite_specs("SPEC2042")
-
     def test_tune_set_is_spec_only(self):
         assert all(spec.suite in ("SPEC06", "SPEC17") for spec in tune_specs())
         assert len(tune_specs()) >= 20
@@ -62,24 +51,6 @@ class TestSuiteCatalog:
         spec = spec_by_name("gcc06")
         assert spec.trace(200, seed=5) == spec.trace(200, seed=5)
         assert spec.trace(200, seed=5) != spec.trace(200, seed=6)
-
-
-class TestFourCoreMixes:
-    def test_homogeneous_mixes_replicate(self):
-        mixes = four_core_mixes()
-        homog = {k: v for k, v in mixes.items() if k.startswith("homog")}
-        assert homog
-        for mix in homog.values():
-            assert len(mix) == 4
-            assert len({spec.name for spec in mix}) == 1
-
-    def test_heterogeneous_mixes_distinct(self):
-        mixes = four_core_mixes(max_heterogeneous=4)
-        hetero = {k: v for k, v in mixes.items() if k.startswith("hetero")}
-        assert len(hetero) == 4
-        for mix in hetero.values():
-            assert len(mix) == 4
-            assert len({spec.name for spec in mix}) == 4
 
 
 class TestThreadProfiles:

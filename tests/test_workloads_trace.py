@@ -1,16 +1,9 @@
-"""Tests for trace records, statistics, and (de)serialization."""
+"""Tests for trace records and (de)serialization."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.workloads.trace import (
-    BLOCK_BYTES,
-    TraceRecord,
-    concatenate,
-    read_trace,
-    trace_stats,
-    write_trace,
-)
+from repro.workloads.trace import BLOCK_BYTES, TraceRecord, read_trace, write_trace
 
 
 record_strategy = st.builds(
@@ -32,26 +25,6 @@ class TestTraceRecord:
     def test_dependent_defaults_false(self):
         record = TraceRecord(0, 0, False, 0)
         assert record.dependent is False
-
-
-class TestTraceStats:
-    def test_counts(self):
-        trace = [
-            TraceRecord(0x10, 0, False, 3),
-            TraceRecord(0x20, 64, True, 1),
-            TraceRecord(0x10, 0, False, 0),
-        ]
-        stats = trace_stats(trace)
-        assert stats.accesses == 3
-        assert stats.instructions == 3 + (3 + 1 + 0)
-        assert stats.unique_blocks == 2
-        assert stats.unique_pcs == 2
-        assert stats.write_fraction == pytest.approx(1 / 3)
-
-    def test_empty_trace(self):
-        stats = trace_stats([])
-        assert stats.accesses == 0
-        assert stats.write_fraction == 0.0
 
 
 class TestSerialization:
@@ -88,13 +61,3 @@ class TestSerialization:
             path = Path(tmp) / "t.bin.gz"
             write_trace(trace, path)
             assert read_trace(path) == trace
-
-
-class TestConcatenate:
-    def test_concatenation_order(self):
-        a = [TraceRecord(1, 0, False, 0)]
-        b = [TraceRecord(2, 64, False, 0)]
-        assert concatenate([a, b]) == a + b
-
-    def test_empty(self):
-        assert concatenate([]) == []
