@@ -113,10 +113,23 @@ class TraceCore:
             self.retire_time = ready if ready > next_retire else next_retire
         self._window.append((index, self.retire_time))
 
-    def run(self, trace: Iterable[TraceRecord]) -> None:
-        """Replay ``trace`` to completion."""
+    def run(
+        self,
+        trace: Iterable[TraceRecord],
+        record_hook: Optional[
+            Callable[["TraceCore"], Optional[Tuple[float, float]]]
+        ] = None,
+    ) -> None:
+        """Replay ``trace`` to completion through :meth:`execute`.
+
+        ``record_hook(core)`` fires after every record. This is the object
+        path: it ignores the thresholds a hook may return (see
+        :meth:`run_compiled`), which only let the fused kernel skip calls.
+        """
         for record in trace:
             self.execute(record)
+            if record_hook is not None:
+                record_hook(self)
 
     def run_compiled(
         self,
@@ -131,9 +144,9 @@ class TraceCore:
         prefetcher) replays through the fused kernel of
         :mod:`repro.core_model.replay_kernel`, without per-record objects.
         Any other hierarchy replays ``trace.to_records()`` through
-        :meth:`execute`. Either way the result is bit-identical to
-        :meth:`run` over the equivalent object trace (counters, cycles, and
-        hierarchy state); the runtime sanitizer checks that, run by run,
+        :meth:`run`. Either way the result is bit-identical to :meth:`run`
+        over the equivalent object trace (counters, cycles, and hierarchy
+        state); the runtime sanitizer checks that, run by run,
         from the experiment runners (see :mod:`repro.core_model.sanitizer`).
 
         ``record_hook(core)`` fires after each record with ``instructions``
@@ -154,10 +167,7 @@ class TraceCore:
             and type(hierarchy.l2) is Cache
             and type(hierarchy.llc) is Cache
         ):
-            for record in trace.to_records():
-                self.execute(record)
-                if record_hook is not None:
-                    record_hook(self)
+            self.run(trace.to_records(), record_hook)
             return
         pcs, blocks, all_flags, gaps = trace.as_lists()
         # Cyclic garbage is not produced at replay rates worth the gen-0

@@ -85,7 +85,7 @@ def _replay(
 ) -> None:
     """Replay ``trace`` on ``core``: a compiled trace through
     :meth:`TraceCore.run_compiled` unless ``reference`` asks for the object
-    path, which replays the records through :meth:`TraceCore.execute`.
+    path, which replays the records through :meth:`TraceCore.run`.
 
     ``hook(core)`` follows ``run_compiled``'s thresholded record-hook
     protocol, and the object path calls it after every record. Without a
@@ -108,11 +108,9 @@ def _replay(
     if isinstance(trace, CompiledTrace) and not reference:
         core.run_compiled(trace, record_hook=hook)
         return
-    records = trace.to_records() if isinstance(trace, CompiledTrace) else trace
-    for record in records:
-        core.execute(record)
-        if hook is not None:
-            hook(core)
+    core.run(
+        trace.to_records() if isinstance(trace, CompiledTrace) else trace, hook
+    )
 
 
 def _result(

@@ -7,12 +7,13 @@ Every paper figure decomposes into independent *tasks* — one trace replay
   lists. Results come back in submission order regardless of completion
   order, and every task carries its own seed in its kwargs, so ``--jobs 4``
   produces bit-identical figures to a serial run.
-- :class:`ResultCache` — a content-keyed on-disk cache. The key is a stable
-  SHA-256 over the task function's qualified name and a canonical encoding
-  of its kwargs (workload spec name, trace length, seeds, and the config
-  dataclasses), so a replay is re-executed only when an input changed.
-  Payloads are pickled :class:`~repro.experiments.prefetch.PrefetchRunResult`
-  / :class:`~repro.experiments.smt.SMTRunResult` values (or plain dicts);
+- :class:`ResultCache` — a content-keyed on-disk cache: one SQLite table
+  per cache directory, one row per task. The key is a stable SHA-256 over
+  the task function's qualified name and a canonical encoding of its kwargs
+  (workload spec name, trace length, seeds, and the config dataclasses), so
+  a replay is re-executed only when an input changed. Values are pickled
+  :class:`~repro.experiments.prefetch.PrefetchRunResult` /
+  :class:`~repro.experiments.smt.SMTRunResult` values (or plain dicts);
   bumping :data:`CACHE_SCHEMA_VERSION` invalidates every stored entry.
 - :class:`RunTelemetry` — per-task wall time and cache hit/miss accounting,
   plus a JSON run manifest emitted alongside the tables.
@@ -37,7 +38,7 @@ import inspect
 import json
 import os
 import pickle
-import tempfile
+import sys
 import time
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -103,6 +104,10 @@ from repro.workloads.suites import spec_by_name
 #: each distinct lane once changed no result and no payload field, so v6
 #: entries stay valid (``lane_kernel`` now reads ``"dict"`` or
 #: ``"scalar"``; older entries may read ``"array"``).
+#: Moving the store from one pickle file per entry to one SQLite table
+#: kept v6: the version is part of every key (and so of the pinned task
+#: lists), no entry's meaning changed, and the old per-entry files are
+#: simply no longer read.
 CACHE_SCHEMA_VERSION = 6
 
 
@@ -301,57 +306,158 @@ class TaskExecutionError(RuntimeError):
 # ==================================================================== cache
 
 
-class ResultCache:
-    """Content-keyed pickle store under ``directory/v<schema>/``.
+#: Seconds a statement waits for another connection's lock on the result
+#: store before ``sqlite3.OperationalError`` ("database is locked") is
+#: raised. Concurrent runs on one directory hold the write lock for one
+#: row at a time, so only a stuck or very slow writer reaches it.
+STORE_BUSY_TIMEOUT_S = 60.0
 
-    Writes are atomic (temp file + ``os.replace``), so concurrent workers
-    and concurrent CLI invocations may share one cache directory. Unreadable
-    or truncated entries are treated as misses and overwritten.
+_CREATE_RESULTS = ("CREATE TABLE IF NOT EXISTS results "
+                   "(key TEXT PRIMARY KEY, value BLOB NOT NULL) WITHOUT ROWID")
+_SELECT_RESULT = "SELECT value FROM results WHERE key = ?"
+_REPLACE_RESULT = "INSERT OR REPLACE INTO results (key, value) VALUES (?, ?)"
+
+
+class ResultCache:
+    """Content-keyed result store: one SQLite table per cache directory.
+
+    Entries live in ``directory/v<schema>/results.sqlite`` (with its
+    ``-wal`` and ``-shm`` side files while a connection is open), one row
+    of ``results(key TEXT PRIMARY KEY, value BLOB NOT NULL)`` per task,
+    the value pickled. The store runs in WAL mode with
+    ``synchronous=NORMAL``: commits do not fsync, and the file stays
+    consistent after a crash. Each :meth:`put` is one autocommit
+    ``INSERT OR REPLACE``, so a put is atomic and no transaction spans two
+    tasks: an interrupt or a failing task keeps every entry written before
+    it. Concurrent workers and concurrent CLI invocations may share one
+    cache directory on a local filesystem (WAL's shared-memory index does
+    not work over a network filesystem); a writer waits up to
+    :data:`STORE_BUSY_TIMEOUT_S` for another's lock.
+
+    A value that does not unpickle (a stale pickle from a refactored
+    module, corrupt bytes) is a miss, and the rerun task's put overwrites
+    it. A damaged store file (SQLite reports "not a database" or
+    "malformed") is reported once on stderr and then bypassed: every get
+    misses and every put is dropped, which leaves the results unchanged.
+    Deleting the file rebuilds the cache.
+
+    The connection opens on first use, and again in a forked child, which
+    must not use its parent's connection. It serves the thread that opened
+    it; give each thread its own :class:`ResultCache`.
     """
 
     def __init__(self, directory: str | Path) -> None:
         self.root = Path(directory)
         self.directory = self.root / f"v{CACHE_SCHEMA_VERSION}"
+        self.path = self.directory / "results.sqlite"
+        self._connection: Any = None
+        #: The process that opened ``_connection``.
+        self._pid = 0
+        self._damaged = False
 
-    def _path(self, key: str) -> Path:
-        return self.directory / key[:2] / f"{key}.pkl"
+    def _store(self) -> Any:
+        """The open connection, opened on first use; ``None`` once damaged."""
+        if self._pid == os.getpid():
+            return self._connection
+        if self._damaged:
+            return None
+        # Imported here, not at module level: the import takes a few
+        # milliseconds that importing the figures should not pay.
+        import sqlite3
+
+        self.directory.mkdir(parents=True, exist_ok=True)
+        # ``isolation_level=None``: every statement commits on its own.
+        self._connection = sqlite3.connect(
+            self.path, timeout=STORE_BUSY_TIMEOUT_S, isolation_level=None
+        )
+        self._pid = os.getpid()
+        try:
+            # Switching a new store to WAL upgrades a read lock to a write
+            # lock, and while another connection switches it too, SQLite
+            # answers "database is locked" at once instead of waiting. Once
+            # one switch commits, the others find WAL mode and only read.
+            deadline = time.monotonic() + STORE_BUSY_TIMEOUT_S
+            while True:
+                try:
+                    self._connection.execute("PRAGMA journal_mode=WAL")
+                    break
+                except sqlite3.OperationalError as error:
+                    if ("locked" not in str(error)
+                            or time.monotonic() >= deadline):
+                        raise
+                    time.sleep(0.001)
+            self._connection.execute("PRAGMA synchronous=NORMAL")
+            self._connection.execute(_CREATE_RESULTS)
+        except Exception as error:
+            if not self._bypass(error):
+                self.close()
+                raise
+        return self._connection
+
+    def _bypass(self, error: Exception) -> bool:
+        """Whether ``error`` shows a damaged store; if so, warn once and
+        stop using the store. Any other error is the caller's to raise."""
+        import sqlite3
+
+        # SQLITE_NOTADB and SQLITE_CORRUPT raise ``DatabaseError`` itself;
+        # busy, locked and I/O errors raise its subclass OperationalError,
+        # which must surface once the busy timeout has expired.
+        if type(error) is not sqlite3.DatabaseError:
+            return False
+        # ``_pid`` stays, so :meth:`_store` answers ``None`` from now on.
+        self._connection.close()
+        self._connection = None
+        self._damaged = True
+        print(f"[cache] warning: result store {self.path} is damaged "
+              f"({error}); this run is not cached. Deleting the file "
+              "rebuilds the cache.", file=sys.stderr)
+        return True
+
+    def _query(self, sql: str, parameters: Tuple[Any, ...]) -> Any:
+        """The first row ``sql`` returns, or ``None`` when it returns none
+        or the store is bypassed."""
+        store = self._store()
+        if store is None:
+            return None
+        try:
+            return store.execute(sql, parameters).fetchone()
+        except Exception as error:
+            if not self._bypass(error):
+                raise
+            return None
 
     def get(self, key: str) -> Tuple[bool, Any]:
-        """Returns ``(hit, value)``; corrupt entries count as misses."""
-        # The file ``self._path(key)`` names, joined from strings: the two
-        # pathlib joins were about a sixth of a warm lookup.
-        path = f"{self.directory}{os.sep}{key[:2]}{os.sep}{key}.pkl"
+        """Returns ``(hit, value)``; undecodable entries count as misses."""
+        row = self._query(_SELECT_RESULT, (key,))
+        if row is None:
+            return False, None
         try:
-            with open(path, "rb") as handle:
-                return True, pickle.load(handle)
+            return True, pickle.loads(row[0])
         except Exception:
-            # Missing files, stale pickles from a refactored module and
-            # corrupt bytes all regenerate instead of crashing the run;
-            # ``pickle.load`` documents no bound on what corrupt input
-            # raises (ValueError, OverflowError, UnicodeDecodeError, ...).
+            # Stale pickles from a refactored module and corrupt bytes
+            # regenerate instead of crashing the run; ``pickle.loads``
+            # documents no bound on what corrupt input raises (ValueError,
+            # OverflowError, UnicodeDecodeError, ...).
             return False, None
 
     def put(self, key: str, value: Any) -> None:
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        handle = tempfile.NamedTemporaryFile(
-            mode="wb", dir=path.parent, suffix=".tmp", delete=False
-        )
-        try:
-            with handle:
-                pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(handle.name, path)
-        except BaseException:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
+        data = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        self._query(_REPLACE_RESULT, (key, data))
 
     def __len__(self) -> int:
-        if not self.directory.is_dir():
+        """Rows in the store; 0, without creating it, when it does not exist."""
+        if self._connection is None and not self.path.exists():
             return 0
-        return sum(1 for _ in self.directory.glob("*/*.pkl"))
+        row = self._query("SELECT COUNT(*) FROM results", ())
+        return 0 if row is None else row[0]
+
+    def close(self) -> None:
+        """Close the connection; the next use reopens it. The last
+        connection to close folds the WAL back into the store file."""
+        if self._connection is not None:
+            self._connection.close()
+            self._connection = None
+        self._pid = 0
 
 
 # ================================================================ telemetry

@@ -3,11 +3,14 @@
 import json
 import os
 import pickle
+import random
+import sqlite3
 import subprocess
 import sys
 import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import closing
 from enum import IntEnum
 from pathlib import Path
 from dataclasses import dataclass, fields, is_dataclass, make_dataclass
@@ -16,6 +19,7 @@ from typing import Any
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.experiments import runner
 from repro.experiments.configs import PREFETCH_BANDIT_CONFIG
 from repro.experiments.runner import (
     CACHE_SCHEMA_VERSION,
@@ -72,6 +76,43 @@ def _depth_worker(*, value, depth=4):
 
 def _depth_worker_v2(*, value, depth=8):
     return value * depth
+
+
+def _stored_bytes(cache, key):
+    """The pickled bytes the store holds for ``key``."""
+    with closing(sqlite3.connect(cache.path)) as db:
+        row = db.execute("SELECT value FROM results WHERE key = ?",
+                         (key,)).fetchone()
+    return row[0]
+
+
+def _overwrite_stored_bytes(cache, key, data):
+    """Replace the stored bytes of ``key`` in place."""
+    with closing(sqlite3.connect(cache.path)) as db, db:
+        updated = db.execute("UPDATE results SET value = ? WHERE key = ?",
+                             (data, key)).rowcount
+    assert updated == 1
+
+
+#: One writer of the cross-process store test: waits until all three
+#: writers have started, then puts ``count`` keys from ``first`` on.
+_PUT_KEYS = """
+import sys, time
+from pathlib import Path
+sys.path.insert(0, "src")
+from repro.experiments.runner import ResultCache
+directory, barrier, first, count = sys.argv[1:]
+first, count = int(first), int(count)
+(Path(barrier) / f"ready-{first}").touch()
+deadline = time.monotonic() + 60
+while len(list(Path(barrier).glob("ready-*"))) < 3:
+    if time.monotonic() > deadline:
+        sys.exit("writers never met at the barrier")
+    time.sleep(0.001)
+cache = ResultCache(directory)
+for index in range(first, first + count):
+    cache.put(f"{index:064x}", {"index": index})
+"""
 
 
 class _Scaler:
@@ -331,8 +372,7 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         key = "cd" * 32
         cache.put(key, [1, 2, 3])
-        path = cache._path(key)
-        path.write_bytes(b"not a pickle")
+        _overwrite_stored_bytes(cache, key, b"not a pickle")
         hit, value = cache.get(key)
         assert not hit and value is None
 
@@ -348,8 +388,8 @@ class TestResultCache:
         cache.put(key, 1)
         # Protocol-0 GLOBAL opcode against a module that does not exist:
         # unpickling raises ModuleNotFoundError (an ImportError).
-        cache._path(key).write_bytes(
-            b"cdefinitely_not_a_module_xyz\nNope\n."
+        _overwrite_stored_bytes(
+            cache, key, b"cdefinitely_not_a_module_xyz\nNope\n."
         )
         hit, value = cache.get(key)
         assert not hit and value is None
@@ -364,13 +404,13 @@ class TestResultCache:
         lambda data: data.replace(b"results", b"result\xff"),
     ], ids=["protocol-byte", "frame-length", "invalid-utf8"])
     def test_undecodable_entry_is_regenerated(self, tmp_path, corrupt):
-        """Whatever ``pickle.load`` raises on a corrupt entry is a miss:
+        """Whatever ``pickle.loads`` raises on a corrupt entry is a miss:
         the task runs again and its result overwrites the entry."""
         cache = ResultCache(tmp_path)
         task = Task(_dict_payload, {"n": 3})
         run_parallel([task], jobs=1, cache=cache, telemetry=RunTelemetry())
-        path = cache._path(task.key())
-        path.write_bytes(corrupt(path.read_bytes()))
+        key = task.key()
+        _overwrite_stored_bytes(cache, key, corrupt(_stored_bytes(cache, key)))
         telemetry = RunTelemetry()
         assert run_parallel([task], jobs=1, cache=cache,
                             telemetry=telemetry) == [_dict_payload(n=3)]
@@ -378,17 +418,16 @@ class TestResultCache:
         assert cache.get(task.key()) == (True, _dict_payload(n=3))
 
     def test_interrupted_put_leaves_no_litter(self, tmp_path, monkeypatch):
-        """An interrupt mid-pickle removes the temp file and publishes no
-        entry, so the next read misses instead of unpickling half a value."""
+        """An interrupt mid-pickle writes nothing and publishes no entry,
+        so the next read misses instead of unpickling half a value."""
         cache = ResultCache(tmp_path)
         key = "ab" * 32
 
-        def interrupted(value, handle, protocol=None):
-            handle.write(b"\x80\x05partial")
+        def interrupted(value, protocol=None):
             raise KeyboardInterrupt
 
         with monkeypatch.context() as patch:
-            patch.setattr(pickle, "dump", interrupted)
+            patch.setattr(pickle, "dumps", interrupted)
             with pytest.raises(KeyboardInterrupt):
                 cache.put(key, {"ipc": 1.25})
         assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
@@ -428,6 +467,75 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         assert len(cache) == 1
         assert cache.get(key) == (True, value)
+
+    def test_concurrent_processes_share_one_store(self, tmp_path):
+        """Three processes putting overlapping key sets into one fresh
+        directory leave every key loadable, each stored once."""
+        barrier = tmp_path / "barrier"
+        barrier.mkdir()
+        repo_root = Path(__file__).resolve().parent.parent
+        writers = [
+            subprocess.Popen(
+                [sys.executable, "-c", _PUT_KEYS, str(tmp_path / "cache"),
+                 str(barrier), str(first), "600"],
+                cwd=repo_root, stderr=subprocess.PIPE, text=True,
+            )
+            for first in (0, 300, 600)
+        ]
+        for writer in writers:
+            _, err = writer.communicate(timeout=120)
+            assert writer.returncode == 0, err
+        cache = ResultCache(tmp_path / "cache")
+        for index in range(1200):
+            assert cache.get(f"{index:064x}") == (True, {"index": index})
+        assert len(cache) == 1200
+
+    def test_locked_store_is_not_damage(self, tmp_path, monkeypatch):
+        """A store another connection holds the write lock on is busy, not
+        damaged: the put raises once the busy timeout expires."""
+        monkeypatch.setattr(runner, "STORE_BUSY_TIMEOUT_S", 0.05)
+        ResultCache(tmp_path).put("aa" * 32, 1)
+        cache = ResultCache(tmp_path)
+        with closing(sqlite3.connect(cache.path, isolation_level=None)) as holder:
+            holder.execute("BEGIN IMMEDIATE")
+            with pytest.raises(sqlite3.OperationalError, match="locked"):
+                cache.put("bb" * 32, 2)
+            holder.execute("ROLLBACK")
+        cache.put("bb" * 32, 2)
+        assert cache.get("bb" * 32) == (True, 2)
+
+    @pytest.mark.parametrize("damage", ["random-bytes", "truncated-store"])
+    def test_damaged_store_runs_uncached(self, tmp_path, capsys, damage):
+        """A store file SQLite cannot read is reported once and bypassed:
+        the run computes every result and raises nothing. Deleting the
+        file rebuilds the cache."""
+        tasks = [Task(_dict_payload, {"n": 200 * n}) for n in range(1, 9)]
+        expected = [_dict_payload(n=200 * n) for n in range(1, 9)]
+        path = ResultCache(tmp_path).path
+        if damage == "random-bytes":
+            path.parent.mkdir(parents=True)
+            path.write_bytes(random.Random(0).randbytes(4096))
+        else:
+            filled = ResultCache(tmp_path)
+            run_parallel(tasks, jobs=1, cache=filled, telemetry=RunTelemetry())
+            filled.close()
+            data = path.read_bytes()
+            path.write_bytes(data[:len(data) // 2])
+        capsys.readouterr()
+        telemetry = RunTelemetry()
+        assert run_parallel(tasks, jobs=1, cache=ResultCache(tmp_path),
+                            telemetry=telemetry) == expected
+        assert telemetry.cache_misses == len(tasks)
+        err = capsys.readouterr().err
+        assert err.count("warning") == 1
+        assert str(path) in err and "Deleting the file rebuilds the cache" in err
+        path.unlink()
+        for hits in (0, len(tasks)):
+            telemetry = RunTelemetry()
+            assert run_parallel(tasks, jobs=1, cache=ResultCache(tmp_path),
+                                telemetry=telemetry) == expected
+            assert telemetry.cache_hits == hits
+        assert capsys.readouterr().err == ""
 
 
 class TestRunParallel:
