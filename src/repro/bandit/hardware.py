@@ -89,12 +89,14 @@ class MicroArmedBandit:
 
         arm = bandit.begin_step()              # arm to apply this step
         ...simulate one bandit step...
-        bandit.end_step(counters, now_cycles)  # counters at the boundary
+        bandit.end_step(counters)              # counters at the boundary
 
-    ``active_arm(cycle)`` accounts for the selection latency: until
-    ``selection_ready_cycle`` the previously selected arm remains in effect
-    (§6.1: "the prefetcher and the SMT scheduler do not stall but continue
-    operating with the previously selected arm").
+    ``begin_step`` sets ``selection_ready_cycle``, the cycle at which the
+    new arm may take effect; until then the controlled unit keeps running
+    the previously selected arm (§6.1: "the prefetcher and the SMT
+    scheduler do not stall but continue operating with the previously
+    selected arm"). The step controllers, such as
+    :class:`PrefetchBanditController`, apply the arm at that cycle.
     """
 
     def __init__(
@@ -107,7 +109,6 @@ class MicroArmedBandit:
         self.hardware = BanditHardwareModel(algorithm.num_arms)
         self._reward = IPCReward()
         self._current_arm: int | None = None
-        self._previous_arm: int | None = None
         self.selection_ready_cycle = 0.0
         self.steps_completed = 0
 
@@ -130,17 +131,8 @@ class MicroArmedBandit:
 
     def begin_step(self, now_cycle: float = 0.0) -> int:
         """Select the arm to apply for the upcoming bandit step."""
-        self._previous_arm = self._current_arm
         self._current_arm = self.algorithm.select_arm()
         self.selection_ready_cycle = now_cycle + self.selection_latency_cycles
-        return self._current_arm
-
-    def active_arm(self, cycle: float) -> int:
-        """Arm actually in effect at ``cycle``, modeling selection latency."""
-        if self._current_arm is None:
-            raise RuntimeError("begin_step() has not been called")
-        if cycle < self.selection_ready_cycle and self._previous_arm is not None:
-            return self._previous_arm
         return self._current_arm
 
     def end_step(self, counters: PerformanceCounters) -> float:
@@ -183,13 +175,12 @@ class PrefetchBanditController:
     :meth:`finish` trains on the trailing partial step, or retracts it when
     it covered zero cycles. ``apply(arm)`` reprograms the controlled unit.
 
-    The episode starts on a fresh core (zero counters). A replay loop calls
-    :meth:`on_record` after every record::
+    The episode starts on a fresh core (zero counters). A replay calls
+    :meth:`on_record` after every record, as its record hook::
 
         controller = PrefetchBanditController(algorithm, ensemble.set_arm, step)
-        for record in trace:
-            core.execute(record)
-            controller.on_record(stats.l2_demand_accesses, core.counters())
+        core.run(trace, lambda hook_core: controller.on_record(
+            stats.l2_demand_accesses, hook_core.counters()))
         controller.finish(core.counters(), stats.l2_demand_accesses)
 
     ``step_log`` collects the sanitizer's per-step checkpoints: one at the

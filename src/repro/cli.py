@@ -381,10 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--profile", action="store_true",
                          help="run under cProfile; writes <cache-dir>/"
                               "profiles/<command>.prof and a JSON summary")
-        cmd.add_argument("--deterministic-manifest", action="store_true",
-                         help="zero wall-clock fields in the run manifest "
-                              "so identical runs produce byte-identical "
-                              "manifests")
         cmd.add_argument("--sanitize", action="store_true",
                          help="run every fast-path simulation on its "
                               "reference path too and assert equal "
@@ -432,7 +428,6 @@ def main(argv=None) -> int:
         manifest_path = Path(args.cache_dir) / f"{args.command}.manifest.json"
         telemetry.write_manifest(
             manifest_path, command=args.command,
-            deterministic=args.deterministic_manifest,
             argv=list(argv) if argv is not None else sys.argv[1:],
             jobs=args.jobs,
         )

@@ -174,7 +174,7 @@ def verify_lane_batch(
     ``lanes`` are the requested lanes, and ``results``, ``checkpoint_logs``
     and ``step_logs`` are indexed by requested lane. Every requested lane,
     copies included, is re-run through the object path with its own seed
-    (``TraceCore.execute`` on a fresh stack, with a
+    (``TraceCore.run`` on a fresh stack, with a
     :class:`~repro.bandit.hardware.PrefetchBanditController` called on
     every record for bandit lanes), so a copy whose own replay would differ
     fails here. Each is compared on:
@@ -229,15 +229,18 @@ def verify_lane_batch(
 
         object_checkpoints: List[StepRecord] = []
         replayed = 0
-        for record in records:
-            core.execute(record)
+
+        def hook(hook_core: "TraceCore") -> None:
+            nonlocal replayed
             replayed += 1
             if controller is not None:
                 controller.on_record(
-                    stats.l2_demand_accesses, core.counters()
+                    stats.l2_demand_accesses, hook_core.counters()
                 )
             if replayed % stride == 0 or replayed == total:
-                object_checkpoints.append(snapshot(replayed, core))
+                object_checkpoints.append(snapshot(replayed, hook_core))
+
+        core.run(records, hook)
 
         if controller is not None:
             controller.finish(core.counters(), stats.l2_demand_accesses)

@@ -85,9 +85,9 @@ def _run_joint_bandit(
     controller = PrefetchBanditController(
         algorithm, apply, params.step_l2_accesses, selection_latency_cycles=0
     )
-    for record in trace:
-        core.execute(record)
-        controller.on_record(stats.l2_demand_accesses, core.counters())
+    core.run(trace, lambda hook_core: controller.on_record(
+        stats.l2_demand_accesses, hook_core.counters()
+    ))
     controller.finish(core.counters(), stats.l2_demand_accesses)
     hierarchy.finalize()
     return core.ipc, list(algorithm.selection_history)

@@ -489,9 +489,6 @@ class RunTelemetry:
 
     def __init__(self) -> None:
         self.tasks: List[TaskRecord] = []
-        #: Named phase timings (trace generation, replay, reporting, ...)
-        #: accumulated via :meth:`phase` / :meth:`add_phase`.
-        self.phases: Dict[str, float] = {}
         self._started = time.perf_counter()
 
     def record(
@@ -508,19 +505,6 @@ class RunTelemetry:
             label, key, seconds, cache_hit, records,
             lane_kernel=lane_kernel, lane_fallback=lane_fallback,
         ))
-
-    def add_phase(self, name: str, seconds: float) -> None:
-        """Accumulate ``seconds`` into the named phase bucket."""
-        self.phases[name] = self.phases.get(name, 0.0) + seconds
-
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        """Time a ``with`` block into the named phase bucket."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add_phase(name, time.perf_counter() - start)
 
     @property
     def cache_hits(self) -> int:
@@ -564,48 +548,38 @@ class RunTelemetry:
             line += f", {throughput:,.0f} records/s"
         return line
 
-    def manifest(
-        self, *, deterministic: bool = False, **extra: Any
-    ) -> Dict[str, Any]:
+    def manifest(self, **extra: Any) -> Dict[str, Any]:
         """The JSON run manifest emitted alongside the tables.
 
-        ``deterministic=True`` zeroes every wall-clock-derived field
-        (per-task seconds, totals, phases, throughput) so two runs of the
-        same figure produce byte-identical manifests — the run-to-run
-        stable part is exactly the task list, its ordering, the cache keys,
-        and the replayed-record counts.
+        Apart from the wall-clock fields (per-task ``seconds`` and the
+        totals' ``task_seconds``, ``wall_seconds`` and
+        ``records_per_second``), two runs of the same figure write the
+        same manifest: the task list, its ordering, the cache keys and the
+        replayed-record counts.
         """
         body: Dict[str, Any] = {
-            "manifest_version": 3,
+            "manifest_version": 4,
             "cache_schema_version": CACHE_SCHEMA_VERSION,
             "totals": {
                 "tasks": len(self.tasks),
                 "cache_hits": self.cache_hits,
                 "cache_misses": self.cache_misses,
-                "task_seconds": 0.0 if deterministic
-                else round(self.task_seconds, 6),
-                "wall_seconds": 0.0 if deterministic
-                else round(self.wall_seconds, 6),
+                "task_seconds": round(self.task_seconds, 6),
+                "wall_seconds": round(self.wall_seconds, 6),
                 "replayed_records": self.replayed_records,
-                "records_per_second": 0.0 if deterministic
-                else round(self.records_per_second, 3),
+                "records_per_second": round(self.records_per_second, 3),
             },
-            "phases": {
-                name: 0.0 if deterministic else round(seconds, 6)
-                for name, seconds in sorted(self.phases.items())
-            },
-            "tasks": [self._task_entry(record, deterministic)
-                      for record in self.tasks],
+            "tasks": [self._task_entry(record) for record in self.tasks],
         }
         body.update(extra)
         return body
 
     @staticmethod
-    def _task_entry(record: TaskRecord, deterministic: bool) -> Dict[str, Any]:
+    def _task_entry(record: TaskRecord) -> Dict[str, Any]:
         entry: Dict[str, Any] = {
             "label": record.label,
             "key": record.key,
-            "seconds": 0.0 if deterministic else round(record.seconds, 6),
+            "seconds": round(record.seconds, 6),
             "cache_hit": record.cache_hit,
             "records": record.records,
         }
@@ -616,12 +590,10 @@ class RunTelemetry:
             entry["lane_fallback"] = record.lane_fallback
         return entry
 
-    def write_manifest(
-        self, path: str | Path, *, deterministic: bool = False, **extra: Any
-    ) -> Path:
+    def write_manifest(self, path: str | Path, **extra: Any) -> Path:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        body = self.manifest(deterministic=deterministic, **extra)
+        body = self.manifest(**extra)
         path.write_text(json.dumps(body, indent=2) + "\n")
         return path
 

@@ -94,30 +94,6 @@ class PythiaPrefetcher(Prefetcher):
         # The paper charges Pythia 25.5 KB (§7.2.1).
         return 25 * 1024 + 512
 
-    # ----------------------------------------------------------------- state
-
-    def _state(self, pc: int, block: int) -> int:
-        delta = 0 if self._last_block is None else block - self._last_block
-        # Quantize the delta into a small signed bucket, combine with PC bits.
-        if delta > 16:
-            delta = 17
-        elif delta < -16:
-            delta = -17
-        return ((pc & 0x3F) << 6) | ((delta + 17) & 0x3F)
-
-    def _q_values(self, state: int) -> List[float]:
-        values = self._q.get(state)
-        if values is None:
-            if len(self._q) >= self.config.max_states:
-                evicted_state, _ = self._q.popitem(last=False)
-                del self._qmax[evicted_state]
-            values = [0.0] * len(self.actions)
-            self._q[state] = values
-            self._qmax[state] = (0.0, 0)
-        else:
-            self._q.move_to_end(state)
-        return values
-
     # ------------------------------------------------------------------- API
 
     def observe(self, pc: int, block: int, cycle: float, hit: bool) -> List[int]:
@@ -125,7 +101,8 @@ class PythiaPrefetcher(Prefetcher):
         access_index = self._access_index + 1
         self._access_index = access_index
 
-        # _resolve_demand, inlined: reward a pending prefetch on its demand.
+        # Reward a pending prefetch on its demand: timely if it was issued
+        # long enough ago, late otherwise.
         entry = self._pending.pop(block, None)
         if entry is not None:
             if access_index - entry[2] >= config.late_age_accesses:
@@ -133,7 +110,8 @@ class PythiaPrefetcher(Prefetcher):
             else:
                 self._update(entry[0], entry[1], config.reward_late)
 
-        # _state, inlined.
+        # State: the PC's low bits and the block delta, quantized into a
+        # small signed bucket.
         last_block = self._last_block
         delta = 0 if last_block is None else block - last_block
         if delta > 16:
@@ -143,7 +121,7 @@ class PythiaPrefetcher(Prefetcher):
         state = ((pc & 0x3F) << 6) | ((delta + 17) & 0x3F)
         self._last_block = block
 
-        # _q_values, inlined.
+        # The state's Q values, LRU-bounded at ``max_states``.
         q = self._q
         qmax = self._qmax
         values = q.get(state)
@@ -186,18 +164,6 @@ class PythiaPrefetcher(Prefetcher):
             old_block, entry = self._pending.popitem(last=False)
             self._reward_inaccurate(entry)
         self._pending[block] = (state, action_index, self._access_index)
-
-    def _resolve_demand(self, block: int) -> None:
-        entry = self._pending.pop(block, None)
-        if entry is None:
-            return
-        state, action_index, issued_at = entry
-        age = self._access_index - issued_at
-        if age >= self.config.late_age_accesses:
-            reward = self.config.reward_timely
-        else:
-            reward = self.config.reward_late
-        self._update(state, action_index, reward)
 
     def _reward_inaccurate(self, entry: Tuple[int, int, int]) -> None:
         state, action_index, _ = entry

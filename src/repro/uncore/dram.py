@@ -64,10 +64,6 @@ class DRAMModel:
         self.writeback_accesses += 1
 
     @property
-    def channel_free_at(self) -> float:
-        return self._channel_free_at
-
-    @property
     def accesses(self) -> int:
         return self.demand_accesses + self.prefetch_accesses
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.prefetch.base import Prefetcher
-from repro.uncore.cache import Cache, CacheLine
+from repro.uncore.cache import Cache
 from repro.uncore.dram import DRAMModel
 from repro.uncore.mshr import MSHR
 from repro.workloads.trace import BLOCK_SHIFT
@@ -132,8 +132,8 @@ class CacheHierarchy:
     ) -> float:
         """The demand path, for plain and replacement-policy caches alike.
 
-        The replay kernel and both lane memory sides transcribe this method
-        and are held bit-identical to it by the differential tests and the
+        The replay kernel and the lane kernel transcribe this method and
+        are held bit-identical to it by the differential tests and the
         ``REPRO_SANITIZE`` sanitizer.
         """
         config = self.config
@@ -218,90 +218,26 @@ class CacheHierarchy:
     def _fill_l2(
         self, block: int, *, prefetched: bool, dirty: bool = False
     ) -> None:
-        """Fill into L2, with ``Cache.insert`` inlined for a plain cache.
+        """Fill into L2 through ``Cache.insert``, then account for the victim.
 
-        ``finalize`` drains the in-flight fills through here after every
-        replay, the fused kernel's included, so this runs on every
-        benchmark workload. On the eviction path the victim
-        :class:`CacheLine` object is recycled for the incoming block (its
-        fields are read out first), so a warm cache fills without
-        allocating.
+        An evicted prefetched line that was never used counts as a wrong
+        prefetch, and a dirty victim is written back into the LLC.
         """
-        l2 = self.l2
-        if type(l2) is not Cache:
-            victim = l2.insert(block, prefetched=prefetched, dirty=dirty)
-            if victim is not None:
-                if victim.prefetched and not victim.used:
-                    self.stats.prefetch.wrong += 1
-                if victim.dirty:
-                    self._fill_llc(victim.block, prefetched=False, dirty=True)
-            return
-        cache_set = l2._sets[block % l2.num_sets]
-        stamp = l2._stamp + 1
-        l2._stamp = stamp
-        existing = cache_set.get(block)
-        if existing is not None:
-            existing.last_use = stamp
-            existing.dirty = existing.dirty or dirty
-            del cache_set[block]
-            cache_set[block] = existing
-            return
-        if len(cache_set) >= l2.ways:
-            victim_block = next(iter(cache_set))
-            victim = cache_set.pop(victim_block)
-            victim_dirty = victim.dirty
+        victim = self.l2.insert(block, prefetched=prefetched, dirty=dirty)
+        if victim is not None:
             if victim.prefetched and not victim.used:
                 self.stats.prefetch.wrong += 1
-            victim.block = block
-            victim.last_use = stamp
-            victim.prefetched = prefetched
-            victim.used = False
-            victim.dirty = dirty
-            cache_set[block] = victim
-            if victim_dirty:
-                self._fill_llc(victim_block, prefetched=False, dirty=True)
-        else:
-            cache_set[block] = CacheLine(block, stamp, prefetched, False, dirty)
-            l2._resident += 1
+            if victim.dirty:
+                self._fill_llc(victim.block, prefetched=False, dirty=True)
 
     def _fill_llc(
         self, block: int, *, prefetched: bool, dirty: bool = False
     ) -> None:
-        llc = self.llc
-        if type(llc) is not Cache:
-            victim = llc.insert(block, prefetched=prefetched, dirty=dirty)
-            if victim is not None and victim.dirty:
-                self.stats.writebacks += 1
-                # Dirty LLC victims consume DRAM bandwidth; no one waits.
-                self.dram.writeback()
-            return
-        cache_set = llc._sets[block % llc.num_sets]
-        stamp = llc._stamp + 1
-        llc._stamp = stamp
-        existing = cache_set.get(block)
-        if existing is not None:
-            existing.last_use = stamp
-            existing.dirty = existing.dirty or dirty
-            del cache_set[block]
-            cache_set[block] = existing
-            return
-        if len(cache_set) >= llc.ways:
-            victim_block = next(iter(cache_set))
-            victim = cache_set.pop(victim_block)
-            victim_dirty = victim.dirty
-            victim.block = block
-            victim.last_use = stamp
-            victim.prefetched = prefetched
-            victim.used = False
-            victim.dirty = dirty
-            cache_set[block] = victim
-            if victim_dirty:
-                self.stats.writebacks += 1
-                # Dirty LLC victims consume DRAM bandwidth; no one waits.
-                self.dram.writeback()
-        else:
-            cache_set[block] = CacheLine(block, stamp, prefetched, False, dirty)
-            llc._resident += 1
+        victim = self.llc.insert(block, prefetched=prefetched, dirty=dirty)
+        if victim is not None and victim.dirty:
+            self.stats.writebacks += 1
+            # Dirty LLC victims consume DRAM bandwidth; no one waits.
+            self.dram.writeback()
 
     # ------------------------------------------------------------ prefetching
 

@@ -81,21 +81,6 @@ class TestMicroArmedBandit:
         assert reward == pytest.approx(1.0)
         assert bandit.steps_completed == 1
 
-    def test_selection_latency_defers_arm(self):
-        bandit = self.make(latency=500)
-        bandit.reset_counters(PerformanceCounters(0, 0))
-        first = bandit.begin_step(0.0)
-        bandit.end_step(PerformanceCounters(10, 1000))
-        second = bandit.begin_step(1000.0)
-        # Until the selection completes, the previous arm stays active.
-        assert bandit.active_arm(1200.0) == first
-        assert bandit.active_arm(1500.0) == second
-
-    def test_active_arm_before_begin_raises(self):
-        bandit = self.make()
-        with pytest.raises(RuntimeError):
-            bandit.active_arm(0.0)
-
     def test_storage_exposed(self):
         assert self.make().storage_bytes() == 3 * BYTES_PER_ARM
 

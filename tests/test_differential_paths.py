@@ -11,6 +11,11 @@ bit-identical results:
   and prefetch budgets, and DRAM from 150 to 9600 MT/s. The prefetcher
   and bandit runners also draw Figure 12's L1 prefetchers, which send a
   compiled trace down the object path instead of the kernel.
+- **Replay state.** The same draws without L1 prefetchers, compared on
+  the whole state the two replays leave behind rather than on results:
+  every cache set's lines in recency order, each level's stamp, resident
+  count and hit/miss counters, the MSHR, every field of the DRAM model
+  and the hierarchy stats, before and after ``finalize``.
 - **SMT.** The fused cycle kernel against the ``SMTPipeline`` object path
   over evaluation mixes, all 64 PG policies, random pipeline configs
   (widths, queue and register-file sizes, memory latencies), random
@@ -27,21 +32,26 @@ import dataclasses
 
 from hypothesis import given, settings, strategies as st
 
+from repro.bandit.hardware import PrefetchBanditController
+from repro.core_model.trace_core import TraceCore
 from repro.experiments.configs import (
     BASELINE_HIERARCHY_CONFIG,
     CORE_CONFIG_TABLE4,
     PREFETCH_BANDIT_CONFIG,
+    prefetch_bandit_algorithm,
 )
 from repro.experiments.prefetch import (
+    make_prefetcher,
     run_bandit_prefetch,
     run_fixed_arm,
     run_fixed_prefetcher,
 )
 from repro.experiments.runner import _make_l1
 from repro.experiments.smt import SMTScale, run_smt_bandit, run_smt_static
-from repro.prefetch.ensemble import TABLE7_ARMS
+from repro.prefetch.ensemble import TABLE7_ARMS, EnsemblePrefetcher
 from repro.smt.pg_policy import ALL_PG_POLICIES
 from repro.smt.pipeline import SMTConfig
+from repro.uncore.hierarchy import CacheHierarchy
 from repro.workloads.compiled import compiled_trace_for
 from repro.workloads.smt import smt_eval_mixes
 
@@ -128,6 +138,94 @@ def test_replay_kernel_matches_object_path(
     kernel = _replay(runner, trace, hierarchy, l1_kind)
     reference = _replay(runner, trace.to_records(), hierarchy, l1_kind)
     assert kernel == reference
+
+
+def _stack(runner, hierarchy_config):
+    """A fresh core for ``runner``, and the record hook that drives it."""
+    kind, value = runner
+    if kind == "prefetcher":
+        holder: list = []
+        hierarchy = CacheHierarchy(
+            hierarchy_config, l2_prefetcher=make_prefetcher(value, holder)
+        )
+        holder.append(hierarchy)
+        return TraceCore(hierarchy, CORE_CONFIG_TABLE4), None
+    ensemble = EnsemblePrefetcher()
+    hierarchy = CacheHierarchy(hierarchy_config, l2_prefetcher=ensemble)
+    core = TraceCore(hierarchy, CORE_CONFIG_TABLE4)
+    if kind == "arm":
+        ensemble.set_arm(value)
+        return core, None
+    step, seed, ideal = value
+    params = dataclasses.replace(PREFETCH_BANDIT_CONFIG, step_l2_accesses=step)
+    controller = PrefetchBanditController(
+        prefetch_bandit_algorithm(seed=seed, params=params),
+        ensemble.set_arm,
+        step,
+        0 if ideal else params.selection_latency_cycles,
+    )
+    stats = hierarchy.stats
+    return core, lambda hook_core: controller.on_record(
+        stats.l2_demand_accesses, hook_core.counters()
+    )
+
+
+def _state(core):
+    """The core and hierarchy state a replay leaves behind, as plain values."""
+    hierarchy = core.hierarchy
+    levels = [
+        (
+            [
+                [(line.block, line.last_use, line.prefetched, line.used,
+                  line.dirty) for line in cache_set.values()]
+                for cache_set in cache._sets
+            ],
+            cache._stamp, cache._resident, cache.hits, cache.misses,
+        )
+        for cache in (hierarchy.l1, hierarchy.l2, hierarchy.llc)
+    ]
+    mshr = hierarchy.mshr
+    return {
+        "core": (core.instructions, core.retire_time, core.dispatch_time,
+                 core._last_load_ready, core._anchor_index,
+                 core._anchor_retire, list(core._window)),
+        "levels": levels,
+        "mshr": (list(mshr._inflight.items()), list(mshr._heap)),
+        "dram": dict(vars(hierarchy.dram)),
+        "inflight_prefetches": hierarchy._inflight_prefetches,
+        "stats": dataclasses.asdict(hierarchy.stats),
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    workload=st.sampled_from(WORKLOADS),
+    length=st.integers(100, 600),
+    trace_seed=st.integers(0, 4),
+    l1=LEVEL,
+    l2=LEVEL,
+    llc=LEVEL,
+    mshr=st.integers(1, 8),
+    inflight=st.integers(1, 8),
+    dram_mtps=st.sampled_from([150.0, 600.0, 2400.0, 9600.0]),
+    runner=RUNNERS,
+)
+def test_replay_kernel_matches_object_path_state(
+    workload, length, trace_seed, l1, l2, llc, mshr, inflight, dram_mtps,
+    runner,
+):
+    """The kernel leaves every level, the MSHR and the DRAM model as the
+    object path does, before and after ``finalize`` drains the fills."""
+    trace = compiled_trace_for(workload, length, seed=trace_seed)
+    hierarchy = _hierarchy(l1, l2, llc, mshr, inflight, dram_mtps)
+    kernel, kernel_hook = _stack(runner, hierarchy)
+    reference, reference_hook = _stack(runner, hierarchy)
+    kernel.run_compiled(trace, kernel_hook)
+    reference.run(trace.to_records(), reference_hook)
+    assert _state(kernel) == _state(reference)
+    kernel.hierarchy.finalize()
+    reference.hierarchy.finalize()
+    assert _state(kernel) == _state(reference)
 
 
 @st.composite
