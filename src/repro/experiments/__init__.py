@@ -13,8 +13,8 @@ from repro.experiments.configs import (
     ALT_HIERARCHY_CONFIG,
     BASELINE_HIERARCHY_CONFIG,
     PREFETCH_BANDIT_CONFIG,
-    SMT_BANDIT_TABLE6,
     prefetch_bandit_algorithm,
+    smt_bandit_algorithm,
 )
 from repro.experiments.prefetch import (
     PrefetchRunResult,
@@ -51,7 +51,6 @@ __all__ = [
     "PREFETCH_BANDIT_CONFIG",
     "PrefetchRunResult",
     "SMTRunResult",
-    "SMT_BANDIT_TABLE6",
     "best_static_arm",
     "make_prefetcher",
     "prefetch_bandit_algorithm",
@@ -61,4 +60,5 @@ __all__ = [
     "run_multicore_fixed",
     "run_smt_bandit",
     "run_smt_static",
+    "smt_bandit_algorithm",
 ]

@@ -23,18 +23,15 @@ from repro.bandit.base import BanditConfig, MABAlgorithm
 from repro.bandit.ducb import DUCB
 from repro.constants import (
     EPSILON_GREEDY_EPSILON,
-    HILL_CLIMBING_DELTA_IQ_ENTRIES,
-    HILL_CLIMBING_EPOCH_CYCLES,
     PREFETCH_EXPLORATION_C,
     PREFETCH_GAMMA,
+    PREFETCH_NUM_ARMS,
     PREFETCH_STEP_L2_ACCESSES,
     RR_RESTART_PROB_MULTICORE,
     SELECTION_LATENCY_CYCLES,
     SMT_EXPLORATION_C,
     SMT_GAMMA,
     SMT_NUM_ARMS,
-    SMT_STEP_EPOCHS,
-    SMT_STEP_EPOCHS_RR,
 )
 from repro.core_model.trace_core import CoreConfig
 from repro.prefetch.ensemble import TABLE7_ARMS
@@ -155,11 +152,14 @@ def prefetch_bandit_algorithm(
     )
 
 
+def smt_bandit_algorithm(seed: int = 0, num_arms: int = SMT_NUM_ARMS) -> DUCB:
+    """The Table 6 DUCB instance for the SMT use case."""
+    return DUCB(BanditConfig(num_arms=num_arms, gamma=SMT_GAMMA,
+                             exploration_c=SMT_EXPLORATION_C, seed=seed))
+
+
 def table8_algorithm_lineup(
-    seed: int = 0,
-    gamma: float = PREFETCH_GAMMA,
-    num_arms: int = len(TABLE7_ARMS),
-    exploration_c: float = PREFETCH_EXPLORATION_C,
+    seed: int = 0, gamma: float = PREFETCH_GAMMA
 ) -> Dict[str, MABAlgorithm]:
     """The §7.1 algorithm lineup of Table 8, keyed by its row labels.
 
@@ -170,6 +170,8 @@ def table8_algorithm_lineup(
     from repro.bandit.heuristics import Periodic, Single
     from repro.bandit.ucb import UCB
 
+    num_arms = PREFETCH_NUM_ARMS
+    exploration_c = PREFETCH_EXPLORATION_C
     return {
         "Single": Single(BanditConfig(num_arms=num_arms, seed=seed)),
         "Periodic": Periodic(
@@ -191,10 +193,7 @@ def table8_algorithm_lineup(
     }
 
 
-def smt_algorithm_lineup(
-    seed: int = 0,
-    num_arms: int = SMT_NUM_ARMS,
-) -> Dict[str, MABAlgorithm]:
+def smt_algorithm_lineup(seed: int = 0) -> Dict[str, MABAlgorithm]:
     """The Table 9 algorithm lineup (SMT hyperparameters), keyed by row label.
 
     Fresh algorithm objects per call — bandit state is mutable, so sharing
@@ -206,6 +205,7 @@ def smt_algorithm_lineup(
     from repro.bandit.heuristics import Periodic, Single
     from repro.bandit.ucb import UCB
 
+    num_arms = SMT_NUM_ARMS
     return {
         "Single": Single(BanditConfig(num_arms=num_arms, seed=seed)),
         "Periodic": Periodic(
@@ -220,41 +220,17 @@ def smt_algorithm_lineup(
             BanditConfig(num_arms=num_arms, exploration_c=SMT_EXPLORATION_C,
                          seed=seed)
         ),
-        "DUCB": DUCB(
-            BanditConfig(num_arms=num_arms, gamma=SMT_GAMMA,
-                         exploration_c=SMT_EXPLORATION_C, seed=seed)
-        ),
+        "DUCB": smt_bandit_algorithm(seed),
     }
-
-
-@dataclass(frozen=True)
-class SMTBanditParams:
-    """Table 6, SMT column (epoch length scaled; see module docstring)."""
-
-    gamma: float = SMT_GAMMA
-    exploration_c: float = SMT_EXPLORATION_C
-    num_arms: int = SMT_NUM_ARMS
-    step_epochs: int = SMT_STEP_EPOCHS
-    step_epochs_rr: int = SMT_STEP_EPOCHS_RR
-    epoch_cycles: int = HILL_CLIMBING_EPOCH_CYCLES
-    delta_iq_entries: float = HILL_CLIMBING_DELTA_IQ_ENTRIES
-
-
-SMT_BANDIT_TABLE6 = SMTBanditParams()
 
 
 def scaled_hill_climbing(
     epoch_cycles: int = 1000,
-    params: SMTBanditParams = SMT_BANDIT_TABLE6,
     config: SMTConfig = SMT_CONFIG_TABLE5,
 ) -> HillClimbingConfig:
     """Hill-Climbing config with a simulation-scaled epoch length.
 
     The two threads' allowances partition ``config``'s issue queue, the
-    one gating compares them with.
+    one gating compares them with; δ keeps its Table 6 default.
     """
-    return HillClimbingConfig(
-        iq_size=config.iq_size,
-        delta=params.delta_iq_entries,
-        epoch_cycles=epoch_cycles,
-    )
+    return HillClimbingConfig(iq_size=config.iq_size, epoch_cycles=epoch_cycles)

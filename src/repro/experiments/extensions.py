@@ -28,6 +28,7 @@ from repro.experiments.configs import (
     BASELINE_HIERARCHY_CONFIG,
     CORE_CONFIG_TABLE4,
     PREFETCH_BANDIT_CONFIG,
+    SCALED_GAMMA,
     PrefetchBanditParams,
 )
 from repro.prefetch.ensemble import EnsemblePrefetcher
@@ -66,6 +67,14 @@ def joint_arm_space(
 ) -> List[JointArm]:
     """The product action space of §9 (|L1| × |L2| arms)."""
     return [JointArm(d, a) for d in l1_degrees for a in l2_arms]
+
+
+def _joint_algorithm(num_arms: int, seed: int) -> DUCB:
+    """The DUCB agent of both joint runners, at the reproduction-scale γ."""
+    return DUCB(BanditConfig(
+        num_arms=num_arms, gamma=SCALED_GAMMA,
+        exploration_c=PREFETCH_EXPLORATION_C, seed=seed,
+    ))
 
 
 def _run_joint_bandit(
@@ -107,10 +116,7 @@ def run_joint_l1_l2_bandit(
     """
     arms = joint_arm_space()
     if algorithm is None:
-        algorithm = DUCB(BanditConfig(
-            num_arms=len(arms), gamma=0.98,
-            exploration_c=PREFETCH_EXPLORATION_C, seed=seed
-        ))
+        algorithm = _joint_algorithm(len(arms), seed)
     if algorithm.num_arms != len(arms):
         raise ValueError("algorithm arm count must match the joint space")
     l1 = StridePrefetcher(degree=0)
@@ -171,10 +177,7 @@ def run_joint_prefetch_replacement_bandit(
     boundary. Returns (IPC, arm history).
     """
     arms = prefetch_replacement_arm_space()
-    algorithm = DUCB(BanditConfig(
-        num_arms=len(arms), gamma=0.98,
-        exploration_c=PREFETCH_EXPLORATION_C, seed=seed
-    ))
+    algorithm = _joint_algorithm(len(arms), seed)
     ensemble = EnsemblePrefetcher()
     hierarchy = CacheHierarchy(hierarchy_config, l2_prefetcher=ensemble)
     # Swap the L2 for a policy-switchable cache before any access happens.

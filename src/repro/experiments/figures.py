@@ -20,6 +20,7 @@ from repro.experiments.configs import (
     PREFETCHER_LINEUP,
     SCALED_GAMMA,
     TABLE8_ALGORITHM_NAMES,
+    PrefetchBanditParams,
     scaled_prefetch_params,
 )
 from repro.experiments.runner import (
@@ -68,6 +69,32 @@ FIG07_ALGORITHM_NAMES = ("Single", "UCB", "DUCB")
 
 def _num_arms() -> int:
     return len(TABLE7_ARMS)
+
+
+def _baselines(
+    figure: str,
+    points: Sequence[Tuple[str, str, HierarchyConfig]],
+    trace_length: int,
+    seed: int,
+) -> List[Tuple[Any, PrefetchBanditParams]]:
+    """Each point's no-prefetch replay and the bandit params scaled to it.
+
+    A point is ``(stem, spec_name, hierarchy_config)``; its replay runs as
+    the task ``<figure>:<stem>:none``.
+    """
+    bases = run_parallel([
+        Task(
+            fixed_prefetcher_task,
+            dict(spec_name=spec_name, trace_length=trace_length, seed=seed,
+                 hierarchy_config=config),
+            label=f"{figure}:{stem}:none",
+        )
+        for stem, spec_name, config in points
+    ])
+    return [
+        (base, scaled_prefetch_params(base.stats.l2_demand_accesses))
+        for base in bases
+    ]
 
 
 # =============================================================== Figure 2
@@ -184,17 +211,11 @@ def table08_prefetch_tuneset(
     if workloads is None:
         workloads = tune_specs()
     algorithm_names = TABLE8_ALGORITHM_NAMES
-    bases = run_parallel([
-        Task(
-            fixed_prefetcher_task,
-            dict(spec_name=spec.name, trace_length=trace_length, seed=seed),
-            label=f"table08:{spec.name}:none",
-        )
-        for spec in workloads
-    ])
+    baselines = _baselines("table08", [
+        (spec.name, spec.name, BASELINE_HIERARCHY_CONFIG) for spec in workloads
+    ], trace_length, seed)
     tasks: List[Task] = []
-    for spec, base in zip(workloads, bases):
-        params = scaled_prefetch_params(base.stats.l2_demand_accesses)
+    for spec, (_, params) in zip(workloads, baselines):
         tasks.extend(best_static_arm_tasks(spec.name, trace_length, seed=seed))
         tasks.append(Task(
             fixed_prefetcher_task,
@@ -294,17 +315,11 @@ def fig07_exploration_traces(
     Returns ``{scenario: {algorithm: {"ipc": float, "arms": [...]}}}`` where
     ``arms`` is the arm index over time (per bandit step).
     """
-    bases = run_parallel([
-        Task(
-            fixed_prefetcher_task,
-            dict(spec_name=name, trace_length=trace_length, seed=seed),
-            label=f"fig07:{name}:none",
-        )
-        for name in prefetch_workloads
-    ])
+    baselines = _baselines("fig07", [
+        (name, name, BASELINE_HIERARCHY_CONFIG) for name in prefetch_workloads
+    ], trace_length, seed)
     tasks: List[Task] = []
-    for name, base in zip(prefetch_workloads, bases):
-        params = scaled_prefetch_params(base.stats.l2_demand_accesses)
+    for name, (_, params) in zip(prefetch_workloads, baselines):
         tasks.extend(best_static_arm_tasks(name, trace_length, seed=seed))
         tasks.extend(
             Task(
@@ -381,18 +396,11 @@ def fig08_singlecore(
         suites = list(ALL_SUITES)
     lineup = list(PREFETCHER_LINEUP) + ["bandit"]
     members = [(suite, spec) for suite in suites for spec in ALL_SUITES[suite]]
-    bases = run_parallel([
-        Task(
-            fixed_prefetcher_task,
-            dict(spec_name=spec.name, trace_length=trace_length, seed=seed,
-                 hierarchy_config=hierarchy_config),
-            label=f"fig08:{spec.name}:none",
-        )
-        for _, spec in members
-    ])
+    baselines = _baselines("fig08", [
+        (spec.name, spec.name, hierarchy_config) for _, spec in members
+    ], trace_length, seed)
     tasks: List[Task] = []
-    for (_, spec), base in zip(members, bases):
-        params = scaled_prefetch_params(base.stats.l2_demand_accesses)
+    for (_, spec), (_, params) in zip(members, baselines):
         tasks.extend(
             Task(
                 fixed_prefetcher_task,
@@ -413,7 +421,7 @@ def fig08_singlecore(
     per_suite: Dict[str, Dict[str, List[float]]] = {
         suite: {name: [] for name in lineup} for suite in suites
     }
-    for (suite, _), base in zip(members, bases):
+    for (suite, _), (base, _) in zip(members, baselines):
         for name in lineup:
             per_suite[suite][name].append(next(results).ipc / base.ipc)
     result: Dict[str, Dict[str, float]] = {}
@@ -460,18 +468,12 @@ def fig09_breakdown(
         name: {"llc_misses": 0.0, "timely": 0.0, "late": 0.0, "wrong": 0.0}
         for name in lineup
     }
-    bases = run_parallel([
-        Task(
-            fixed_prefetcher_task,
-            dict(spec_name=spec.name, trace_length=trace_length, seed=seed),
-            label=f"fig09:{spec.name}:none",
-        )
-        for spec in workloads
-    ])
+    baselines = _baselines("fig09", [
+        (spec.name, spec.name, BASELINE_HIERARCHY_CONFIG) for spec in workloads
+    ], trace_length, seed)
     baseline_misses = 0.0
     tasks: List[Task] = []
-    for spec, base in zip(workloads, bases):
-        params = scaled_prefetch_params(base.stats.l2_demand_accesses)
+    for spec, (base, params) in zip(workloads, baselines):
         baseline_misses += base.stats.llc_demand_misses
         for name in lineup:
             if name == "bandit":
@@ -536,18 +538,11 @@ def fig10_bandwidth_sweep(
         for mtps in mtps_values
         for spec in workloads
     ]
-    bases = run_parallel([
-        Task(
-            fixed_prefetcher_task,
-            dict(spec_name=spec.name, trace_length=trace_length, seed=seed,
-                 hierarchy_config=config),
-            label=f"fig10:{mtps:g}:{spec.name}:none",
-        )
-        for mtps, config, spec in points
-    ])
+    baselines = _baselines("fig10", [
+        (f"{mtps:g}:{spec.name}", spec.name, config) for mtps, config, spec in points
+    ], trace_length, seed)
     tasks: List[Task] = []
-    for (mtps, config, spec), base in zip(points, bases):
-        params = scaled_prefetch_params(base.stats.l2_demand_accesses)
+    for (mtps, config, spec), (_, params) in zip(points, baselines):
         tasks.append(Task(
             fixed_prefetcher_task,
             dict(spec_name=spec.name, trace_length=trace_length, seed=seed,
@@ -564,7 +559,7 @@ def fig10_bandwidth_sweep(
     ratios: Dict[float, Dict[str, List[float]]] = {
         mtps: {"pythia": [], "bandit": []} for mtps in mtps_values
     }
-    for (mtps, _, _), base in zip(points, bases):
+    for (mtps, _, _), (base, _) in zip(points, baselines):
         ratios[mtps]["pythia"].append(next(results).ipc / base.ipc)
         ratios[mtps]["bandit"].append(next(results).ipc / base.ipc)
     return {
@@ -637,18 +632,11 @@ def fig08_replication_sweep(
     """
     if workloads is None:
         workloads = tune_specs()
-    bases = run_parallel([
-        Task(
-            fixed_prefetcher_task,
-            dict(spec_name=spec.name, trace_length=trace_length, seed=seed,
-                 hierarchy_config=hierarchy_config),
-            label=f"fig08rep:{spec.name}:none",
-        )
-        for spec in workloads
-    ])
+    baselines = _baselines("fig08rep", [
+        (spec.name, spec.name, hierarchy_config) for spec in workloads
+    ], trace_length, seed)
     tasks: List[Task] = []
-    for spec, base in zip(workloads, bases):
-        params = scaled_prefetch_params(base.stats.l2_demand_accesses)
+    for spec, (_, params) in zip(workloads, baselines):
         tasks.append(Task(
             lane_batch_task,
             dict(spec_name=spec.name, trace_length=trace_length,
@@ -660,7 +648,7 @@ def fig08_replication_sweep(
     result: Dict[str, Dict[str, object]] = {}
     best_norms: List[float] = []
     bandit_means: List[float] = []
-    for spec, base, payload in zip(workloads, bases, payloads):
+    for spec, (base, _), payload in zip(workloads, baselines, payloads):
         member = _replication_member(base, payload)
         result[spec.name] = member
         best_norms.append(member["best_static_norm"])
@@ -700,18 +688,11 @@ def fig10_replication_sweep(
         for mtps in mtps_values
         for spec in workloads
     ]
-    bases = run_parallel([
-        Task(
-            fixed_prefetcher_task,
-            dict(spec_name=spec.name, trace_length=trace_length, seed=seed,
-                 hierarchy_config=config),
-            label=f"fig10rep:{config.dram_mtps:g}:{spec.name}:none",
-        )
-        for config, spec in points
-    ])
+    baselines = _baselines("fig10rep", [
+        (f"{config.dram_mtps:g}:{spec.name}", spec.name, config) for config, spec in points
+    ], trace_length, seed)
     tasks: List[Task] = []
-    for (config, spec), base in zip(points, bases):
-        params = scaled_prefetch_params(base.stats.l2_demand_accesses)
+    for (config, spec), (_, params) in zip(points, baselines):
         tasks.append(Task(
             lane_batch_task,
             dict(spec_name=spec.name, trace_length=trace_length,
@@ -724,7 +705,7 @@ def fig10_replication_sweep(
         mtps: {"best": [], "means": [], "mins": [], "maxes": []}
         for mtps in mtps_values
     }
-    for (config, _), base, payload in zip(points, bases, payloads):
+    for (config, _), (base, _), payload in zip(points, baselines, payloads):
         member = _replication_member(base, payload)
         point = sweeps[config.dram_mtps]
         point["best"].append(member["best_static_norm"])
@@ -763,17 +744,11 @@ def fig12_multilevel(
         ("stride_pythia", "pythia", "stride2"),
         ("stride_bandit", None, "stride2"),
     )
-    bases = run_parallel([
-        Task(
-            fixed_prefetcher_task,
-            dict(spec_name=spec.name, trace_length=trace_length, seed=seed),
-            label=f"fig12:{spec.name}:none",
-        )
-        for spec in workloads
-    ])
+    baselines = _baselines("fig12", [
+        (spec.name, spec.name, BASELINE_HIERARCHY_CONFIG) for spec in workloads
+    ], trace_length, seed)
     tasks: List[Task] = []
-    for spec, base in zip(workloads, bases):
-        params = scaled_prefetch_params(base.stats.l2_demand_accesses)
+    for spec, (_, params) in zip(workloads, baselines):
         for combo, l2_name, l1_kind in combos:
             if l2_name is None:
                 task = Task(
@@ -792,7 +767,7 @@ def fig12_multilevel(
             tasks.append(task)
     results = iter(run_parallel(tasks))
     ratios: Dict[str, List[float]] = {combo: [] for combo, _, _ in combos}
-    for spec, base in zip(workloads, bases):
+    for spec, (base, _) in zip(workloads, baselines):
         for combo, _, _ in combos:
             ratios[combo].append(next(results).ipc / base.ipc)
     return {name: geometric_mean(values) for name, values in ratios.items()}

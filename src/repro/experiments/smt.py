@@ -26,7 +26,11 @@ from repro.bandit.base import MABAlgorithm
 from repro.constants import SMT_STEP_EPOCHS
 from repro.core_model.sanitizer import SMTStepRecord, run_checked
 from repro.core_model.smt_kernel import kernel_enabled
-from repro.experiments.configs import SMT_CONFIG_TABLE5, scaled_hill_climbing
+from repro.experiments.configs import (
+    SMT_CONFIG_TABLE5,
+    scaled_hill_climbing,
+    smt_bandit_algorithm,
+)
 from repro.smt.bandit_control import (
     BanditFetchController,
     SMTBanditConfig,
@@ -114,6 +118,7 @@ def run_smt_bandit(
 ) -> SMTRunResult:
     """One mix under Bandit PG-policy control (§5.3).
 
+    ``algorithm`` defaults to :func:`smt_bandit_algorithm` over ``arms``.
     The episode consumes exactly ``scale.total_epochs`` epochs for every
     algorithm: steps take their natural length (round-robin steps run
     ``step_epochs_rr`` epochs, main-loop steps ``step_epochs``) and a
@@ -126,9 +131,12 @@ def run_smt_bandit(
         log: Optional[List[SMTStepRecord]],
         algorithm: Optional[MABAlgorithm],
     ) -> SMTRunResult:
+        if algorithm is None:
+            algorithm = smt_bandit_algorithm(seed, len(arms))
         pipeline = SMTPipeline(list(mix), arms[0], config, seed=seed)
         controller = BanditFetchController(
             pipeline,
+            algorithm,
             arms=arms,
             config=SMTBanditConfig(
                 step_epochs=scale.step_epochs,
@@ -136,9 +144,7 @@ def run_smt_bandit(
                 hill_climbing=scaled_hill_climbing(
                     scale.epoch_cycles, config=config
                 ),
-                seed=seed,
             ),
-            algorithm=algorithm,
             use_kernel=False if reference else use_kernel,
             epoch_log=log,
         )
@@ -147,7 +153,7 @@ def run_smt_bandit(
             ipc=ipc,
             per_thread=pipeline.per_thread_committed(),
             rename=pipeline.rename_activity,
-            arm_history=list(controller.arm_history),
+            arm_history=list(algorithm.selection_history),
         )
 
     return run_checked(

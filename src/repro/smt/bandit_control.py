@@ -23,14 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.bandit.base import BanditConfig, MABAlgorithm
-from repro.bandit.ducb import DUCB
-from repro.constants import (
-    SMT_EXPLORATION_C,
-    SMT_GAMMA,
-    SMT_STEP_EPOCHS,
-    SMT_STEP_EPOCHS_RR,
-)
+from repro.bandit.base import MABAlgorithm
+from repro.bandit.hardware import MicroArmedBandit
+from repro.bandit.rewards import PerformanceCounters
+from repro.constants import SMT_STEP_EPOCHS, SMT_STEP_EPOCHS_RR
 from repro.core_model.sanitizer import SMTStepRecord
 from repro.smt.hill_climbing import HillClimbing, HillClimbingConfig
 from repro.smt.pg_policy import BANDIT_PG_ARMS, PGPolicy
@@ -38,6 +34,29 @@ from repro.smt.pipeline import SMTPipeline
 
 #: Epoch-boundary callback: ``(pipeline, epoch_ipc)``, read-only pipeline.
 EpochHook = Callable[[SMTPipeline, float], None]
+
+
+def _epoch_checkpoints(
+    log: Optional[List[SMTStepRecord]], arm: Optional[int]
+) -> Optional[EpochHook]:
+    """The epoch hook that appends one sanitizer checkpoint to ``log`` per
+    epoch, tagged with ``arm`` (``None`` for static runs); ``None`` when
+    there is no log."""
+    if log is None:
+        return None
+
+    def hook(pipeline: SMTPipeline, epoch_ipc: float) -> None:
+        committed0, committed1 = pipeline.per_thread_committed()
+        log.append(SMTStepRecord(
+            step=len(log),
+            committed0=committed0,
+            committed1=committed1,
+            cycles=float(pipeline.cycle),
+            ipc=epoch_ipc,
+            arm=arm,
+        ))
+
+    return hook
 
 
 def _run_epochs_object(
@@ -86,25 +105,29 @@ def run_epochs(
 
 @dataclass(frozen=True)
 class SMTBanditConfig:
-    """Table 6 (SMT column): DUCB with γ=0.975, c=0.01, 6 arms."""
+    """Table 6 (SMT column) step lengths, in Hill-Climbing epochs."""
 
-    gamma: float = SMT_GAMMA
-    exploration_c: float = SMT_EXPLORATION_C
     step_epochs: int = SMT_STEP_EPOCHS
     step_epochs_rr: int = SMT_STEP_EPOCHS_RR
     hill_climbing: HillClimbingConfig = field(default_factory=HillClimbingConfig)
-    seed: int = 0
 
 
 class BanditFetchController:
-    """Drives an :class:`SMTPipeline` with Bandit-selected PG policies."""
+    """Drives an :class:`SMTPipeline` with Bandit-selected PG policies.
+
+    The agent is the prefetcher's :class:`MicroArmedBandit`, stepped with
+    ``begin_step``/``end_step``; it reads the step reward, committed
+    instructions over cycles, from the pipeline's two free-running counters.
+    Its selection latency is 0: the arm selected at a step boundary applies
+    at that boundary, where the paper charges 500 cycles (§6.1).
+    """
 
     def __init__(
         self,
         pipeline: SMTPipeline,
+        algorithm: MABAlgorithm,
         arms: Sequence[PGPolicy] = BANDIT_PG_ARMS,
         config: SMTBanditConfig = SMTBanditConfig(),
-        algorithm: Optional[MABAlgorithm] = None,
         use_kernel: Optional[bool] = None,
         epoch_log: Optional[List[SMTStepRecord]] = None,
     ) -> None:
@@ -115,24 +138,16 @@ class BanditFetchController:
         self.pipeline = pipeline
         self.arms: Tuple[PGPolicy, ...] = tuple(arms)
         self.config = config
-        if algorithm is None:
-            algorithm = DUCB(
-                BanditConfig(
-                    num_arms=len(self.arms),
-                    gamma=config.gamma,
-                    exploration_c=config.exploration_c,
-                    seed=config.seed,
-                )
-            )
         if algorithm.num_arms != len(self.arms):
             raise ValueError("algorithm arm count must match PG arm count")
         self.algorithm = algorithm
+        self.bandit = MicroArmedBandit(algorithm, selection_latency_cycles=0)
+        self.bandit.reset_counters(self._counters())
         self.hill_climbing = HillClimbing(config.hill_climbing)
         self.use_kernel = use_kernel
         self.epoch_log = epoch_log
         self._saved_hc_state: Dict[int, tuple] = {}
         self._current_arm: Optional[int] = None
-        self.arm_history: List[int] = []
 
     # ------------------------------------------------------------------ API
 
@@ -152,7 +167,7 @@ class BanditFetchController:
         Steps take their natural length (``step_epochs_rr`` during the
         algorithm's round-robin phase, ``step_epochs`` after), except that
         a trailing remainder is flushed as one short final step — its
-        reward is still normalized by the epochs it actually ran, so the
+        reward is still normalized by the cycles it actually ran, so the
         estimate is unbiased. Returns overall IPC over the whole span.
         """
         start_cycle = self.pipeline.cycle
@@ -161,7 +176,7 @@ class BanditFetchController:
         while epochs_done < total_epochs:
             planned = (
                 self.config.step_epochs_rr
-                if self.algorithm.in_round_robin_phase
+                if self.bandit.in_round_robin_phase
                 else self.config.step_epochs
             )
             epochs = min(planned, total_epochs - epochs_done)
@@ -177,11 +192,12 @@ class BanditFetchController:
         ``epochs`` overrides the step length (used by
         :meth:`run_epoch_budget` to flush a trailing remainder).
         """
-        # The phase must be read *before* select_arm(): selecting the last
+        # The phase must be read *before* begin_step(): selecting the last
         # round-robin arm may end the phase, and that step still has to run
         # the long RR step so every arm's initial estimate is comparable.
-        in_round_robin = self.algorithm.in_round_robin_phase
-        arm = self.algorithm.select_arm()
+        in_round_robin = self.bandit.in_round_robin_phase
+        pipeline = self.pipeline
+        arm = self.bandit.begin_step(pipeline.cycle)
         self._apply_arm(arm)
         if epochs is None:
             epochs = (
@@ -189,17 +205,20 @@ class BanditFetchController:
                 if in_round_robin
                 else self.config.step_epochs
             )
-        step_ipc = self._run_epochs(epochs)
-        self.algorithm.observe(step_ipc)
-        self.arm_history.append(arm)
         log = self.epoch_log
+        run_epochs(
+            pipeline, self.hill_climbing, epochs,
+            self.config.hill_climbing.epoch_cycles,
+            epoch_hook=_epoch_checkpoints(log, arm), use_kernel=self.use_kernel,
+        )
+        step_ipc = self.bandit.end_step(self._counters())
         if log is not None:
-            committed0, committed1 = self.pipeline.per_thread_committed()
+            committed0, committed1 = pipeline.per_thread_committed()
             log.append(SMTStepRecord(
                 step=len(log),
                 committed0=committed0,
                 committed1=committed1,
-                cycles=float(self.pipeline.cycle),
+                cycles=float(pipeline.cycle),
                 ipc=step_ipc,
                 arm=arm,
                 reward_estimates=tuple(self.algorithm.reward_estimates()),
@@ -208,6 +227,9 @@ class BanditFetchController:
         return step_ipc
 
     # -------------------------------------------------------------- internals
+
+    def _counters(self) -> PerformanceCounters:
+        return PerformanceCounters(self.pipeline.committed_total, self.pipeline.cycle)
 
     def _apply_arm(self, arm: int) -> None:
         if arm == self._current_arm:
@@ -221,33 +243,6 @@ class BanditFetchController:
             self.hill_climbing = HillClimbing(self.config.hill_climbing)
         self._current_arm = arm
         self.pipeline.set_policy(self.arms[arm])
-
-    def _epoch_hook(self, pipeline: SMTPipeline, epoch_ipc: float) -> None:
-        log = self.epoch_log
-        if log is None:
-            return
-        committed0, committed1 = pipeline.per_thread_committed()
-        log.append(SMTStepRecord(
-            step=len(log),
-            committed0=committed0,
-            committed1=committed1,
-            cycles=float(pipeline.cycle),
-            ipc=epoch_ipc,
-            arm=self._current_arm,
-        ))
-
-    def _run_epochs(self, epochs: int) -> float:
-        epoch_cycles = self.config.hill_climbing.epoch_cycles
-        start = self.pipeline.per_thread_committed()
-        hook = self._epoch_hook if self.epoch_log is not None else None
-        run_epochs(
-            self.pipeline, self.hill_climbing, epochs, epoch_cycles,
-            epoch_hook=hook, use_kernel=self.use_kernel,
-        )
-        end = self.pipeline.per_thread_committed()
-        cycles = epochs * epoch_cycles
-        committed = sum(after - before for before, after in zip(start, end))
-        return committed / cycles if cycles > 0 else 0.0
 
 
 def run_static_policy(
@@ -270,23 +265,9 @@ def run_static_policy(
     pipeline.set_policy(policy)
     start_cycle = pipeline.cycle
     start_committed = pipeline.committed_total
-    epoch_hook: Optional[EpochHook] = None
-    if epoch_log is not None:
-        log = epoch_log
-
-        def epoch_hook(hook_pipeline: SMTPipeline, epoch_ipc: float) -> None:
-            committed0, committed1 = hook_pipeline.per_thread_committed()
-            log.append(SMTStepRecord(
-                step=len(log),
-                committed0=committed0,
-                committed1=committed1,
-                cycles=float(hook_pipeline.cycle),
-                ipc=epoch_ipc,
-            ))
-
     run_epochs(
         pipeline, hill_climbing, epochs, hc_config.epoch_cycles,
-        epoch_hook=epoch_hook, use_kernel=use_kernel,
+        epoch_hook=_epoch_checkpoints(epoch_log, None), use_kernel=use_kernel,
     )
     cycles = pipeline.cycle - start_cycle
     committed = pipeline.committed_total - start_committed

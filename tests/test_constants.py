@@ -10,7 +10,7 @@ from repro import constants
 from repro.bandit.base import BanditConfig
 from repro.experiments.configs import (
     PrefetchBanditParams,
-    SMTBanditParams,
+    smt_bandit_algorithm,
 )
 from repro.prefetch.ensemble import TABLE7_ARMS, EnsemblePrefetcher
 from repro.smt.bandit_control import SMTBanditConfig
@@ -87,21 +87,13 @@ class TestDataclassDefaultsMatchRegistry:
         assert ensemble.stream.num_trackers == constants.NUM_STREAM_TRACKERS
 
     def test_smt_params(self):
-        params = SMTBanditParams()
-        assert params.gamma == constants.SMT_GAMMA
-        assert params.exploration_c == constants.SMT_EXPLORATION_C
-        assert params.num_arms == constants.SMT_NUM_ARMS
-        assert params.step_epochs == constants.SMT_STEP_EPOCHS
-        assert params.step_epochs_rr == constants.SMT_STEP_EPOCHS_RR
-        assert params.epoch_cycles == constants.HILL_CLIMBING_EPOCH_CYCLES
-        assert (
-            params.delta_iq_entries == constants.HILL_CLIMBING_DELTA_IQ_ENTRIES
-        )
+        config = smt_bandit_algorithm().config
+        assert config.gamma == constants.SMT_GAMMA
+        assert config.exploration_c == constants.SMT_EXPLORATION_C
+        assert config.num_arms == constants.SMT_NUM_ARMS
 
     def test_smt_bandit_config(self):
         config = SMTBanditConfig()
-        assert config.gamma == constants.SMT_GAMMA
-        assert config.exploration_c == constants.SMT_EXPLORATION_C
         assert config.step_epochs == constants.SMT_STEP_EPOCHS
         assert config.step_epochs_rr == constants.SMT_STEP_EPOCHS_RR
 

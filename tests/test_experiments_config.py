@@ -9,12 +9,14 @@ from repro.experiments.configs import (
     CORE_CONFIG_TABLE4,
     PREFETCH_ARMS,
     PREFETCH_BANDIT_CONFIG,
-    SMT_BANDIT_TABLE6,
     SMT_CONFIG_TABLE5,
     prefetch_bandit_algorithm,
     scaled_hill_climbing,
+    smt_bandit_algorithm,
 )
 from repro.prefetch.ensemble import TABLE7_ARMS
+from repro.smt.bandit_control import SMTBanditConfig
+from repro.smt.hill_climbing import HillClimbingConfig
 
 
 class TestTable4:
@@ -61,13 +63,14 @@ class TestTable6:
         assert PREFETCH_BANDIT_CONFIG.rr_restart_prob_multicore == 0.001
 
     def test_smt_column(self):
-        assert SMT_BANDIT_TABLE6.gamma == 0.975
-        assert SMT_BANDIT_TABLE6.exploration_c == 0.01
-        assert SMT_BANDIT_TABLE6.num_arms == 6
-        assert SMT_BANDIT_TABLE6.step_epochs == 2
-        assert SMT_BANDIT_TABLE6.step_epochs_rr == 32
-        assert SMT_BANDIT_TABLE6.epoch_cycles == 64_000
-        assert SMT_BANDIT_TABLE6.delta_iq_entries == 2.0
+        algorithm = smt_bandit_algorithm()
+        assert algorithm.config.gamma == 0.975
+        assert algorithm.config.exploration_c == 0.01
+        assert algorithm.num_arms == 6
+        assert SMTBanditConfig().step_epochs == 2
+        assert SMTBanditConfig().step_epochs_rr == 32
+        assert HillClimbingConfig().epoch_cycles == 64_000
+        assert HillClimbingConfig().delta == 2.0
 
     def test_algorithm_factory_single_core(self):
         algorithm = prefetch_bandit_algorithm(seed=3)

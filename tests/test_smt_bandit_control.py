@@ -5,6 +5,7 @@ import pytest
 from repro.bandit.base import BanditConfig, MABAlgorithm
 from repro.bandit.ducb import DUCB
 from repro.bandit.heuristics import FixedArm
+from repro.experiments.configs import smt_bandit_algorithm
 from repro.smt.bandit_control import (
     BanditFetchController,
     SMTBanditConfig,
@@ -21,19 +22,21 @@ LBM = thread_profile("lbm")
 
 FAST_HC = HillClimbingConfig(epoch_cycles=200)
 FAST_CONFIG = SMTBanditConfig(step_epochs=1, step_epochs_rr=2,
-                              hill_climbing=FAST_HC, seed=0)
+                              hill_climbing=FAST_HC)
 
 
 def make_controller(algorithm=None, config=FAST_CONFIG):
     pipeline = SMTPipeline([GCC, LBM], BANDIT_PG_ARMS[0], seed=2)
-    return BanditFetchController(pipeline, config=config, algorithm=algorithm)
+    if algorithm is None:
+        algorithm = smt_bandit_algorithm(0)
+    return BanditFetchController(pipeline, algorithm, config=config)
 
 
 class TestController:
     def test_round_robin_covers_all_arms(self):
         controller = make_controller()
         controller.run_steps(len(BANDIT_PG_ARMS))
-        assert sorted(controller.arm_history) == list(range(6))
+        assert sorted(controller.algorithm.selection_history) == list(range(6))
 
     def test_rr_steps_are_longer(self):
         config = SMTBanditConfig(step_epochs=1, step_epochs_rr=4,
@@ -73,7 +76,7 @@ class TestController:
     def test_policy_applied_to_pipeline(self):
         controller = make_controller()
         controller.run_one_step()
-        applied = controller.arm_history[0]
+        applied = controller.algorithm.selection_history[0]
         assert controller.pipeline.policy == BANDIT_PG_ARMS[applied]
 
     def test_overall_ipc_positive(self):
@@ -107,6 +110,18 @@ class EagerPhaseExit(MABAlgorithm):
     def _upd_rew(self, arm: int, r_step: float) -> None:
         entry = self.arms[arm]
         entry.reward += (r_step - entry.reward) / entry.selections
+
+
+class RecordingFixedArm(FixedArm):
+    """FixedArm that keeps every reward it observes."""
+
+    def __init__(self, config: BanditConfig, arm: int) -> None:
+        super().__init__(config, arm)
+        self.rewards = []
+
+    def observe(self, r_step: float) -> None:
+        self.rewards.append(r_step)
+        super().observe(r_step)
 
 
 class TestStepAccounting:
@@ -151,17 +166,31 @@ class TestStepAccounting:
         controller = make_controller(algorithm=algorithm)
         controller.run_epoch_budget(9)
         assert controller.pipeline.cycle == 9 * FAST_HC.epoch_cycles
-        assert set(controller.arm_history) == {3}
+        assert set(controller.algorithm.selection_history) == {3}
 
     def test_epoch_budget_reward_normalized_by_actual_epochs(self):
-        """The short final step's reward is averaged over its own epochs."""
-        algorithm = FixedArm(BanditConfig(num_arms=6, seed=0), arm=0)
-        controller = make_controller(algorithm=algorithm)
-        controller.run_epoch_budget(3)  # steps of 1, 1, 1 epoch each
-        # Every step observed a per-cycle-normalized reward; a dropped or
-        # mis-normalized flush would leave the estimate far from step IPC.
-        estimate = algorithm.reward_estimates()[0]
-        assert 0.0 < estimate <= 8.0  # bounded by commit width
+        """Each step's reward is exactly its Δcommitted / Δcycles, the
+        short final step's included."""
+        algorithm = RecordingFixedArm(BanditConfig(num_arms=6, seed=0), arm=0)
+        config = SMTBanditConfig(step_epochs=2, step_epochs_rr=2,
+                                 hill_climbing=FAST_HC)
+        log = []
+        controller = BanditFetchController(
+            SMTPipeline([GCC, LBM], BANDIT_PG_ARMS[0], seed=2),
+            algorithm, config=config, epoch_log=log,
+        )
+        controller.run_epoch_budget(5)  # steps of 2, 2 and 1 epochs
+        epoch_ends = [
+            (record.committed0 + record.committed1, record.cycles)
+            for record in log if record.reward_estimates is None
+        ]
+        assert len(epoch_ends) == 5
+        bounds = [(0, 0.0)] + [epoch_ends[i] for i in (1, 3, 4)]
+        assert algorithm.rewards == [
+            (committed - prev_committed) / (cycles - prev_cycles)
+            for (prev_committed, prev_cycles), (committed, cycles)
+            in zip(bounds, bounds[1:])
+        ]
 
 
 class TestHillClimbingSaveRestore:

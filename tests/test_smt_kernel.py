@@ -23,7 +23,7 @@ from repro.core_model.smt_kernel import (
     kernel_eligible,
     kernel_enabled,
 )
-from repro.experiments.configs import scaled_hill_climbing
+from repro.experiments.configs import scaled_hill_climbing, smt_bandit_algorithm
 from repro.experiments.smt import SMTScale, run_smt_bandit, run_smt_static
 from repro.smt.bandit_control import (
     BanditFetchController,
@@ -93,6 +93,7 @@ class TestEquivalence:
         for use_kernel, log in logs.items():
             controller = BanditFetchController(
                 SMTPipeline(list(MIX), BANDIT_PG_ARMS[0], seed=0),
+                smt_bandit_algorithm(0),
                 config=SMTBanditConfig(
                     step_epochs=SCALE.step_epochs,
                     step_epochs_rr=SCALE.step_epochs_rr,
