@@ -62,6 +62,7 @@ from repro.smt.uop import (
     KIND_LOAD,
     KIND_LONG,
     KIND_STORE,
+    MISPREDICT_BIT,
     REG_WRITING_KINDS,
 )
 
@@ -202,7 +203,12 @@ def run_smt_epochs_kernel(
         profile1.l1_hit_rate + (1.0 - profile1.l1_hit_rate) * profile1.l2_hit_rate,
     )
     long_latency = (profile0.long_op_latency, profile1.long_op_latency)
-    stream_next = (thread0.stream.__next__, thread1.stream.__next__)
+    # Each thread's shared uop columns and their grow call; the buffers
+    # grow in place, so the columns stay valid across a reserve.
+    uop_columns = tuple(
+        (uops.codes, uops.dep1, uops.dep2, uops.reserve)
+        for uops in (thread0.uops, thread1.uops)
+    )
     fetchqs = (thread0.fetchq, thread1.fetchq)
     fetchq_poplefts = (thread0.fetchq.popleft, thread1.fetchq.popleft)
     fetchq_appends = (thread0.fetchq.append, thread1.fetchq.append)
@@ -502,26 +508,31 @@ def run_smt_epochs_kernel(
             else:
                 choice = -1
             if choice >= 0:
-                snext = stream_next[choice]
+                codes, dep1s, dep2s, reserve = uop_columns[choice]
                 fetchq_append = fetchq_appends[choice]
-                next_seq = next_seqs[choice]
+                # Uop ``i`` of a buffer has sequence number ``i + 1``:
+                # ``seq`` indexes the thread's next uop, then numbers it.
+                seq = next_seqs[choice] - 1
+                if seq + fetch_width > len(codes):
+                    reserve(seq + fetch_width)
                 for _ in range(fetch_width):
-                    kind, dep1_off, dep2_off, mispredict = snext()
-                    seq = next_seq
-                    next_seq = seq + 1
-                    dep1 = seq - dep1_off if dep1_off else 0
-                    dep2 = seq - dep2_off if dep2_off else 0
+                    code = codes[seq]
+                    dep1 = dep1s[seq]
+                    dep2 = dep2s[seq]
+                    seq += 1
+                    kind = code & ~MISPREDICT_BIT
+                    mispredict = code != kind
                     fetchq_append((
                         seq,
                         kind,
-                        dep1 if dep1 > 0 else 0,
-                        dep2 if dep2 > 0 else 0,
+                        seq - dep1 if 0 < dep1 < seq else 0,
+                        seq - dep2 if 0 < dep2 < seq else 0,
                         mispredict,
                     ))
                     if mispredict:
                         blocked_seqs[choice] = seq
                         break
-                next_seqs[choice] = next_seq
+                next_seqs[choice] = seq + 1
 
             # ------------------------------------------------- bookkeeping
             if cycle % 4096 == 0:

@@ -42,10 +42,11 @@ from repro.smt.uop import (
     KIND_LOAD,
     KIND_LONG,
     KIND_STORE,
+    MISPREDICT_BIT,
     REG_WRITING_KINDS,
-    uop_stream,
 )
 from repro.util.rng import make_rng
+from repro.workloads.compiled import get_trace_store
 from repro.workloads.smt import ThreadProfile
 
 
@@ -103,17 +104,21 @@ class RenameActivity:
 
 
 class _ThreadState:
-    """Per-thread pipeline state (flat attributes for speed)."""
+    """Per-thread pipeline state (flat attributes for speed).
+
+    ``uops`` is the thread's shared stream from the active trace store;
+    the next uop to fetch is uop ``next_seq - 1`` of it.
+    """
 
     __slots__ = (
-        "profile", "stream", "fetchq", "next_seq", "completion", "rob",
+        "profile", "uops", "fetchq", "next_seq", "completion", "rob",
         "committed", "committed_seq", "blocked_seq", "iq_occ", "rob_occ",
         "lq_occ", "sq_occ", "irf_occ", "branches_in_rob",
     )
 
     def __init__(self, profile: ThreadProfile, seed: int) -> None:
         self.profile = profile
-        self.stream = uop_stream(profile, seed)
+        self.uops = get_trace_store().uop_buffer(profile, seed)
         self.fetchq: deque = deque()
         self.next_seq = 1
         self.completion: Dict[int, float] = {}
@@ -374,11 +379,16 @@ class SMTPipeline:
         if choice is None:
             return
         thread = self.threads[choice]
-        stream = thread.stream
+        uops = thread.uops
+        uops.reserve(thread.next_seq - 1 + config.fetch_width)
         for _ in range(config.fetch_width):
-            kind, dep1_off, dep2_off, mispredict = next(stream)
             seq = thread.next_seq
             thread.next_seq = seq + 1
+            code = uops.codes[seq - 1]
+            kind = code & ~MISPREDICT_BIT
+            mispredict = code != kind
+            dep1_off = uops.dep1[seq - 1]
+            dep2_off = uops.dep2[seq - 1]
             dep1 = seq - dep1_off if dep1_off else 0
             dep2 = seq - dep2_off if dep2_off else 0
             thread.fetchq.append((seq, kind, max(dep1, 0), max(dep2, 0), mispredict))

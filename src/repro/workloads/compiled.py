@@ -20,6 +20,11 @@ do): the simulator consumes addresses exclusively at block granularity, so
 reconstructing ``address = block << BLOCK_SHIFT`` is behaviour-preserving —
 replaying a compiled trace produces bit-identical counters and IPC to the
 object-trace path (asserted suite-by-suite in ``tests/test_compiled_trace``).
+
+The store also holds the SMT use case's inputs: one
+:class:`~repro.smt.uop.UopBuffer` per ``(ThreadProfile, seed)``, so every
+pipeline that runs a thread profile at a seed reads one shared uop stream
+instead of generating its own.
 """
 
 from __future__ import annotations
@@ -30,12 +35,19 @@ import os
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
+from repro.workloads.smt import ThreadProfile
 from repro.workloads.suites import WorkloadSpec, spec_by_name
 from repro.workloads.trace import BLOCK_SHIFT, TraceRecord
+
+if TYPE_CHECKING:  # pragma: no cover - typing-only import
+    from repro.smt.uop import UopBuffer
+
+_Key = TypeVar("_Key")
+_Value = TypeVar("_Value")
 
 #: Bump to invalidate every stored compiled trace (array layout or
 #: generator-visible semantics changed).
@@ -219,6 +231,10 @@ class TraceStore:
     shares materializations across processes, pool workers, and repeated
     CLI/benchmark invocations. Disk writes are atomic; unreadable entries
     are regenerated and overwritten.
+
+    Uop buffers live in memory only; ``memory_entries`` bounds them as it
+    bounds the compiled traces, and ``uop_hits``/``uop_misses`` count
+    their lookups.
     """
 
     def __init__(
@@ -234,20 +250,25 @@ class TraceStore:
         )
         self.memory_entries = memory_entries
         self._memory: Dict[str, CompiledTrace] = {}
+        self._uop_buffers: Dict[Tuple[ThreadProfile, int], "UopBuffer"] = {}
         self.hits = 0
         self.misses = 0
+        self.uop_hits = 0
+        self.uop_misses = 0
 
     def _path(self, key: str) -> Optional[Path]:
         if self.directory is None:
             return None
         return self.directory / key[:2] / f"{key}.npz"
 
-    def _remember(self, key: str, compiled: CompiledTrace) -> None:
+    def _remember(
+        self, memory: Dict[_Key, _Value], key: _Key, value: _Value
+    ) -> None:
         if self.memory_entries == 0:
             return
-        while len(self._memory) >= self.memory_entries:
-            self._memory.pop(next(iter(self._memory)))
-        self._memory[key] = compiled
+        while len(memory) >= self.memory_entries:
+            memory.pop(next(iter(memory)))
+        memory[key] = value
 
     def get(
         self,
@@ -273,7 +294,7 @@ class TraceStore:
                 loaded = None
             if loaded is not None:
                 self.hits += 1
-                self._remember(key, loaded)
+                self._remember(self._memory, key, loaded)
                 return loaded
         self.misses += 1
         compiled = CompiledTrace.from_records(
@@ -281,8 +302,28 @@ class TraceStore:
         )
         if path is not None:
             compiled.save(path)
-        self._remember(key, compiled)
+        self._remember(self._memory, key, compiled)
         return compiled
+
+    def uop_buffer(self, profile: ThreadProfile, seed: int) -> "UopBuffer":
+        """The shared uop stream of ``profile`` at ``seed``.
+
+        Keyed by the whole profile, not its name: the name seeds the
+        stream's RNG, but the fractions set its cut points.
+        """
+        # The SMT package imports this module, so its buffer class is
+        # imported on first use.
+        from repro.smt.uop import UopBuffer
+
+        key = (profile, seed)
+        buffer = self._uop_buffers.get(key)
+        if buffer is not None:
+            self.uop_hits += 1
+            return buffer
+        self.uop_misses += 1
+        buffer = UopBuffer(profile, seed)
+        self._remember(self._uop_buffers, key, buffer)
+        return buffer
 
 
 #: Environment variable naming the disk directory of the default store —

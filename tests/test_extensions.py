@@ -16,7 +16,7 @@ from repro.experiments.extensions import (
     run_joint_prefetch_replacement_bandit,
 )
 from repro.workloads.suites import spec_by_name
-from tests.golden import digest
+from tests.golden import assert_golden
 
 
 PARAMS = replace(PREFETCH_BANDIT_CONFIG, step_l2_accesses=40, gamma=0.98)
@@ -44,9 +44,7 @@ class TestJointL1L2:
         assert ipc > 0
         assert history  # at least the RR phase ran
         assert all(0 <= arm < len(joint_arm_space()) for arm in history)
-        assert digest((ipc, history)) == (
-            "a307c645ed45d6864b10515f0d4d0d262c57c807ab752ffb58e133868b70b96d"
-        )
+        assert_golden("joint_l1_l2", (ipc, history))
 
     def test_algorithm_arm_count_checked(self):
         from repro.bandit.base import BanditConfig
@@ -75,6 +73,4 @@ class TestJointReplacement:
         )
         assert ipc > 0
         assert len(history) >= len(prefetch_replacement_arm_space())
-        assert digest((ipc, history)) == (
-            "098065a62717bb55d80e616d4d5d5f2f15541405232a1cd00466673c6a85c9f5"
-        )
+        assert_golden("joint_prefetch_replacement", (ipc, history))

@@ -2,8 +2,9 @@
 
 The benchmark harness runs these at reproduction scale; here each function
 must produce a structurally sound result on minimal inputs *and* reproduce
-its pinned digest (:mod:`tests.golden`), so a refactor that moves any
-number in the experiment layer fails ``pytest tests/``.
+its pinned digest (:mod:`tests.golden`, keyed by ``CACHE_SCHEMA_VERSION``),
+so a refactor that moves any number in the experiment layer fails
+``pytest tests/``.
 
 Every figure that replays through the task runner renders under a fresh
 cached execution context and also pins its task list: the digest of the
@@ -16,10 +17,15 @@ import pytest
 
 import repro.experiments.figures as figures
 from repro.core_model.lane_kernel import LANE_KERNEL_ENV
-from repro.experiments.runner import ExecutionContext, ResultCache, use_context
+from repro.experiments.runner import (
+    CACHE_SCHEMA_VERSION,
+    ExecutionContext,
+    ResultCache,
+    use_context,
+)
 from repro.experiments.smt import SMTScale
 from repro.workloads.suites import tune_specs
-from tests.golden import digest
+from tests.golden import GOLDEN_DIGESTS, assert_golden, digest
 
 
 TINY_SMT = SMTScale(epoch_cycles=150, total_epochs=16, step_epochs=1,
@@ -50,9 +56,7 @@ class TestPrefetchFigures:
         assert set(result) == {"bwaves06", "gcc06", "average"}
         for top1, top2 in result.values():
             assert 0.0 <= top2 <= top1 <= 1.0
-        assert digest(result) == (
-            "70a9d44c7c025dceb8c1a4b8b8d5d58971fe43b14b14ce78c57241e2ff3f4ecf"
-        )
+        assert_golden("fig02", result)
 
     def test_table08(self, context):
         result = figures.table08_prefetch_tuneset(
@@ -63,9 +67,7 @@ class TestPrefetchFigures:
         }
         for summary in result.values():
             assert summary.minimum <= summary.gmean <= summary.maximum
-        assert digest(result) == (
-            "d1d455c0978767ce4de318d40690be7ba46e89aca5136bae63868ae1eb086301"
-        )
+        assert_golden("table08", result)
         assert task_list(context) == (
             "a7a21b163bc9f688333d8aebf197bdd4dad61495f770abb042a58bac061dd39c"
         )
@@ -80,9 +82,7 @@ class TestPrefetchFigures:
                                    "bandit"}
             for value in values.values():
                 assert value > 0
-        assert digest(result) == (
-            "d55ed064c34c7ee22bf71fa0e4fbb5cd1624e6081ff7c45ed4512292156acac5"
-        )
+        assert_golden("fig08", result)
         assert task_list(context) == (
             "cb7250ee6c5e96eb176f4ee63534fedaa1d6059685de61c57c5dc1f6e5420501"
         )
@@ -97,9 +97,7 @@ class TestPrefetchFigures:
             trace_length=TINY_TRACE, replicates=19, workloads=TINY_WORKLOADS
         )
         assert set(result) == {spec.name for spec in TINY_WORKLOADS} | {"all"}
-        assert digest(result) == (
-            "b67ce972f40ced725696f1d1b6b9b8f347a53b2328db9e5ae0baa81840ea3ac2"
-        )
+        assert_golden("fig08rep", result)
         assert task_list(context) == (
             "ce7fc67a1af5aaddc3bdeac5ed1494058970f33073751e73f737985ae003076d"
         )
@@ -111,9 +109,7 @@ class TestPrefetchFigures:
         assert "bandit" in result and "bandit_ideal" in result
         for metrics in result.values():
             assert set(metrics) == {"llc_misses", "timely", "late", "wrong"}
-        assert digest(result) == (
-            "b195cb818886287e1b8af160cf9515d3b34796a7b8b3a9f708ec063033e597c5"
-        )
+        assert_golden("fig09", result)
         assert task_list(context) == (
             "4bb88898ca913029094f3f07b6a91c42702d9fff726eaa2b158ff3c666880f84"
         )
@@ -127,9 +123,7 @@ class TestPrefetchFigures:
         assert set(result) == {600.0, 2400.0}
         for values in result.values():
             assert values["pythia"] > 0 and values["bandit"] > 0
-        assert digest(result) == (
-            "6262c2345bf5f3f2deaf58370dd2b27bab67b1dd6e1d87864f1c9d8d318ab009"
-        )
+        assert_golden("fig10", result)
         assert task_list(context) == (
             "8f679565cd4945cdc5db7f2ce1e0c52c7f6ada83137a1fb180a7a622cc0413a9"
         )
@@ -149,9 +143,7 @@ class TestPrefetchFigures:
             assert set(point) == {"best_static_gmean", "bandit_gmean",
                                   "bandit_min", "bandit_max"}
             assert point["bandit_min"] <= point["bandit_max"]
-        assert digest(result) == (
-            "93f1957d65ed4feed0cb5936efe9608c50145930873725af7da62c320aeeec6c"
-        )
+        assert_golden("fig10rep", result)
         assert task_list(context) == (
             "683f139874c76c19125111b15fc4ab8c755e9081239513461fa302327b961372"
         )
@@ -161,11 +153,7 @@ class TestPrefetchFigures:
             trace_length=TINY_TRACE, suites=["CloudSuite"]
         )
         assert "all" in result
-        # At this trace length neither hierarchy fills its L2, so the pin
-        # equals fig08's.
-        assert digest(result) == (
-            "d55ed064c34c7ee22bf71fa0e4fbb5cd1624e6081ff7c45ed4512292156acac5"
-        )
+        assert_golden("fig11", result)
         assert task_list(context) == (
             "c7a0eb4aab8b646ae304895483b85d7c9bbd55286dbf798c0724e14fb3f7668e"
         )
@@ -177,9 +165,7 @@ class TestPrefetchFigures:
         assert set(result) == {
             "stride_stride", "ipcp", "stride_pythia", "stride_bandit"
         }
-        assert digest(result) == (
-            "9bbbd709f67f423a91d28408f62c403f18c0a16b7faaabd8b60d191868a0ddbf"
-        )
+        assert_golden("fig12", result)
         assert task_list(context) == (
             "710b7846179fc9f514125dc518078b2700598f6d3f71919a18f92c1ee4cf5776"
         )
@@ -187,9 +173,7 @@ class TestPrefetchFigures:
     def test_fig14_structure(self, context):
         result = figures.fig14_fourcore(trace_length=1500, max_mixes=1)
         assert set(result) == {"stride", "bingo", "mlop", "pythia", "bandit"}
-        assert digest(result) == (
-            "5572002d942d5eaea8a0402ea04f0d5b8ea93646365422c7535b861c9a9cc2d8"
-        )
+        assert_golden("fig14", result)
         assert task_list(context) == (
             "de7007ea7be8118570f39a021c3c4652486e910a590db42f20df07093a6313c9"
         )
@@ -205,9 +189,7 @@ class TestSMTFigures:
         assert len(result) == 1
         record = result[0]
         assert record["worst_vs_choi"] <= record["best_vs_choi"]
-        assert digest(result) == (
-            "9d149ac77bc82327a652d57153724289f3015f755097fb67ec5a2aa0caad2596"
-        )
+        assert_golden("fig05", result)
         assert task_list(context) == (
             "c8e8fe583e227a3fb8024298086cff2606b2948d5241689d718814c100b03c60"
         )
@@ -215,9 +197,7 @@ class TestSMTFigures:
     def test_table09_structure(self, context):
         result = figures.table09_smt_tuneset(num_mixes=2, scale=TINY_SMT)
         assert "Choi" in result and "DUCB" in result
-        assert digest(result) == (
-            "6ec5c727875f931a3c9457e5aedf0c1daebaf92bc86022af273921b1dc7d0701"
-        )
+        assert_golden("table09", result)
         assert task_list(context) == (
             "44d66af8f4e87fda8fd9c66aa2d273706b872e149d1b951ea642e015b13490d2"
         )
@@ -226,9 +206,7 @@ class TestSMTFigures:
         result = figures.fig13_smt_bandit_vs_choi(num_mixes=2, scale=TINY_SMT)
         assert len(result["ratios_sorted"]) == 2
         assert result["gmean_vs_choi"] > 0
-        assert digest(result) == (
-            "5c7d410544ac2f22f9043c23c45d9fb98ac1e258c9a4afaffecd52123a3ee8f6"
-        )
+        assert_golden("fig13", result)
         assert task_list(context) == (
             "edb386575a4f18d8371453283bedb57f99ab3e1992dc7bda6a221cdd37f1dc6b"
         )
@@ -238,9 +216,7 @@ class TestSMTFigures:
         for metrics in result.values():
             total = metrics["stalled_any"] + metrics["idle"] + metrics["running"]
             assert total == pytest.approx(1.0, abs=1e-6)
-        assert digest(result) == (
-            "8dcc6878ac9ecc1c4757f686390d0710f5b76977a129c15d81fb6e69463c1667"
-        )
+        assert_golden("fig15", result)
         assert task_list(context) == (
             "5cbbac9e58b10557b8ce0518513f8e1ff0c09614dc47aaa3b67835424f9b39c7"
         )
@@ -256,9 +232,7 @@ class TestSMTFigures:
         assert set(result) == {"prefetch:bwaves06", "smt:gcc-lbm"}
         for scenario in result.values():
             assert set(scenario) == {"BestStatic", "Single", "UCB", "DUCB"}
-        assert digest(result) == (
-            "00d164c918382ae2be8bb8fb446b2e135d7032e7f6da278381c63676be6f36c4"
-        )
+        assert_golden("fig07", result)
         # 1 baseline + 11 arms + 3 bandits, then 6 PG arms + 3 bandits.
         assert len(context.telemetry.tasks) == 24
         assert task_list(context) == (
@@ -278,6 +252,25 @@ class TestSec65:
         result = figures.sec65_area_power()
         assert result["storage_bytes"] == 88
         assert result["area_fraction_of_icelake"] < 1.0
-        assert digest(result) == (
-            "28bfecc4fd6fd72023f04c94bfe7509a41f0e5444642f6314a4a4536a6b721ed"
-        )
+        assert_golden("sec65", result)
+
+
+class TestGoldenTable:
+    """The pins above are read from one table keyed by cache version."""
+
+    def test_current_version_is_pinned(self):
+        assert CACHE_SCHEMA_VERSION in GOLDEN_DIGESTS
+
+    def test_moved_digest_asks_for_a_version_bump(self):
+        with pytest.raises(AssertionError) as excinfo:
+            assert_golden("fig02", {"moved": 1.0})
+        message = str(excinfo.value)
+        assert "'fig02'" in message
+        assert GOLDEN_DIGESTS[CACHE_SCHEMA_VERSION]["fig02"] in message
+        assert digest({"moved": 1.0}) in message
+        assert ("bump CACHE_SCHEMA_VERSION in experiments/runner.py and pin "
+                "the new digest under the new version") in message
+
+    def test_unpinned_name_fails(self):
+        with pytest.raises(AssertionError, match="no golden digest 'nosuch'"):
+            assert_golden("nosuch", {})

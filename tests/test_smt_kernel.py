@@ -34,6 +34,7 @@ from repro.smt.hill_climbing import HillClimbing
 from repro.smt.pg_policy import BANDIT_PG_ARMS, CHOI_POLICY, ICOUNT_POLICY
 from repro.smt.pipeline import SMTConfig, SMTPipeline
 from repro.workloads.smt import thread_profile
+from tests.uop_reference import read_uops
 
 GCC = thread_profile("gcc")
 LBM = thread_profile("lbm")
@@ -151,8 +152,8 @@ def _wake_shapes(pipeline):
 
 
 def _pipeline_state(pipeline, hill_climbing):
-    """Everything a later cycle can read, the streams' next uops included
-    (drawing them consumes the streams, so call this once per run)."""
+    """Everything a later cycle can read: each thread's position in its
+    shared uop buffer, and the buffer's contents from there."""
     threads = [
         dict(
             completion=thread.completion,
@@ -165,7 +166,7 @@ def _pipeline_state(pipeline, hill_climbing):
             committed_seq=thread.committed_seq,
             blocked_seq=thread.blocked_seq,
             next_seq=thread.next_seq,
-            next_uops=[next(thread.stream) for _ in range(32)],
+            next_uops=read_uops(thread.uops, thread.next_seq - 1, 32),
         )
         for thread in pipeline.threads
     ]

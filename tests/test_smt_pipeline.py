@@ -4,8 +4,10 @@ import pytest
 
 from repro.smt.pg_policy import CHOI_POLICY, ICOUNT_POLICY, PGPolicy
 from repro.smt.pipeline import SMTConfig, SMTPipeline
-from repro.smt.uop import KIND_LOAD, KIND_STORE, REG_WRITING_KINDS, uop_stream
+from repro.smt.uop import KIND_LOAD, KIND_STORE, REG_WRITING_KINDS
+from repro.workloads.compiled import TraceStore
 from repro.workloads.smt import thread_profile
+from tests.uop_reference import read_uops
 
 
 GCC = thread_profile("gcc")
@@ -20,22 +22,19 @@ def make(profiles=(GCC, LBM), policy=CHOI_POLICY, seed=1, **config_kwargs):
 
 class TestUopStream:
     def test_deterministic(self):
-        a = uop_stream(GCC, seed=3)
-        b = uop_stream(GCC, seed=3)
-        assert [next(a) for _ in range(50)] == [next(b) for _ in range(50)]
+        a = TraceStore().uop_buffer(GCC, 3)
+        b = TraceStore().uop_buffer(GCC, 3)
+        assert read_uops(a, 0, 50) == read_uops(b, 0, 50)
 
     def test_mix_matches_profile(self):
-        stream = uop_stream(GCC, seed=5)
-        uops = [next(stream) for _ in range(20000)]
+        uops = read_uops(TraceStore().uop_buffer(GCC, 5), 0, 20000)
         loads = sum(1 for kind, *_ in uops if kind == KIND_LOAD)
         stores = sum(1 for kind, *_ in uops if kind == KIND_STORE)
         assert loads / len(uops) == pytest.approx(GCC.load_fraction, abs=0.02)
         assert stores / len(uops) == pytest.approx(GCC.store_fraction, abs=0.02)
 
     def test_dep_offsets_positive(self):
-        stream = uop_stream(LBM, seed=5)
-        for _ in range(1000):
-            _, dep1, dep2, _ = next(stream)
+        for _, dep1, dep2, _ in read_uops(TraceStore().uop_buffer(LBM, 5), 0, 1000):
             assert dep1 >= 0 and dep2 >= 0
 
 
