@@ -19,7 +19,6 @@ process pool. Both default to the deterministic serial behaviour.
 """
 
 import os
-from pathlib import Path
 
 import pytest
 
@@ -56,13 +55,12 @@ def experiment_context(tmp_path_factory):
         cache_dir = tmp_path_factory.mktemp("repro-cache")
     jobs = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
     context = ExecutionContext(jobs=jobs, cache=ResultCache(cache_dir))
-    # Compiled traces are memoized on disk next to the result cache, so
+    # Compiled traces are kept as rows of the same result store, so
     # repeated benchmark invocations skip workload generation entirely. The
     # environment variable makes pool workers pick the same directory up.
-    trace_dir = Path(cache_dir) / "traces"
     previous_env = os.environ.get(TRACE_CACHE_ENV)
-    os.environ[TRACE_CACHE_ENV] = str(trace_dir)
-    store = TraceStore(trace_dir)
+    os.environ[TRACE_CACHE_ENV] = str(cache_dir)
+    store = TraceStore(cache_dir)
     try:
         with use_trace_store(store), use_context(context):
             yield context

@@ -36,7 +36,7 @@ from repro.experiments.reporting import format_summary_table, format_table
 from repro.experiments.runner import ExecutionContext, ResultCache, use_context
 from repro.experiments.smt import SMTScale
 from repro.smt.bandit_control import SMTBanditConfig
-from repro.workloads.compiled import TRACE_CACHE_ENV, set_trace_store
+from repro.workloads.compiled import TRACE_CACHE_ENV, get_trace_store, set_trace_store
 from repro.workloads.suites import spec_by_name, tune_specs
 
 #: Default result-cache location (content-keyed; safe to delete any time).
@@ -404,9 +404,9 @@ def main(argv=None) -> int:
         os.environ[SANITIZE_ENV] = "1"
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     if cache is not None and not os.environ.get(TRACE_CACHE_ENV):
-        # Share compiled traces on disk alongside the result cache (workers
-        # inherit the setting through the environment).
-        os.environ[TRACE_CACHE_ENV] = str(Path(args.cache_dir) / "traces")
+        # Keep compiled traces as rows of the result store (workers inherit
+        # the setting through the environment).
+        os.environ[TRACE_CACHE_ENV] = args.cache_dir
         set_trace_store(None)  # re-read the environment
     context = ExecutionContext(jobs=args.jobs, cache=cache)
     with use_context(context):
@@ -421,6 +421,7 @@ def main(argv=None) -> int:
             print(f"[profile] summary: {summary_path}", file=sys.stderr)
         else:
             COMMANDS[args.command](args)
+    get_trace_store().close()
     telemetry = context.telemetry
     print(telemetry.summary_line(args.command, jobs=args.jobs),
           file=sys.stderr)

@@ -158,25 +158,27 @@ def smt_bandit_algorithm(seed: int = 0, num_arms: int = SMT_NUM_ARMS) -> DUCB:
                              exploration_c=SMT_EXPLORATION_C, seed=seed))
 
 
-def table8_algorithm_lineup(
-    seed: int = 0, gamma: float = PREFETCH_GAMMA
+def _algorithm_lineup(
+    seed: int,
+    num_arms: int,
+    exploration_c: float,
+    period: int,
+    ducb: DUCB,
 ) -> Dict[str, MABAlgorithm]:
-    """The §7.1 algorithm lineup of Table 8, keyed by its row labels.
+    """The five Table 8/9 rows, fresh, around the use case's ``ducb``.
 
-    ``gamma`` is a parameter because reproduction-scale runs shrink the
-    DUCB horizon with the episode (see :data:`SCALED_GAMMA`).
+    The use cases differ only in the arm count, UCB's exploration
+    constant, Periodic's period and the DUCB.
     """
     from repro.bandit.epsilon_greedy import EpsilonGreedy
     from repro.bandit.heuristics import Periodic, Single
     from repro.bandit.ucb import UCB
 
-    num_arms = PREFETCH_NUM_ARMS
-    exploration_c = PREFETCH_EXPLORATION_C
     return {
         "Single": Single(BanditConfig(num_arms=num_arms, seed=seed)),
         "Periodic": Periodic(
             BanditConfig(num_arms=num_arms, seed=seed),
-            period=40, buffer_length=4,
+            period=period, buffer_length=4,
         ),
         "eGreedy": EpsilonGreedy(
             BanditConfig(num_arms=num_arms, epsilon=EPSILON_GREEDY_EPSILON,
@@ -186,11 +188,22 @@ def table8_algorithm_lineup(
             BanditConfig(num_arms=num_arms, exploration_c=exploration_c,
                          seed=seed)
         ),
-        "DUCB": DUCB(
-            BanditConfig(num_arms=num_arms, gamma=gamma,
-                         exploration_c=exploration_c, seed=seed)
-        ),
+        "DUCB": ducb,
     }
+
+
+def table8_algorithm_lineup(
+    seed: int = 0, gamma: float = PREFETCH_GAMMA
+) -> Dict[str, MABAlgorithm]:
+    """The §7.1 algorithm lineup of Table 8, keyed by its row labels.
+
+    ``gamma`` is a parameter because reproduction-scale runs shrink the
+    DUCB horizon with the episode (see :data:`SCALED_GAMMA`).
+    """
+    ducb = DUCB(BanditConfig(num_arms=PREFETCH_NUM_ARMS, gamma=gamma,
+                             exploration_c=PREFETCH_EXPLORATION_C, seed=seed))
+    return _algorithm_lineup(seed, PREFETCH_NUM_ARMS, PREFETCH_EXPLORATION_C,
+                             period=40, ducb=ducb)
 
 
 def smt_algorithm_lineup(seed: int = 0) -> Dict[str, MABAlgorithm]:
@@ -201,27 +214,8 @@ def smt_algorithm_lineup(seed: int = 0) -> Dict[str, MABAlgorithm]:
     Periodic buffer/period values follow the SMT episode length the same way
     Table 8's follow the prefetching one.
     """
-    from repro.bandit.epsilon_greedy import EpsilonGreedy
-    from repro.bandit.heuristics import Periodic, Single
-    from repro.bandit.ucb import UCB
-
-    num_arms = SMT_NUM_ARMS
-    return {
-        "Single": Single(BanditConfig(num_arms=num_arms, seed=seed)),
-        "Periodic": Periodic(
-            BanditConfig(num_arms=num_arms, seed=seed),
-            period=20, buffer_length=4,
-        ),
-        "eGreedy": EpsilonGreedy(
-            BanditConfig(num_arms=num_arms, epsilon=EPSILON_GREEDY_EPSILON,
-                         seed=seed)
-        ),
-        "UCB": UCB(
-            BanditConfig(num_arms=num_arms, exploration_c=SMT_EXPLORATION_C,
-                         seed=seed)
-        ),
-        "DUCB": smt_bandit_algorithm(seed),
-    }
+    return _algorithm_lineup(seed, SMT_NUM_ARMS, SMT_EXPLORATION_C,
+                             period=20, ducb=smt_bandit_algorithm(seed))
 
 
 def scaled_hill_climbing(

@@ -52,13 +52,9 @@ from repro.smt.pg_policy import (
 )
 from repro.uncore.hierarchy import HierarchyConfig
 from repro.util.stats import Summary, geometric_mean, summarize_ratios
+from repro.workloads.compiled import compiled_trace_for
 from repro.workloads.smt import smt_eval_mixes, smt_tune_mixes
-from repro.workloads.suites import (
-    ALL_SUITES,
-    WorkloadSpec,
-    spec_by_name,
-    tune_specs,
-)
+from repro.workloads.suites import ALL_SUITES, WorkloadSpec, tune_specs
 
 #: Default trace length (memory accesses) for prefetching experiments.
 DEFAULT_TRACE_LENGTH = 30_000
@@ -116,12 +112,14 @@ def fig02_pythia_homogeneity(
     top1_sum = 0.0
     top2_sum = 0.0
     for name in workloads:
-        trace = spec_by_name(name).trace(trace_length, seed=seed)
+        pcs, blocks, _, _ = compiled_trace_for(
+            name, trace_length, seed=seed
+        ).as_lists()
         pythia = PythiaPrefetcher()
-        for record in trace:
+        for pc, block in zip(pcs, blocks):
             # Feed the L1-miss stream approximation: Pythia trains on all
             # block-granular demand activity here, as a profiling proxy.
-            pythia.observe(record.pc, record.address >> 6, 0.0, False)
+            pythia.observe(pc, block, 0.0, False)
         top1, top2 = pythia.top_action_fractions(2)
         result[name] = (top1, top2)
         top1_sum += top1

@@ -26,9 +26,10 @@ context is serial and uncached, which keeps library use dependency-free.
 
 Task *functions* must be module-level (the process pool pickles them by
 reference, and :func:`task_key` rejects any other) and must rebuild their
-inputs from picklable descriptions; the ones defined here regenerate
-workload traces from spec names, which is deterministic because trace
-generation is seeded.
+inputs from picklable descriptions; the ones defined here read workload
+traces by spec name through
+:func:`~repro.workloads.compiled.compiled_trace_for`, which is
+deterministic because trace generation is seeded.
 """
 
 from __future__ import annotations
@@ -93,7 +94,6 @@ from repro.smt.pipeline import SMTConfig
 from repro.prefetch.base import Prefetcher
 from repro.uncore.hierarchy import HierarchyConfig
 from repro.workloads.compiled import compiled_trace_for
-from repro.workloads.suites import spec_by_name
 
 #: Bump to invalidate every cached result (simulator-visible semantics
 #: changed: result dataclass layout, replay fidelity fixes, ...).
@@ -337,9 +337,11 @@ class ResultCache:
     A value that does not unpickle (a stale pickle from a refactored
     module, corrupt bytes) is a miss, and the rerun task's put overwrites
     it. A damaged store file (SQLite reports "not a database" or
-    "malformed") is reported once on stderr and then bypassed: every get
-    misses and every put is dropped, which leaves the results unchanged.
-    Deleting the file rebuilds the cache.
+    "malformed") is reported on stderr once per handle and then bypassed:
+    every get misses and every put is dropped, which leaves the results
+    unchanged. Deleting the file rebuilds the cache. A
+    :class:`~repro.workloads.compiled.TraceStore` given the same directory
+    keeps its compiled traces in this table through a handle of its own.
 
     The connection opens on first use, and again in a forked child, which
     must not use its parent's connection. It serves the thread that opened
@@ -849,7 +851,8 @@ def multicore_fixed_task(
 ) -> Dict[str, Any]:
     """One N-core fixed-prefetcher run; returns a small picklable payload."""
     traces = [
-        spec_by_name(name).trace(trace_length, seed=seed, gap_scale=gap_scale)
+        compiled_trace_for(name, trace_length, seed=seed,
+                           gap_scale=gap_scale).to_records()
         for name, seed in zip(spec_names, seeds)
     ]
     total_ipc, system = run_multicore_fixed(
@@ -878,7 +881,8 @@ def multicore_bandit_task(
 ) -> Dict[str, Any]:
     """One N-core per-core-bandit run (§7.2.3)."""
     traces = [
-        spec_by_name(name).trace(trace_length, seed=s, gap_scale=gap_scale)
+        compiled_trace_for(name, trace_length, seed=s,
+                           gap_scale=gap_scale).to_records()
         for name, s in zip(spec_names, seeds)
     ]
     total_ipc, _ = run_multicore_bandit(

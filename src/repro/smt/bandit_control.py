@@ -21,7 +21,7 @@ step's arm and estimator state;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.bandit.base import MABAlgorithm
 from repro.bandit.hardware import MicroArmedBandit
@@ -32,8 +32,9 @@ from repro.smt.hill_climbing import HillClimbing, HillClimbingConfig
 from repro.smt.pg_policy import BANDIT_PG_ARMS, PGPolicy
 from repro.smt.pipeline import SMTPipeline
 
-#: Epoch-boundary callback: ``(pipeline, epoch_ipc)``, read-only pipeline.
-EpochHook = Callable[[SMTPipeline, float], None]
+if TYPE_CHECKING:  # pragma: no cover - typing-only import
+    # The kernel imports the SMT package, which imports this module.
+    from repro.core_model.smt_kernel import EpochHook
 
 
 def _epoch_checkpoints(
@@ -174,11 +175,7 @@ class BanditFetchController:
         start_committed = self.pipeline.committed_total
         epochs_done = 0
         while epochs_done < total_epochs:
-            planned = (
-                self.config.step_epochs_rr
-                if self.bandit.in_round_robin_phase
-                else self.config.step_epochs
-            )
+            planned = self._step_epochs(self.bandit.in_round_robin_phase)
             epochs = min(planned, total_epochs - epochs_done)
             self.run_one_step(epochs=epochs)
             epochs_done += epochs
@@ -200,11 +197,7 @@ class BanditFetchController:
         arm = self.bandit.begin_step(pipeline.cycle)
         self._apply_arm(arm)
         if epochs is None:
-            epochs = (
-                self.config.step_epochs_rr
-                if in_round_robin
-                else self.config.step_epochs
-            )
+            epochs = self._step_epochs(in_round_robin)
         log = self.epoch_log
         run_epochs(
             pipeline, self.hill_climbing, epochs,
@@ -227,6 +220,11 @@ class BanditFetchController:
         return step_ipc
 
     # -------------------------------------------------------------- internals
+
+    def _step_epochs(self, in_round_robin: bool) -> int:
+        """A step's natural length: longer during the round-robin phase."""
+        config = self.config
+        return config.step_epochs_rr if in_round_robin else config.step_epochs
 
     def _counters(self) -> PerformanceCounters:
         return PerformanceCounters(self.pipeline.committed_total, self.pipeline.cycle)

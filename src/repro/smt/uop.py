@@ -39,8 +39,6 @@ KIND_STORE = 2
 KIND_BRANCH = 3
 KIND_LONG = 4
 
-KIND_NAMES = ("alu", "load", "store", "branch", "long")
-
 #: Kinds that allocate a physical register at rename (freed at commit).
 REG_WRITING_KINDS = frozenset({KIND_ALU, KIND_LOAD, KIND_LONG})
 

@@ -1,4 +1,4 @@
-"""Compiled array-backed traces and the on-disk trace store.
+"""Compiled array-backed traces and the trace store.
 
 The object representation of a trace — a list of
 :class:`~repro.workloads.trace.TraceRecord` NamedTuples — is convenient but
@@ -10,8 +10,9 @@ flags / inst_gap), which
 
 - materializes once and is shared by every replay of the same workload
   (the 11-arm fan-outs and repeated no-prefetch baselines of the figures),
-- is memoized on disk keyed by the generator configuration and seed, so
-  repeated CLI/benchmark invocations skip generation entirely, and
+- is memoized by :class:`TraceStore`, keyed by the generator configuration
+  and seed, in memory and as one row of a cache directory's result store,
+  so repeated CLI/benchmark invocations skip generation entirely, and
 - replays through :meth:`~repro.core_model.trace_core.TraceCore.run_compiled`,
   whose fused kernel constructs no per-record object.
 
@@ -20,6 +21,7 @@ do): the simulator consumes addresses exclusively at block granularity, so
 reconstructing ``address = block << BLOCK_SHIFT`` is behaviour-preserving —
 replaying a compiled trace produces bit-identical counters and IPC to the
 object-trace path (asserted suite-by-suite in ``tests/test_compiled_trace``).
+Every experiment reads its traces through :func:`compiled_trace_for`.
 
 The store also holds the SMT use case's inputs: one
 :class:`~repro.smt.uop.UopBuffer` per ``(ThreadProfile, seed)``, so every
@@ -30,9 +32,9 @@ instead of generating its own.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
-import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar
@@ -44,6 +46,7 @@ from repro.workloads.suites import WorkloadSpec, spec_by_name
 from repro.workloads.trace import BLOCK_SHIFT, TraceRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
+    from repro.experiments.runner import ResultCache
     from repro.smt.uop import UopBuffer
 
 _Key = TypeVar("_Key")
@@ -155,33 +158,23 @@ class CompiledTrace:
 
     # ------------------------------------------------------------ persistence
 
-    def save(self, path: str | Path) -> None:
-        """Write the arrays to ``path`` (``.npz``), atomically."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        handle = tempfile.NamedTemporaryFile(
-            mode="wb", dir=path.parent, suffix=".tmp", delete=False
+    def to_image(self) -> bytes:
+        """The ``np.savez_compressed`` image of the four arrays (never the
+        :meth:`as_lists` cache)."""
+        buffer = io.BytesIO()
+        np.savez_compressed(
+            buffer,
+            pc=self.pc,
+            block=self.block,
+            flags=self.flags,
+            inst_gap=self.inst_gap,
         )
-        try:
-            with handle:
-                np.savez_compressed(
-                    handle,
-                    pc=self.pc,
-                    block=self.block,
-                    flags=self.flags,
-                    inst_gap=self.inst_gap,
-                )
-            os.replace(handle.name, path)
-        except BaseException:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
+        return buffer.getvalue()
 
     @classmethod
-    def load(cls, path: str | Path) -> "CompiledTrace":
-        with np.load(Path(path), allow_pickle=False) as bundle:
+    def from_image(cls, image: bytes) -> "CompiledTrace":
+        """The trace :meth:`to_image` encoded."""
+        with np.load(io.BytesIO(image), allow_pickle=False) as bundle:
             return cls(
                 bundle["pc"], bundle["block"], bundle["flags"],
                 bundle["inst_gap"],
@@ -227,10 +220,13 @@ class TraceStore:
     """Process-wide memoization of compiled traces, optionally disk-backed.
 
     The in-memory layer makes the per-figure fan-outs (one generation
-    shared by ~6–11 replays) free; the disk layer (``directory`` set)
+    shared by ~6–11 replays) free. Given a ``directory``, the store also
+    keeps every trace it generates as one row of that directory's
+    :class:`~repro.experiments.runner.ResultCache` (keyed by
+    :func:`trace_key`, valued by :meth:`CompiledTrace.to_image`), which
     shares materializations across processes, pool workers, and repeated
-    CLI/benchmark invocations. Disk writes are atomic; unreadable entries
-    are regenerated and overwritten.
+    CLI/benchmark invocations. Puts are atomic; a row that does not decode
+    is a miss, and the regenerated trace overwrites it.
 
     Uop buffers live in memory only; ``memory_entries`` bounds them as it
     bounds the compiled traces, and ``uop_hits``/``uop_misses`` count
@@ -244,10 +240,13 @@ class TraceStore:
     ) -> None:
         if memory_entries < 0:
             raise ValueError("memory_entries must be >= 0")
-        self.directory = (
-            Path(directory) / f"t{TRACE_STORE_VERSION}"
-            if directory is not None else None
-        )
+        self.cache: Optional["ResultCache"] = None
+        if directory is not None:
+            # The experiment runner imports this module, so its store class
+            # is imported on first use.
+            from repro.experiments.runner import ResultCache
+
+            self.cache = ResultCache(directory)
         self.memory_entries = memory_entries
         self._memory: Dict[str, CompiledTrace] = {}
         self._uop_buffers: Dict[Tuple[ThreadProfile, int], "UopBuffer"] = {}
@@ -255,11 +254,6 @@ class TraceStore:
         self.misses = 0
         self.uop_hits = 0
         self.uop_misses = 0
-
-    def _path(self, key: str) -> Optional[Path]:
-        if self.directory is None:
-            return None
-        return self.directory / key[:2] / f"{key}.npz"
 
     def _remember(
         self, memory: Dict[_Key, _Value], key: _Key, value: _Value
@@ -283,27 +277,35 @@ class TraceStore:
         if cached is not None:
             self.hits += 1
             return cached
-        path = self._path(key)
-        if path is not None and path.is_file():
-            try:
-                loaded = CompiledTrace.load(path)
-            except Exception:
-                # A corrupt entry falls through and is rebuilt. numpy and
-                # zipfile raise many types on damaged archives (BadZipFile,
-                # zlib.error, tokenize.TokenError, NotImplementedError, ...).
-                loaded = None
-            if loaded is not None:
-                self.hits += 1
-                self._remember(self._memory, key, loaded)
-                return loaded
+        cache = self.cache
+        if cache is not None:
+            hit, image = cache.get(key)
+            if hit:
+                try:
+                    loaded = CompiledTrace.from_image(image)
+                except Exception:
+                    # A damaged row is a miss, rebuilt and overwritten below.
+                    # numpy and zipfile raise many types on damaged archives
+                    # (BadZipFile, zlib.error, tokenize.TokenError,
+                    # NotImplementedError, ...).
+                    pass
+                else:
+                    self.hits += 1
+                    self._remember(self._memory, key, loaded)
+                    return loaded
         self.misses += 1
         compiled = CompiledTrace.from_records(
             spec.trace(length, seed=seed, gap_scale=gap_scale)
         )
-        if path is not None:
-            compiled.save(path)
+        if cache is not None:
+            cache.put(key, compiled.to_image())
         self._remember(self._memory, key, compiled)
         return compiled
+
+    def close(self) -> None:
+        """Close the directory's store connection (see ``ResultCache.close``)."""
+        if self.cache is not None:
+            self.cache.close()
 
     def uop_buffer(self, profile: ThreadProfile, seed: int) -> "UopBuffer":
         """The shared uop stream of ``profile`` at ``seed``.
@@ -326,8 +328,9 @@ class TraceStore:
         return buffer
 
 
-#: Environment variable naming the disk directory of the default store —
-#: read once per process, so pool workers inherit the CLI/benchmark setting.
+#: Environment variable naming the cache directory whose result store holds
+#: the default store's traces — read once per process, so pool workers
+#: inherit the CLI/benchmark setting.
 TRACE_CACHE_ENV = "REPRO_TRACE_CACHE_DIR"
 
 _ACTIVE_STORE: Optional[TraceStore] = None

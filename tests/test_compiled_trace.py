@@ -11,19 +11,19 @@ kernel's record-hook protocol).
 
 import dataclasses
 import io
+import random
 import struct
-import sys
-import threading
 import zipfile
 
-import numpy as np
 import pytest
 
 from repro.core_model.trace_core import CoreConfig, TraceCore
+from repro.experiments.figures import fig14_fourcore
 from repro.experiments.prefetch import (
     run_bandit_prefetch,
     run_fixed_prefetcher,
 )
+from repro.experiments.runner import ExecutionContext, ResultCache, use_context
 from repro.uncore.hierarchy import CacheHierarchy, HierarchyConfig
 from repro.workloads.compiled import (
     FLAG_DEPENDENT,
@@ -69,6 +69,32 @@ def _unbalanced_array_header(archive: bytes) -> bytes:
         for name, content in members:
             target.writestr(name, content.replace(b"}", b" ", 1))
     return out.getvalue()
+
+
+def _damage_row(directory, spec, length, corrupt):
+    """Replace the stored image of ``spec``'s trace with ``corrupt(image)``."""
+    cache = ResultCache(directory)
+    key = trace_key(spec, length, 0)
+    hit, image = cache.get(key)
+    assert hit
+    cache.put(key, corrupt(image))
+    cache.close()
+
+
+def _assert_same_trace(trace, expected):
+    for column in ("pc", "block", "flags", "inst_gap"):
+        assert (getattr(trace, column) == getattr(expected, column)).all()
+
+
+def _assert_rebuilt(directory, spec, length, expected):
+    """A fresh store misses once and rebuilds ``expected``; the row it
+    rewrites serves the next reader."""
+    fresh = TraceStore(directory)
+    _assert_same_trace(fresh.get(spec, length, seed=0), expected)
+    assert (fresh.hits, fresh.misses) == (0, 1)
+    reader = TraceStore(directory)
+    _assert_same_trace(reader.get(spec, length, seed=0), expected)
+    assert (reader.hits, reader.misses) == (1, 0)
 
 
 def _object_trace(name: str, length: int = TRACE_LENGTH):
@@ -121,16 +147,6 @@ class TestCompiledTrace:
                 compiled.inst_gap[:0],
             )
 
-    def test_save_load_round_trip(self, tmp_path):
-        compiled = CompiledTrace.from_records(_object_trace(SUITE_REPRESENTATIVES[0]))
-        path = tmp_path / "trace.npz"
-        compiled.save(path)
-        loaded = CompiledTrace.load(path)
-        assert (loaded.pc == compiled.pc).all()
-        assert (loaded.block == compiled.block).all()
-        assert (loaded.flags == compiled.flags).all()
-        assert (loaded.inst_gap == compiled.inst_gap).all()
-
 
 # ================================================================== store
 
@@ -146,14 +162,24 @@ class TestTraceStore:
         assert store.hits == 1
 
     def test_disk_round_trip(self, tmp_path):
+        """A trace is one row of the directory's result store; the row holds
+        the four arrays only, never the ``as_lists`` cache."""
         spec = spec_by_name(SUITE_REPRESENTATIVES[0])
         writer = TraceStore(tmp_path)
         built = writer.get(spec, 256, seed=0)
         reader = TraceStore(tmp_path)
         loaded = reader.get(spec, 256, seed=0)
         assert reader.hits == 1 and reader.misses == 0
-        assert (loaded.pc == built.pc).all()
-        assert (loaded.block == built.block).all()
+        _assert_same_trace(loaded, built)
+        cache = ResultCache(tmp_path)
+        assert len(cache) == 1
+        _, stored = cache.get(trace_key(spec, 256, 0))
+        loaded.as_lists()
+        assert len(loaded.to_image()) == len(stored)
+        assert [p.name for p in tmp_path.iterdir()] == ["v6"]
+        assert {p.name for p in (tmp_path / "v6").iterdir()} <= {
+            "results.sqlite", "results.sqlite-shm", "results.sqlite-wal",
+        }
 
     def test_key_distinguishes_generator_config(self):
         spec_a = spec_by_name(SUITE_REPRESENTATIVES[0])
@@ -167,102 +193,62 @@ class TestTraceStore:
 
     def test_corrupt_entry_is_rebuilt(self, tmp_path):
         spec = spec_by_name(SUITE_REPRESENTATIVES[0])
-        store = TraceStore(tmp_path)
-        store.get(spec, 256, seed=0)
-        [path] = list(tmp_path.rglob("*.npz"))
-        path.write_bytes(b"not a trace")
-        fresh = TraceStore(tmp_path)
-        rebuilt = fresh.get(spec, 256, seed=0)
-        assert fresh.misses == 1
-        assert len(rebuilt) == 256
+        built = TraceStore(tmp_path).get(spec, 256, seed=0)
+        _damage_row(tmp_path, spec, 256, lambda image: b"not a trace")
+        _assert_rebuilt(tmp_path, spec, 256, built)
 
     @pytest.mark.parametrize("cut", [0, 10, 0.5], ids=["empty", "header",
                                                        "half"])
     def test_truncated_entry_is_rebuilt(self, tmp_path, cut):
-        """Empty, header-only, and mid-archive truncations (EOFError /
-        BadZipFile) are all cache misses, not crashes."""
+        """Empty, header-only, and mid-archive truncations of a stored image
+        (EOFError / BadZipFile) are all misses, not crashes."""
         spec = spec_by_name(SUITE_REPRESENTATIVES[0])
-        store = TraceStore(tmp_path)
-        store.get(spec, 256, seed=0)
-        [path] = list(tmp_path.rglob("*.npz"))
-        data = path.read_bytes()
-        cut = int(cut * len(data)) if isinstance(cut, float) else cut
-        path.write_bytes(data[:cut])
-        fresh = TraceStore(tmp_path)
-        rebuilt = fresh.get(spec, 256, seed=0)
-        assert fresh.misses == 1
-        assert len(rebuilt) == 256
+        built = TraceStore(tmp_path).get(spec, 256, seed=0)
+
+        def truncate(image):
+            return image[:int(cut * len(image)) if isinstance(cut, float)
+                         else cut]
+
+        _damage_row(tmp_path, spec, 256, truncate)
+        _assert_rebuilt(tmp_path, spec, 256, built)
 
     @pytest.mark.parametrize("corrupt", [
         _bad_deflate_block, _unknown_compression_method,
         _unbalanced_array_header,
     ], ids=["deflate-block", "compression-method", "array-header"])
     def test_undecodable_entry_is_rebuilt(self, tmp_path, corrupt):
-        """Whatever numpy and zipfile raise on a corrupt archive is a miss:
-        the trace is generated again and overwrites the entry."""
+        """Whatever numpy and zipfile raise on a corrupt image is a miss:
+        the trace is generated again and overwrites the row."""
         spec = spec_by_name("milc06")
         built = TraceStore(tmp_path).get(spec, 500, seed=0)
-        [path] = list(tmp_path.rglob("*.npz"))
-        path.write_bytes(corrupt(path.read_bytes()))
-        fresh = TraceStore(tmp_path)
-        rebuilt = fresh.get(spec, 500, seed=0)
-        assert fresh.misses == 1
-        assert (rebuilt.block == built.block).all()
-        reader = TraceStore(tmp_path)
-        reader.get(spec, 500, seed=0)
-        assert (reader.hits, reader.misses) == (1, 0)
+        _damage_row(tmp_path, spec, 500, corrupt)
+        _assert_rebuilt(tmp_path, spec, 500, built)
 
-    def test_interrupted_save_leaves_no_litter(self, tmp_path, monkeypatch):
-        """An interrupt mid-write removes the temp file and publishes no
-        entry, so the next read rebuilds instead of loading half a trace."""
-        spec = spec_by_name(SUITE_REPRESENTATIVES[0])
-
-        def interrupted(handle, **arrays):
-            handle.write(b"PK\x03\x04 partial")
-            raise KeyboardInterrupt
-
-        with monkeypatch.context() as patch:
-            patch.setattr(np, "savez_compressed", interrupted)
-            with pytest.raises(KeyboardInterrupt):
-                TraceStore(tmp_path).get(spec, 256, seed=0)
-        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
-        fresh = TraceStore(tmp_path)
-        assert len(fresh.get(spec, 256, seed=0)) == 256
-        assert fresh.misses == 1
-        assert len(list(tmp_path.rglob("*.npz"))) == 1
-
-    def test_concurrent_writers_leave_one_entry(self, tmp_path):
-        """Eight stores racing to materialize one trace publish a single
-        loadable entry and no temp files."""
+    def test_damaged_store_file_is_bypassed(self, tmp_path, capsys):
+        """A store file SQLite cannot read costs the cache, not the trace:
+        the store generates it and the warning names the file."""
         spec = spec_by_name(SUITE_REPRESENTATIVES[0])
         expected = TraceStore().get(spec, 256, seed=0)
-        start = threading.Barrier(8)
-        errors = []
+        path = ResultCache(tmp_path).path
+        path.parent.mkdir(parents=True)
+        path.write_bytes(random.Random(0).randbytes(4096))
+        store = TraceStore(tmp_path)
+        _assert_same_trace(store.get(spec, 256, seed=0), expected)
+        assert (store.hits, store.misses) == (0, 1)
+        err = capsys.readouterr().err
+        assert str(path) in err and "Deleting the file rebuilds the cache" in err
 
-        def write():
-            try:
-                start.wait(timeout=10)
-                TraceStore(tmp_path).get(spec, 256, seed=0)
-            except BaseException as error:  # reported by the main thread
-                errors.append(error)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=write) for _ in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
-        assert list(tmp_path.rglob("*.tmp")) == []
-        [path] = list(tmp_path.rglob("*.npz"))
-        loaded = CompiledTrace.load(path)
-        assert (loaded.block == expected.block).all()
-        assert (loaded.inst_gap == expected.inst_gap).all()
+    def test_fig14_reads_each_core_trace_once(self):
+        """Every Figure 14 task reads its four cores' traces through the
+        store: one miss per (workload, core seed), hits after that."""
+        max_mixes = 2
+        store = TraceStore()
+        with use_context(ExecutionContext()), use_trace_store(store):
+            fig14_fourcore(trace_length=300, max_mixes=max_mixes)
+        assert store.misses == 4 * max_mixes
+        # Per workload: the no-prefetch base, four prefetchers and the
+        # bandit, each reading four cores.
+        assert store.hits == 6 * 4 * max_mixes - store.misses
 
 
 # ============================================================= equivalence
