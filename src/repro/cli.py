@@ -28,10 +28,12 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Tuple
 
 import repro.experiments.figures as figures
+from repro.core_model.sanitizer import SANITIZE_ENV
 from repro.experiments.reporting import format_summary_table, format_table
 from repro.experiments.runner import ExecutionContext, ResultCache, use_context
 from repro.experiments.smt import SMTScale
@@ -390,6 +392,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _command_environment(settings: Dict[str, str]) -> Iterator[None]:
+    """Set ``settings`` in ``os.environ`` for one command, then restore the
+    previous values (or unset them), also when the command raises.
+
+    The settings go through the environment so pool workers inherit them.
+    A command that sets the trace store's directory runs on a store read
+    from it, and the caller's store is reinstalled afterwards.
+    """
+    previous = {name: os.environ.get(name) for name in settings}
+    os.environ.update(settings)
+    relocated = TRACE_CACHE_ENV in settings
+    caller_store = set_trace_store(None) if relocated else None
+    try:
+        yield
+    finally:
+        if relocated:
+            set_trace_store(caller_store)
+        for name, value in previous.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -398,30 +425,29 @@ def main(argv=None) -> int:
         for name in COMMANDS:
             print(f"  {name}")
         return 0
+    settings: Dict[str, str] = {}
     if args.sanitize:
-        from repro.core_model.sanitizer import SANITIZE_ENV
-
-        os.environ[SANITIZE_ENV] = "1"
+        settings[SANITIZE_ENV] = "1"
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     if cache is not None and not os.environ.get(TRACE_CACHE_ENV):
-        # Keep compiled traces as rows of the result store (workers inherit
-        # the setting through the environment).
-        os.environ[TRACE_CACHE_ENV] = args.cache_dir
-        set_trace_store(None)  # re-read the environment
+        # Keep compiled traces as rows of the result store.
+        settings[TRACE_CACHE_ENV] = args.cache_dir
     context = ExecutionContext(jobs=args.jobs, cache=cache)
-    with use_context(context):
-        if args.profile:
-            from repro.perf import profile_call
+    with _command_environment(settings), use_context(context):
+        try:
+            if args.profile:
+                from repro.perf import profile_call
 
-            stem = Path(args.cache_dir) / "profiles" / args.command
-            _, summary_path = profile_call(
-                lambda: COMMANDS[args.command](args),
-                stem, label=args.command,
-            )
-            print(f"[profile] summary: {summary_path}", file=sys.stderr)
-        else:
-            COMMANDS[args.command](args)
-    get_trace_store().close()
+                stem = Path(args.cache_dir) / "profiles" / args.command
+                _, summary_path = profile_call(
+                    lambda: COMMANDS[args.command](args),
+                    stem, label=args.command,
+                )
+                print(f"[profile] summary: {summary_path}", file=sys.stderr)
+            else:
+                COMMANDS[args.command](args)
+        finally:
+            get_trace_store().close()
     telemetry = context.telemetry
     print(telemetry.summary_line(args.command, jobs=args.jobs),
           file=sys.stderr)

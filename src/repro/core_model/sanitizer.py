@@ -23,6 +23,7 @@ same equivalence over randomized inputs in tier-1.
 from __future__ import annotations
 
 import copy
+import gc
 import os
 from dataclasses import dataclass, fields, is_dataclass
 from typing import (
@@ -304,17 +305,33 @@ def run_checked(
     starts; their logs must match (:func:`compare_step_logs`) and so must
     their results, field by field into nested dataclasses. The fast result
     is returned, so a sanitized call returns what a plain one does.
+
+    The cycle collector is paused for the whole call (building the stack,
+    the replay, the drain and packaging the result) and left as the caller
+    had it afterwards; a nested call finds it off and leaves it off. A
+    replay allocates thousands of set dicts and cache lines that live
+    until it ends; with the collector on, every few hundred allocations
+    start a scan of the young ones, and the survivors are scanned again as
+    they age. The pause is sound because no replay leaves a reference
+    cycle behind (``tests/test_no_cyclic_garbage.py``): reference counting
+    frees the whole stack when ``run`` returns.
     """
-    if not (eligible and sanitize_enabled()):
-        return run(False, None, *inputs)
-    copies = copy.deepcopy(inputs)
-    fast_log: List[AnyStepRecord] = []
-    fast = run(False, fast_log, *inputs)
-    reference_log: List[AnyStepRecord] = []
-    reference = run(True, reference_log, *copies)
-    compare_step_logs(fast_log, reference_log, context)
-    _compare_fields(fast, reference, context, "")
-    return fast
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        if not (eligible and sanitize_enabled()):
+            return run(False, None, *inputs)
+        copies = copy.deepcopy(inputs)
+        fast_log: List[AnyStepRecord] = []
+        fast = run(False, fast_log, *inputs)
+        reference_log: List[AnyStepRecord] = []
+        reference = run(True, reference_log, *copies)
+        compare_step_logs(fast_log, reference_log, context)
+        _compare_fields(fast, reference, context, "")
+        return fast
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _compare_fields(

@@ -20,7 +20,6 @@ semantics), matching how ChampSim-style trace simulators treat them.
 
 from __future__ import annotations
 
-import gc
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Deque, Iterable, Optional, Tuple
@@ -158,6 +157,10 @@ class TraceCore:
         the flush + call for the records in between (the object path
         calls the hook after every record; the promise makes that
         equivalent).
+
+        This method leaves the cycle collector alone: the experiment
+        runners pause it for the whole replay in
+        :func:`~repro.core_model.sanitizer.run_checked`.
         """
         hierarchy = self.hierarchy
         if not (
@@ -170,17 +173,7 @@ class TraceCore:
             self.run(trace.to_records(), record_hook)
             return
         pcs, blocks, all_flags, gaps = trace.as_lists()
-        # Cyclic garbage is not produced at replay rates worth the gen-0
-        # scans the kernel's transient tuples/lists trigger, so collection
-        # is paused for the duration (refcounting still frees everything).
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            run_replay_kernel(self, pcs, blocks, all_flags, gaps, record_hook)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+        run_replay_kernel(self, pcs, blocks, all_flags, gaps, record_hook)
 
     # -------------------------------------------------------------- internals
 

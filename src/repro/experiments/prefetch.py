@@ -52,6 +52,7 @@ from repro.prefetch.ip_stride import IPStridePrefetcher
 from repro.prefetch.ipcp import IPCPPrefetcher
 from repro.prefetch.mlop import MLOPPrefetcher
 from repro.prefetch.pythia import PythiaPrefetcher
+from repro.uncore.dram import DRAMModel
 from repro.uncore.hierarchy import CacheHierarchy, HierarchyConfig, HierarchyStats
 from repro.workloads.compiled import CompiledTrace
 from repro.workloads.trace import TraceRecord
@@ -134,12 +135,15 @@ def _result(
 
 
 def make_prefetcher(
-    name: str, hierarchy_holder: Optional[list] = None
+    name: str, dram_holder: Optional[list] = None
 ) -> Optional[Prefetcher]:
     """Build a comparator prefetcher by name.
 
-    ``hierarchy_holder`` is a one-element list the runner fills with the
-    hierarchy after construction; Pythia uses it for its bandwidth probe.
+    ``dram_holder`` is a one-element list the runner fills with the
+    hierarchy's :class:`~repro.uncore.dram.DRAMModel` after construction;
+    Pythia's bandwidth probe reads it. It holds the DRAM model, never the
+    hierarchy: the hierarchy holds the prefetcher, so a probe that reached
+    the hierarchy would close a reference cycle.
     """
     if name == "none":
         return None
@@ -152,17 +156,16 @@ def make_prefetcher(
     if name == "ipcp":
         return IPCPPrefetcher()
     if name == "pythia":
-        probe = _make_bandwidth_probe(hierarchy_holder)
+        probe = _make_bandwidth_probe(dram_holder)
         return PythiaPrefetcher(bandwidth_probe=probe)
     raise ValueError(f"unknown prefetcher {name!r}")
 
 
-def _make_bandwidth_probe(hierarchy_holder: Optional[list]) -> Callable[[], float]:
+def _make_bandwidth_probe(dram_holder: Optional[list]) -> Callable[[], float]:
     def probe() -> float:
-        if not hierarchy_holder:
+        if not dram_holder:
             return 0.0
-        hierarchy: CacheHierarchy = hierarchy_holder[0]
-        dram = hierarchy.dram
+        dram: DRAMModel = dram_holder[0]
         # Treat an average queue delay of more than 4 line-times as high usage.
         return 1.0 if dram.average_queue_delay() > 4 * dram.cycles_per_line else 0.0
 
@@ -183,13 +186,13 @@ def run_fixed_prefetcher(
         log: Optional[List[StepRecord]],
         l1: Optional[Prefetcher],
     ) -> PrefetchRunResult:
-        # Pythia's bandwidth probe reads the hierarchy through the holder.
+        # Pythia's bandwidth probe reads the DRAM model through the holder.
         holder: list = []
         prefetcher = make_prefetcher(prefetcher_name, holder)
         hierarchy = CacheHierarchy(
             hierarchy_config, l2_prefetcher=prefetcher, l1_prefetcher=l1
         )
-        holder.append(hierarchy)
+        holder.append(hierarchy.dram)
         core = TraceCore(hierarchy, core_config)
         _replay(core, trace, reference, log, None)
         return _result(core, trace, [], [])
@@ -312,7 +315,7 @@ def run_multicore_fixed(
         len(traces), hierarchy_config, core_config, prefetchers
     )
     for index, holder in enumerate(holders):
-        holder.append(system.hierarchies[index])
+        holder.append(system.hierarchies[index].dram)
     system.run(traces)
     return system.total_ipc(), system
 

@@ -15,6 +15,7 @@ order is exactly ascending ``last_use``, so victim selection is unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterator, List, Optional
 
 
@@ -142,8 +143,7 @@ class Cache:
 
     def resident_lines(self) -> Iterator[CacheLine]:
         """Iterate over all resident lines (end-of-run accounting)."""
-        for cache_set in self._sets:
-            yield from cache_set.values()
+        return chain.from_iterable(map(dict.values, self._sets))
 
     def reset_stats(self) -> None:
         self.hits = 0

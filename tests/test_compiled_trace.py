@@ -15,6 +15,7 @@ import random
 import struct
 import zipfile
 
+import numpy as np
 import pytest
 
 from repro.core_model.trace_core import CoreConfig, TraceCore
@@ -190,6 +191,23 @@ class TestTraceStore:
         assert trace_key(spec_a, 256, 0, gap_scale=2.0) != trace_key(
             spec_a, 256, 0
         )
+
+    def test_savez_compressed_row_still_decodes(self, tmp_path):
+        """A row written as ``np.savez_compressed`` at zlib's default level
+        (the earlier writer) is a hit, not a rebuild."""
+        spec = spec_by_name("milc06")
+        built = TraceStore().get(spec, 500, seed=0)
+        buffer = io.BytesIO()
+        np.savez_compressed(
+            buffer, pc=built.pc, block=built.block, flags=built.flags,
+            inst_gap=built.inst_gap,
+        )
+        cache = ResultCache(tmp_path)
+        cache.put(trace_key(spec, 500, 0), buffer.getvalue())
+        cache.close()
+        reader = TraceStore(tmp_path)
+        _assert_same_trace(reader.get(spec, 500, seed=0), built)
+        assert (reader.hits, reader.misses) == (1, 0)
 
     def test_corrupt_entry_is_rebuilt(self, tmp_path):
         spec = spec_by_name(SUITE_REPRESENTATIVES[0])

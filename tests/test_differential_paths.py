@@ -148,7 +148,7 @@ def _stack(runner, hierarchy_config):
         hierarchy = CacheHierarchy(
             hierarchy_config, l2_prefetcher=make_prefetcher(value, holder)
         )
-        holder.append(hierarchy)
+        holder.append(hierarchy.dram)
         return TraceCore(hierarchy, CORE_CONFIG_TABLE4), None
     ensemble = EnsemblePrefetcher()
     hierarchy = CacheHierarchy(hierarchy_config, l2_prefetcher=ensemble)

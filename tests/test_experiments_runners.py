@@ -55,14 +55,10 @@ class TestBandwidthProbe:
         def average_queue_delay(self):
             return self._delay
 
-    class _FakeHierarchy:
-        def __init__(self, dram):
-            self.dram = dram
-
     def probe(self, delay):
         from repro.experiments.prefetch import _make_bandwidth_probe
 
-        holder = [self._FakeHierarchy(self._FakeDram(delay))]
+        holder = [self._FakeDram(delay)]
         return _make_bandwidth_probe(holder)
 
     def test_high_usage_above_four_line_times(self):

@@ -8,6 +8,9 @@ The divergence cases perturb the fused replay kernel only, so the object
 path stays the reference.
 """
 
+import gc
+from dataclasses import dataclass
+
 import pytest
 
 import repro.core_model.trace_core as trace_core_module
@@ -16,6 +19,7 @@ from repro.core_model.sanitizer import (
     SanitizeDivergence,
     StepRecord,
     compare_step_logs,
+    run_checked,
     sanitize_enabled,
 )
 from repro.core_model.smt_kernel import KERNEL_ENV
@@ -101,6 +105,63 @@ class TestCompareStepLogs:
         with pytest.raises(SanitizeDivergence) as info:
             compare_step_logs(list(self.LOG), list(self.LOG[:1]), "unit")
         assert info.value.field_name == "checkpoint count"
+
+
+class TestCollectorPause:
+    """``run_checked`` pauses the cycle collector for the whole call and
+    leaves it as it found it: on the plain and the sanitized branch, and
+    when ``run`` raises."""
+
+    @dataclass(frozen=True)
+    class _Result:
+        value: int
+
+    @pytest.fixture(params=[False, True], ids=["plain", "sanitized"])
+    def sanitized(self, request, monkeypatch):
+        if request.param:
+            monkeypatch.setenv(SANITIZE_ENV, "1")
+        else:
+            monkeypatch.delenv(SANITIZE_ENV, raising=False)
+        return request.param
+
+    @pytest.fixture(params=[True, False], ids=["found-on", "found-off"])
+    def found_enabled(self, request):
+        was_enabled = gc.isenabled()
+        if request.param:
+            gc.enable()
+        else:
+            gc.disable()
+        yield request.param
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    def test_paused_while_run_executes(self, sanitized, found_enabled):
+        collector_on = []
+
+        def run(reference, log):
+            collector_on.append(gc.isenabled())
+            return self._Result(1)
+
+        assert run_checked("unit", True, run) == self._Result(1)
+        assert collector_on == [False] * (2 if sanitized else 1)
+        assert gc.isenabled() is found_enabled
+
+    def test_restored_when_run_raises(self, sanitized, found_enabled):
+        calls = []
+
+        def run(reference, log):
+            calls.append(reference)
+            # Under the sanitizer the fast run passes, the reference raises.
+            if reference or not sanitized:
+                raise RuntimeError("run failed")
+            return self._Result(1)
+
+        with pytest.raises(RuntimeError, match="run failed"):
+            run_checked("unit", True, run)
+        assert calls == ([False, True] if sanitized else [False])
+        assert gc.isenabled() is found_enabled
 
 
 class TestHookFreeReplay:
