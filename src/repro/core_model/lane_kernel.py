@@ -441,8 +441,8 @@ class _LaneCounters(NamedTuple):
 #: ``miss_row(t, cycle, drain_to)`` runs L1-miss record ``t`` on every lane
 #: (MSHR drain up to ``drain_to``, L2/in-flight/LLC/DRAM probe, L1-victim
 #: writeback, prefetch emission) and returns a fresh demand-ready column.
-#: ``finish()`` drains every fill, counts never-used prefetches as wrong
-#: and returns the per-lane counters.
+#: ``finish()`` drains every fill, counts the L2 lines still marked
+#: prefetched as wrong and returns the per-lane counters.
 _MemorySide = Tuple[
     Callable[[int, int], None],
     Callable[[int, np.ndarray, np.ndarray], np.ndarray],
@@ -774,11 +774,11 @@ def _dict_memory(
     dram_line_cost = 8 / transfers_per_cycle
     dram_latency = config.dram_latency
 
-    # ---- per-lane memory-side state (plain Python; victim choice is dict
-    # order, so recency stamps are never consulted and are dropped).  L2
-    # lines are packed small ints (bit0 prefetched, bit1 used, bit2 dirty)
-    # and LLC lines a bare dirty bool (its other flags are never read), so
-    # cache fills allocate nothing ----
+    # ---- per-lane memory-side state (plain Python; each set is a dict in
+    # recency order, LRU first, as in Cache).  L2 lines are packed small
+    # ints (bit0 prefetched, bit2 dirty) and LLC lines a bare dirty bool
+    # (LLC lines are never marked prefetched), so cache fills allocate
+    # nothing ----
     l2_sets = [
         [{} for _ in range(l2_num_sets)] for _ in range(num_lanes)
     ]  # type: List[List[Dict[int, int]]]
@@ -849,7 +849,8 @@ def _dict_memory(
             for victim_block in cache_set:
                 break
             victim = cache_set.pop(victim_block)
-            if victim & 1 and not victim & 2:
+            if victim & 1:
+                # Never demanded (the first demand hit clears bit0).
                 pf_wrong[i] += 1
             cache_set[block] = line
             if victim & 4:
@@ -885,7 +886,7 @@ def _dict_memory(
                 for victim_block in cache_set:
                     break
                 victim = cache_set.pop(victim_block)
-                if victim & 1 and not victim & 2:
+                if victim & 1:
                     pf_wrong[i] += 1
                 cache_set[fill_block] = line
                 if victim & 4:
@@ -947,9 +948,8 @@ def _dict_memory(
                 l2dh[i] += 1
                 if l2_line & 1:
                     pf_timely[i] += 1
-                    l2_set[block] = (l2_line | 2) & ~1
-                else:
-                    l2_set[block] = l2_line | 2
+                    l2_line &= ~1
+                l2_set[block] = l2_line
                 ready_i = l2_cycle + l2_latency
             else:
                 entry = inflight_i.get(block)
@@ -976,7 +976,7 @@ def _dict_memory(
                             for victim_block in l2_set:
                                 break
                             victim = l2_set.pop(victim_block)
-                            if victim & 1 and not victim & 2:
+                            if victim & 1:
                                 pf_wrong[i] += 1
                             l2_set[block] = 0
                             if victim & 4:
@@ -1068,7 +1068,8 @@ def _dict_memory(
     def finish() -> _LaneCounters:
         for i in range(num_lanes):
             # hierarchy.finalize(): flush in-flight fills (heap order at
-            # +inf), then count never-used prefetched L2 lines as wrong.
+            # +inf), then count the L2 lines still marked prefetched (bit0:
+            # never demanded) as wrong.
             heap = heaps[i]
             inflight_i = inflight[i]
             while heap:
@@ -1084,7 +1085,7 @@ def _dict_memory(
                 fill_llc(i, fill_block, False)
             for cache_set in l2_sets[i]:
                 for line in cache_set.values():
-                    if line & 1 and not line & 2:
+                    if line & 1:
                         pf_wrong[i] += 1
         return _LaneCounters(
             l2dh, llcda, llcdh, dram_fills, writebacks,

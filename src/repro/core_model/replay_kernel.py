@@ -4,12 +4,15 @@
 when the hierarchy is eligible (plain :class:`~repro.uncore.cache.Cache`
 levels, no L1 prefetcher): one Python frame replays the whole compiled
 trace with every per-record quantity — core timing scalars, cache set
-dicts, recency stamps, hit/miss/stat counters, MSHR state — held in local
-variables and written back to the model objects once, after the last
-record. This is the ChampSim-style tight loop the object path approximates:
-the simulated behaviour is bit-identical (asserted per workload suite in
-``tests/test_compiled_trace.py``); only Python-level overhead — method
-dispatch, attribute loads, and per-record allocation — is removed.
+dicts, hierarchy stat counters, MSHR state — held in local variables and
+written back to the model objects once, after the last record. The cache
+sets are the model's own dicts of ``CacheLine(block, prefetched, dirty)``,
+kept in recency order as :class:`~repro.uncore.cache.Cache` keeps them,
+so eviction pops a set's first key. This is the ChampSim-style tight loop
+the object path approximates: the simulated behaviour is bit-identical
+(asserted per workload suite in ``tests/test_compiled_trace.py``); only
+Python-level overhead — method dispatch, attribute loads, and per-record
+allocation — is removed.
 
 Concessions to observability:
 
@@ -63,28 +66,16 @@ def run_replay_kernel(
     l1_sets = l1._sets
     l1_num_sets = l1.num_sets
     l1_ways = l1.ways
-    l1_hits = l1.hits
-    l1_misses = l1.misses
-    l1_stamp = l1._stamp
-    l1_resident = l1._resident
 
     l2 = hierarchy.l2
     l2_sets = l2._sets
     l2_num_sets = l2.num_sets
     l2_ways = l2.ways
-    l2_hits = l2.hits
-    l2_misses = l2.misses
-    l2_stamp = l2._stamp
-    l2_resident = l2._resident
 
     llc = hierarchy.llc
     llc_sets = llc._sets
     llc_num_sets = llc.num_sets
     llc_ways = llc.ways
-    llc_hits = llc.hits
-    llc_misses = llc.misses
-    llc_stamp = llc._stamp
-    llc_resident = llc._resident
 
     stats = hierarchy.stats
     loads = stats.loads
@@ -132,13 +123,11 @@ def run_replay_kernel(
     # that the evicted CacheLine is recycled for the incoming block (its
     # fields read out first), which ``Cache.insert`` does not do.
 
-    def fill_llc(block: int, prefetched: bool, dirty: bool) -> None:
-        nonlocal llc_stamp, llc_resident, writebacks
+    def fill_llc(block: int, dirty: bool) -> None:
+        nonlocal writebacks
         cache_set = llc_sets[block % llc_num_sets]
-        llc_stamp += 1
         existing = cache_set.pop(block, None)
         if existing is not None:
-            existing.last_use = llc_stamp
             existing.dirty = existing.dirty or dirty
             cache_set[block] = existing
             return
@@ -148,26 +137,19 @@ def run_replay_kernel(
             victim = cache_set.pop(victim_block)
             victim_dirty = victim.dirty
             victim.block = block
-            victim.last_use = llc_stamp
-            victim.prefetched = prefetched
-            victim.used = False
             victim.dirty = dirty
             cache_set[block] = victim
             if victim_dirty:
                 writebacks += 1
                 dram_writeback()
         else:
-            cache_set[block] = CacheLine(block, llc_stamp, prefetched,
-                                         False, dirty)
-            llc_resident += 1
+            cache_set[block] = CacheLine(block, False, dirty)
 
     def fill_l2(block: int, prefetched: bool, dirty: bool) -> None:
-        nonlocal l2_stamp, l2_resident, pf_wrong
+        nonlocal pf_wrong
         cache_set = l2_sets[block % l2_num_sets]
-        l2_stamp += 1
         existing = cache_set.pop(block, None)
         if existing is not None:
-            existing.last_use = l2_stamp
             existing.dirty = existing.dirty or dirty
             cache_set[block] = existing
             return
@@ -176,20 +158,17 @@ def run_replay_kernel(
                 break
             victim = cache_set.pop(victim_block)
             victim_dirty = victim.dirty
-            if victim.prefetched and not victim.used:
+            if victim.prefetched:
+                # Never demanded (the first demand hit clears the flag).
                 pf_wrong += 1
             victim.block = block
-            victim.last_use = l2_stamp
             victim.prefetched = prefetched
-            victim.used = False
             victim.dirty = dirty
             cache_set[block] = victim
             if victim_dirty:
-                fill_llc(victim_block, False, True)
+                fill_llc(victim_block, True)
         else:
-            cache_set[block] = CacheLine(block, l2_stamp, prefetched,
-                                         False, dirty)
-            l2_resident += 1
+            cache_set[block] = CacheLine(block, prefetched, dirty)
 
     # Core timing state (mirrors TraceCore.execute and _issue_time).
     rob_size = core.config.rob_size
@@ -285,37 +264,30 @@ def run_replay_kernel(
                 if fill_is_prefetch:
                     inflight_prefetches -= 1
                 # fill_l2(fill_block, fill_is_prefetch, False), inlined.
-                l2_stamp += 1
                 fill_set = l2_sets[fill_block % l2_num_sets]
                 existing = fill_set.pop(fill_block, None)
                 if existing is not None:
-                    existing.last_use = l2_stamp
                     fill_set[fill_block] = existing
                 elif len(fill_set) >= l2_ways:
                     for victim_block in fill_set:
                         break
                     victim = fill_set.pop(victim_block)
                     victim_dirty = victim.dirty
-                    if victim.prefetched and not victim.used:
+                    if victim.prefetched:
                         pf_wrong += 1
                     victim.block = fill_block
-                    victim.last_use = l2_stamp
                     victim.prefetched = fill_is_prefetch
-                    victim.used = False
                     victim.dirty = False
                     fill_set[fill_block] = victim
                     if victim_dirty:
-                        fill_llc(victim_block, False, True)
+                        fill_llc(victim_block, True)
                 else:
                     fill_set[fill_block] = CacheLine(
-                        fill_block, l2_stamp, fill_is_prefetch, False, False)
-                    l2_resident += 1
-                # fill_llc(fill_block, fill_is_prefetch, False), inlined.
-                llc_stamp += 1
+                        fill_block, fill_is_prefetch, False)
+                # fill_llc(fill_block, False), inlined.
                 fill_set = llc_sets[fill_block % llc_num_sets]
                 existing = fill_set.pop(fill_block, None)
                 if existing is not None:
-                    existing.last_use = llc_stamp
                     fill_set[fill_block] = existing
                 elif len(fill_set) >= llc_ways:
                     for victim_block in fill_set:
@@ -323,18 +295,13 @@ def run_replay_kernel(
                     victim = fill_set.pop(victim_block)
                     victim_dirty = victim.dirty
                     victim.block = fill_block
-                    victim.last_use = llc_stamp
-                    victim.prefetched = fill_is_prefetch
-                    victim.used = False
                     victim.dirty = False
                     fill_set[fill_block] = victim
                     if victim_dirty:
                         writebacks += 1
                         dram_writeback()
                 else:
-                    fill_set[fill_block] = CacheLine(
-                        fill_block, llc_stamp, fill_is_prefetch, False, False)
-                    llc_resident += 1
+                    fill_set[fill_block] = CacheLine(fill_block, False, False)
             next_fill_ready = heap[0][0] if heap else _INF
 
         cache_set = l1_sets[block % l1_num_sets]
@@ -342,10 +309,6 @@ def run_replay_kernel(
         if line is not None:
             # L1 hit. pop + reinsert performs the LRU touch in two dict
             # operations (a miss leaves the set untouched).
-            l1_hits += 1
-            l1_stamp += 1
-            line.last_use = l1_stamp
-            line.used = True
             cache_set[block] = line
             if is_write:
                 line.dirty = True
@@ -374,16 +337,11 @@ def run_replay_kernel(
             continue
 
         # L1 miss -> L2 demand access; this stream trains the L2 prefetcher.
-        l1_misses += 1
         l2_cycle = cycle + l1_latency
         l2_demand_accesses += 1
         l2_set = l2_sets[block % l2_num_sets]
         l2_line = l2_set.pop(block, None)
         if l2_line is not None:
-            l2_hits += 1
-            l2_stamp += 1
-            l2_line.last_use = l2_stamp
-            l2_line.used = True
             l2_set[block] = l2_line
             l2_demand_hits += 1
             if l2_line.prefetched:
@@ -392,7 +350,6 @@ def run_replay_kernel(
                 l2_line.prefetched = False
             ready = l2_cycle + l2_latency
         else:
-            l2_misses += 1
             entry = inflight_get(block)
             if entry is not None:
                 # Demand caught up with an in-flight fill.
@@ -410,16 +367,11 @@ def run_replay_kernel(
                 llc_set = llc_sets[block % llc_num_sets]
                 llc_line = llc_set.pop(block, None)
                 if llc_line is not None:
-                    llc_hits += 1
-                    llc_stamp += 1
-                    llc_line.last_use = llc_stamp
-                    llc_line.used = True
                     llc_set[block] = llc_line
                     llc_demand_hits += 1
                     ready = llc_cycle + llc_latency
                     fill_l2(block, False, False)
                 else:
-                    llc_misses += 1
                     # DRAM fill through the MSHR.
                     ready = dram_access(llc_cycle + llc_latency)
                     dram_demand_fills += 1
@@ -431,30 +383,25 @@ def run_replay_kernel(
                     else:
                         # MSHR pressure: the fill still happens, untracked.
                         fill_l2(block, False, False)
-                        fill_llc(block, False, False)
+                        fill_llc(block, False)
 
         # Fill L1 (inlined _fill_l1 with CacheLine recycling). The block
         # just missed the L1 probe and nothing fills the L1 in between, so
         # no existing-line check is needed.
-        l1_stamp += 1
         if len(cache_set) >= l1_ways:
             for victim_block in cache_set:
                 break
             victim = cache_set.pop(victim_block)
             victim_dirty = victim.dirty
             victim.block = block
-            victim.last_use = l1_stamp
-            victim.prefetched = False
-            victim.used = False
             victim.dirty = True if is_write else False
             cache_set[block] = victim
             if victim_dirty:
                 # L1 writeback lands in L2 (no DRAM traffic).
                 fill_l2(victim_block, False, True)
         else:
-            cache_set[block] = CacheLine(block, l1_stamp, False, False,
+            cache_set[block] = CacheLine(block, False,
                                          True if is_write else False)
-            l1_resident += 1
 
         if observe is not None:
             # _run_l2_prefetcher + _issue_l2_prefetch, inlined.
@@ -471,8 +418,7 @@ def run_replay_kernel(
                 if candidate in llc_sets[candidate % llc_num_sets]:
                     pf_ready = cycle + l2_latency + llc_latency
                 else:
-                    pf_ready = dram_access(cycle + l2_latency + llc_latency,
-                                           is_prefetch=True)
+                    pf_ready = dram_access(cycle + l2_latency + llc_latency)
                 inflight[candidate] = (pf_ready, True)
                 heappush(heap, (pf_ready, candidate))
                 if pf_ready < next_fill_ready:
@@ -513,19 +459,6 @@ def run_replay_kernel(
     window.clear()
     window.extend(zip(win_idx[win_head:] if win_head else win_idx,
                       win_ret[win_head:] if win_head else win_ret))
-
-    l1.hits = l1_hits
-    l1.misses = l1_misses
-    l1._stamp = l1_stamp
-    l1._resident = l1_resident
-    l2.hits = l2_hits
-    l2.misses = l2_misses
-    l2._stamp = l2_stamp
-    l2._resident = l2_resident
-    llc.hits = llc_hits
-    llc.misses = llc_misses
-    llc._stamp = llc_stamp
-    llc._resident = llc_resident
 
     stats.loads = loads
     stats.stores = stores

@@ -28,7 +28,13 @@ def mtps_to_cycles_per_line(
 
 
 class DRAMModel:
-    """Latency + bandwidth-queue DRAM model."""
+    """Latency + bandwidth-queue DRAM model.
+
+    ``accesses`` counts line fetches (demand and prefetch) and
+    ``total_queue_cycles`` their summed wait for the channel; writebacks
+    occupy the channel but count in neither. Pythia's bandwidth probe reads
+    the two through :meth:`average_queue_delay`.
+    """
 
     def __init__(
         self,
@@ -39,40 +45,23 @@ class DRAMModel:
         if latency_cycles < 0:
             raise ValueError(f"latency must be >= 0, got {latency_cycles}")
         self.latency_cycles = latency_cycles
-        self.mtps = mtps
         self.cycles_per_line = mtps_to_cycles_per_line(mtps, core_frequency_ghz)
         self._channel_free_at = 0.0
-        self.demand_accesses = 0
-        self.prefetch_accesses = 0
-        self.writeback_accesses = 0
+        self.accesses = 0
         self.total_queue_cycles = 0.0
 
-    def access(self, cycle: float, *, is_prefetch: bool = False) -> float:
+    def access(self, cycle: float) -> float:
         """Issue one line fetch; returns the completion cycle."""
         start = cycle if cycle > self._channel_free_at else self._channel_free_at
         self.total_queue_cycles += start - cycle
         self._channel_free_at = start + self.cycles_per_line
-        if is_prefetch:
-            self.prefetch_accesses += 1
-        else:
-            self.demand_accesses += 1
+        self.accesses += 1
         return start + self.latency_cycles
 
     def writeback(self) -> None:
         """Occupy the channel for one line without anyone waiting on it."""
         self._channel_free_at += self.cycles_per_line
-        self.writeback_accesses += 1
-
-    @property
-    def accesses(self) -> int:
-        return self.demand_accesses + self.prefetch_accesses
 
     def average_queue_delay(self) -> float:
-        """Mean cycles a request waited for the channel."""
+        """Mean cycles a fetch waited for the channel."""
         return self.total_queue_cycles / self.accesses if self.accesses else 0.0
-
-    def reset_stats(self) -> None:
-        self.demand_accesses = 0
-        self.prefetch_accesses = 0
-        self.writeback_accesses = 0
-        self.total_queue_cycles = 0.0

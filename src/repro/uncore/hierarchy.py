@@ -207,7 +207,7 @@ class CacheHierarchy:
         if is_prefetch:
             self._inflight_prefetches -= 1
         self._fill_l2(block, prefetched=is_prefetch)
-        self._fill_llc(block, prefetched=is_prefetch)
+        self._fill_llc(block)
 
     def _fill_l1(self, block: int, *, dirty: bool) -> None:
         victim = self.l1.insert(block, dirty=dirty)
@@ -220,20 +220,20 @@ class CacheHierarchy:
     ) -> None:
         """Fill into L2 through ``Cache.insert``, then account for the victim.
 
-        An evicted prefetched line that was never used counts as a wrong
-        prefetch, and a dirty victim is written back into the LLC.
+        An evicted line still marked ``prefetched`` was never demanded (the
+        first demand hit clears the flag), so it counts as a wrong
+        prefetch; a dirty victim is written back into the LLC.
         """
         victim = self.l2.insert(block, prefetched=prefetched, dirty=dirty)
         if victim is not None:
-            if victim.prefetched and not victim.used:
+            if victim.prefetched:
                 self.stats.prefetch.wrong += 1
             if victim.dirty:
-                self._fill_llc(victim.block, prefetched=False, dirty=True)
+                self._fill_llc(victim.block, dirty=True)
 
-    def _fill_llc(
-        self, block: int, *, prefetched: bool, dirty: bool = False
-    ) -> None:
-        victim = self.llc.insert(block, prefetched=prefetched, dirty=dirty)
+    def _fill_llc(self, block: int, *, dirty: bool = False) -> None:
+        # LLC lines are never marked prefetched: only L2 lines are classified.
+        victim = self.llc.insert(block, dirty=dirty)
         if victim is not None and victim.dirty:
             self.stats.writebacks += 1
             # Dirty LLC victims consume DRAM bandwidth; no one waits.
@@ -265,7 +265,7 @@ class CacheHierarchy:
             ready = cycle + config.l2_latency + config.llc_latency
         else:
             ready = self.dram.access(
-                cycle + config.l2_latency + config.llc_latency, is_prefetch=True
+                cycle + config.l2_latency + config.llc_latency
             )
         self.mshr.allocate(block, ready, is_prefetch=True)
         self._inflight_prefetches += 1
@@ -286,9 +286,10 @@ class CacheHierarchy:
     # ------------------------------------------------------------- lifecycle
 
     def finalize(self) -> None:
-        """Flush in-flight fills and count never-used prefetched lines."""
+        """Flush in-flight fills and count the L2 lines still marked
+        ``prefetched`` (never demanded) as wrong prefetches."""
         self.mshr.flush(self._install_fill)
         for line in self.l2.resident_lines():
-            if line.prefetched and not line.used:
+            if line.prefetched:
                 self.stats.prefetch.wrong += 1
                 line.prefetched = False

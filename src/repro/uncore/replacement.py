@@ -39,12 +39,16 @@ class ReplacementPolicy:
 
 
 class LRUReplacement(ReplacementPolicy):
-    """Least-recently-used (matches the base Cache behaviour)."""
+    """Least-recently-used (matches the base Cache behaviour).
+
+    A :class:`~repro.uncore.cache.Cache` keeps each set's dict in recency
+    order, so the LRU line is the set's first key.
+    """
 
     name = "lru"
 
     def choose_victim(self, set_index, candidates):
-        return min(candidates, key=lambda block: candidates[block].last_use)
+        return next(iter(candidates))
 
 
 class SRRIP(ReplacementPolicy):
@@ -99,21 +103,15 @@ class PolicyCache(Cache):
 
     def insert(self, block: int, *, prefetched: bool = False,
                dirty: bool = False):
-        cache_set = self._set_for(block)
         set_index = block % self.num_sets
+        cache_set = self._sets[set_index]
         if block in cache_set:
             return super().insert(block, prefetched=prefetched, dirty=dirty)
         victim_line = None
         if len(cache_set) >= self.ways:
             victim_block = self.policy.choose_victim(set_index, cache_set)
             victim_line = cache_set.pop(victim_block)
-            self._resident -= 1
             self.policy.on_evict(set_index, victim_block)
-        self._stamp += 1
-        cache_set[block] = CacheLine(
-            block=block, last_use=self._stamp, prefetched=prefetched,
-            used=False, dirty=dirty,
-        )
-        self._resident += 1
+        cache_set[block] = CacheLine(block, prefetched, dirty)
         self.policy.on_insert(set_index, block)
         return victim_line

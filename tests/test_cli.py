@@ -216,6 +216,13 @@ class TestParser:
 
 
 class TestMain:
+    @pytest.fixture(autouse=True)
+    def _run_in_tmp_path(self, tmp_path, monkeypatch):
+        """Run each command from its own directory, so a command without
+        ``--cache-dir`` writes its default ``.repro-cache`` there and never
+        reads or writes the one in the directory pytest runs from."""
+        monkeypatch.chdir(tmp_path)
+
     def test_list(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out

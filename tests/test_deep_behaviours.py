@@ -1,6 +1,7 @@
 """Deeper behavioural tests across substrates: writebacks, gating effects,
 mispredict redirects, gap scaling, and step scaling."""
 
+from unittest import mock
 
 from repro.experiments.configs import scaled_prefetch_params
 from repro.smt.pg_policy import CHOI_POLICY, PGPolicy
@@ -26,12 +27,15 @@ class TestWritebackChain:
     def test_dirty_evictions_reach_dram(self):
         """Dirty lines pushed down L1→L2→LLC→DRAM consume bandwidth."""
         hierarchy = CacheHierarchy(TINY)
-        # Write many distinct blocks mapping across the tiny hierarchy.
-        for block in range(60):
-            hierarchy.store(0x1, addr(block), float(block * 10))
-        hierarchy.finalize()
+        dram = hierarchy.dram
+        with mock.patch.object(dram, "writeback",
+                               wraps=dram.writeback) as writeback:
+            # Write many distinct blocks mapping across the tiny hierarchy.
+            for block in range(60):
+                hierarchy.store(0x1, addr(block), float(block * 10))
+            hierarchy.finalize()
         assert hierarchy.stats.writebacks > 0
-        assert hierarchy.dram.writeback_accesses == hierarchy.stats.writebacks
+        assert writeback.call_count == hierarchy.stats.writebacks
 
     def test_clean_evictions_silent(self):
         hierarchy = CacheHierarchy(TINY)

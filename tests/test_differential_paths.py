@@ -13,9 +13,9 @@ bit-identical results:
   compiled trace down the object path instead of the kernel.
 - **Replay state.** The same draws without L1 prefetchers, compared on
   the whole state the two replays leave behind rather than on results:
-  every cache set's lines in recency order, each level's stamp, resident
-  count and hit/miss counters, the MSHR, every field of the DRAM model
-  and the hierarchy stats, before and after ``finalize``.
+  every cache set's ``(block, prefetched, dirty)`` lines in dict order,
+  which is recency order, the MSHR, every field of the DRAM model and the
+  hierarchy stats, before and after ``finalize``.
 - **SMT.** The fused cycle kernel against the ``SMTPipeline`` object path
   over evaluation mixes, all 64 PG policies, random pipeline configs
   (widths, queue and register-file sizes, memory latencies), random
@@ -174,14 +174,11 @@ def _state(core):
     """The core and hierarchy state a replay leaves behind, as plain values."""
     hierarchy = core.hierarchy
     levels = [
-        (
-            [
-                [(line.block, line.last_use, line.prefetched, line.used,
-                  line.dirty) for line in cache_set.values()]
-                for cache_set in cache._sets
-            ],
-            cache._stamp, cache._resident, cache.hits, cache.misses,
-        )
+        [
+            [(line.block, line.prefetched, line.dirty)
+             for line in cache_set.values()]
+            for cache_set in cache._sets
+        ]
         for cache in (hierarchy.l1, hierarchy.l2, hierarchy.llc)
     ]
     mshr = hierarchy.mshr

@@ -29,14 +29,16 @@ class TestLookupInsert:
         cache.insert(5)
         line = cache.lookup(5)
         assert line is not None and line.block == 5
-        assert cache.hits == 1 and cache.misses == 1
 
     def test_contains_does_not_count(self):
         cache = self.make()
         cache.insert(5)
         assert cache.contains(5)
         assert not cache.contains(6)
-        assert cache.hits == 0 and cache.misses == 0
+        # Nor does it touch recency: block 5 stays its set's LRU line.
+        cache.insert(1)
+        cache.contains(5)
+        assert cache.insert(9).block == 5
 
     def test_lru_eviction_order(self):
         cache = self.make()
@@ -66,21 +68,7 @@ class TestLookupInsert:
         cache = self.make()
         cache.insert(3, prefetched=True)
         line = cache.lookup(3)
-        assert line.prefetched and line.used
-
-    def test_invalidate(self):
-        cache = self.make()
-        cache.insert(7)
-        removed = cache.invalidate(7)
-        assert removed.block == 7
-        assert cache.invalidate(7) is None
-        assert not cache.contains(7)
-
-    def test_reset_stats(self):
-        cache = self.make()
-        cache.lookup(1)
-        cache.reset_stats()
-        assert cache.hits == 0 and cache.misses == 0
+        assert line.prefetched
 
 
 class TestInvariants:
@@ -94,7 +82,6 @@ class TestInvariants:
                 cache.insert(block)
         for cache_set in cache._sets:
             assert len(cache_set) <= cache.ways
-        assert cache.occupancy() <= 16
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=100), min_size=1,
@@ -105,13 +92,3 @@ class TestInvariants:
             if cache.lookup(block) is None:
                 cache.insert(block)
             assert cache.contains(block)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.lists(st.integers(min_value=0, max_value=500), min_size=1,
-                    max_size=200))
-    def test_hits_plus_misses_equals_lookups(self, blocks):
-        cache = Cache("p", size_bytes=32 * 64, ways=4, block_bytes=64)
-        for block in blocks:
-            if cache.lookup(block) is None:
-                cache.insert(block)
-        assert cache.hits + cache.misses == len(blocks)

@@ -1,5 +1,7 @@
 """Tests for the three-level cache hierarchy with prefetching."""
 
+import dataclasses
+
 import pytest
 
 from repro.prefetch.base import Prefetcher
@@ -15,6 +17,12 @@ SMALL = HierarchyConfig(
     llc_size_bytes=16 * 64 * 8,
     llc_ways=16,
     dram_latency=200.0,
+)
+
+#: A one-way L1 over a one-set, two-way L2: each new block a load brings in
+#: evicts the L2's LRU line once two lines are resident.
+EVICTING = dataclasses.replace(
+    SMALL, l1_size_bytes=64, l1_ways=1, l2_size_bytes=2 * 64, l2_ways=2
 )
 
 
@@ -108,6 +116,50 @@ class TestPrefetchClassification:
         hierarchy.finalize()
         assert hierarchy.stats.prefetch.wrong == 1
 
+    @staticmethod
+    def prefetch_block_5_once():
+        """Load block 1, whose L1 miss prefetches block 5 (and nothing
+        after), into an L2 small enough to evict."""
+        prefetcher = ScriptedPrefetcher([5])
+        hierarchy = CacheHierarchy(EVICTING, l2_prefetcher=prefetcher)
+        hierarchy.load(0, addr(1), 0.0)
+        prefetcher.targets.clear()
+        assert hierarchy.stats.prefetch.issued == 1
+        return hierarchy
+
+    def test_timely_prefetch_is_not_wrong_at_finalize(self):
+        hierarchy = self.prefetch_block_5_once()
+        hierarchy.load(0, addr(5), 10000.0)  # the fill landed: timely
+        hierarchy.finalize()
+        assert hierarchy.l2.contains(5)
+        assert hierarchy.stats.prefetch.timely == 1
+        assert hierarchy.stats.prefetch.wrong == 0
+
+    def test_timely_prefetch_is_not_wrong_when_evicted(self):
+        hierarchy = self.prefetch_block_5_once()
+        hierarchy.load(0, addr(5), 10000.0)  # L2 holds 1, then 5
+        # Each load drains the previous load's fill: block 2's evicts 1,
+        # block 3's evicts 5.
+        for cycle, block in ((20000.0, 2), (30000.0, 3), (40000.0, 4)):
+            hierarchy.load(0, addr(block), cycle)
+        assert not hierarchy.l2.contains(5)
+        assert hierarchy.stats.prefetch.timely == 1
+        assert hierarchy.stats.prefetch.wrong == 0
+        hierarchy.finalize()
+        assert hierarchy.stats.prefetch.wrong == 0
+
+    def test_prefetch_evicted_before_demand_is_wrong_at_eviction(self):
+        hierarchy = self.prefetch_block_5_once()
+        # Block 1's and 5's fills land first (L2 holds 1, then 5); block
+        # 2's fill evicts 1 and block 3's evicts 5, never demanded.
+        for cycle, block in ((10000.0, 2), (20000.0, 3), (30000.0, 4)):
+            hierarchy.load(0, addr(block), cycle)
+        assert not hierarchy.l2.contains(5)
+        assert hierarchy.stats.prefetch.wrong == 1
+        hierarchy.finalize()
+        assert hierarchy.stats.prefetch.timely == 0
+        assert hierarchy.stats.prefetch.wrong == 1
+
     def test_duplicate_prefetches_filtered(self):
         prefetcher = ScriptedPrefetcher([5])
         hierarchy = CacheHierarchy(SMALL, l2_prefetcher=prefetcher)
@@ -173,4 +225,4 @@ class TestSharedLevels:
         assert ready == pytest.approx(
             10000.0 + SMALL.l1_latency + SMALL.l2_latency + SMALL.llc_latency
         )
-        assert dram.demand_accesses == 1
+        assert dram.accesses == 1

@@ -1,8 +1,9 @@
 """Tests for the cache replacement policies."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro.uncore.cache import Cache
 from repro.uncore.replacement import LRUReplacement, PolicyCache, SRRIP
 
 
@@ -11,14 +12,46 @@ def make_cache(policy, sets=4, ways=2):
                        policy=policy)
 
 
+def _line(line):
+    return None if line is None else (line.block, line.prefetched, line.dirty)
+
+
+def _sets(cache):
+    """Every set's lines, in dict order."""
+    return [[_line(line) for line in cache_set.values()]
+            for cache_set in cache._sets]
+
+
+#: ``(operation, block, prefetched, dirty)``; a lookup ignores the flags.
+CACHE_OPS = st.lists(
+    st.tuples(st.sampled_from(["lookup", "insert"]), st.integers(0, 40),
+              st.booleans(), st.booleans()),
+    min_size=1, max_size=200,
+)
+
+
 class TestLRUPolicy:
-    def test_matches_base_cache_behaviour(self):
-        cache = make_cache(LRUReplacement())
-        cache.insert(0)
-        cache.insert(4)
-        cache.lookup(0)
-        victim = cache.insert(8)
-        assert victim.block == 4
+    @settings(max_examples=80, deadline=None)
+    @given(sets=st.integers(1, 4), ways=st.integers(1, 4), ops=CACHE_OPS)
+    @example(sets=4, ways=2, ops=[("insert", 0, False, False),
+                                  ("insert", 4, False, False),
+                                  ("lookup", 0, False, False),
+                                  ("insert", 8, False, False)])
+    def test_matches_base_cache_behaviour(self, sets, ways, ops):
+        """LRU's victim is the set's first key: under any stream of lookups
+        and inserts, a ``PolicyCache`` under LRU returns the same lines and
+        victims as a plain ``Cache`` of its geometry, and holds the same
+        lines in the same order in every set."""
+        policy_cache = make_cache(LRUReplacement(), sets=sets, ways=ways)
+        cache = Cache("t", size_bytes=sets * ways * 64, ways=ways)
+        for operation, block, prefetched, dirty in ops:
+            if operation == "lookup":
+                results = [c.lookup(block) for c in (policy_cache, cache)]
+            else:
+                results = [c.insert(block, prefetched=prefetched, dirty=dirty)
+                           for c in (policy_cache, cache)]
+            assert _line(results[0]) == _line(results[1])
+            assert _sets(policy_cache) == _sets(cache)
 
 
 class TestSRRIP:
