@@ -14,9 +14,11 @@ Semantics are bit-identical to ``SMTPipeline.step``: same stage order
 for store drains and load latencies, same round-robin tie-breaking, and
 the same floating-point expressions for gating thresholds and epoch IPC.
 The runtime sanitizer (``REPRO_SANITIZE=1``) checks per-epoch equality end
-to end, and ``tests/test_differential_paths.py`` fuzzes the kernel against
+to end, ``tests/test_differential_paths.py`` fuzzes the kernel against
 the object path over random mixes, policies, pipeline configs (zero
-latencies included) and epoch budgets.
+latencies included) and epoch budgets, and ``tests/test_smt_kernel.py``
+compares the whole pipeline state the two paths leave, past two
+completion prunes.
 
 The issue stage is the one stage built differently. The object path scans
 the whole IQ every cycle and issues the first ``issue_width`` entries whose
@@ -41,6 +43,33 @@ so the load-latency RNG draws are the same. The IQ is the hand-off
 between the two paths: the kernel rebuilds its wake-up state from
 ``pipeline._iq`` on entry and writes the IQ back in age order on exit.
 
+The kernel also jumps over quiescent cycles, as an event-driven core
+stops ticking while no stage is active; ``SMTPipeline.step`` still steps
+every cycle. A cycle that renamed nothing, fetched nothing and left the
+ready heap empty repeats itself until the next event, the earliest of:
+
+- the first store release, where a store drain frees an SQ entry;
+- each thread's ROB-head completion, where commit resumes (it retires in
+  order, so nothing behind the head can go first);
+- the head of ``waiting``, where an entry becomes ready to issue (an
+  entry with an unissued producer waits for that producer's issue);
+- each blocked branch's completion plus ``mispredict_penalty``, where
+  fetch clears the redirect;
+- the next completion prune, at a multiple of 4,096 cycles;
+- the end of the epoch, where Hill Climbing sets new allowances.
+
+Before that event drain, commit and issue find nothing to do. Rename
+then sees the same fetch-queue heads and occupancies and stalls (or
+idles) for the same reasons, and fetch sees the same occupancies, queue
+lengths, allowances (fixed within an epoch) and blocked threads, so it
+fetches nothing. Round-robin order only breaks ties between threads that
+act, and the RNG is drawn only when a store commits or a load issues. A
+skipped cycle thus changes nothing but ``rr`` and the rename counters:
+:func:`_next_event` finds the event, and the kernel advances ``cycle``
+and ``rr`` straight to it, adding the skipped cycles to ``cycles`` and
+to the counters the quiescent cycle set (``idle``, or ``stalled`` and
+its per-structure counters).
+
 The epoch-boundary hook is the kernel's only mid-run exit: after each
 epoch the per-thread committed counters and the cycle count are flushed
 and ``epoch_hook(pipeline, epoch_ipc)`` is invoked (when provided). The
@@ -54,7 +83,9 @@ from __future__ import annotations
 
 import os
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple,
+)
 
 from repro.smt.pipeline import SMTPipeline
 from repro.smt.uop import (
@@ -142,6 +173,44 @@ def _admit(
         heappush(ready, entry)
     else:
         heappush(waiting, (ready_at, entry))
+
+
+def _next_event(
+    cycle: int,
+    end_cycle: int,
+    sq_releases: List[Tuple[float, int]],
+    waiting: List[Tuple[float, _Entry]],
+    robs: Sequence[Sequence[Tuple[int, int]]],
+    completion_gets: Sequence[Callable[[int], Optional[float]]],
+    blocked_seqs: Sequence[Optional[int]],
+    mispredict_penalty: int,
+) -> int:
+    """The first cycle after a quiescent ``cycle`` at which a stage may act.
+
+    That is the earliest of the first store release, each thread's ROB-head
+    completion, the head of ``waiting``, each blocked branch's completion
+    plus ``mispredict_penalty``, the next completion prune and
+    ``end_cycle``; or ``cycle + 1`` when one of them is already due.
+    """
+    wake: float = cycle - cycle % 4096 + 4096
+    if end_cycle < wake:
+        wake = end_cycle
+    if sq_releases and sq_releases[0][0] < wake:
+        wake = sq_releases[0][0]
+    if waiting and waiting[0][0] < wake:
+        wake = waiting[0][0]
+    for ti in _ORDER_01:
+        rob = robs[ti]
+        if rob:
+            done_at = completion_gets[ti](rob[0][0])
+            if done_at is not None and done_at < wake:
+                wake = done_at
+        blocked = blocked_seqs[ti]
+        if blocked is not None:
+            done_at = completion_gets[ti](blocked)
+            if done_at is not None and done_at + mispredict_penalty < wake:
+                wake = done_at + mispredict_penalty
+    return int(wake) if wake > cycle else cycle + 1
 
 
 def run_smt_epochs_kernel(
@@ -360,7 +429,6 @@ def run_smt_epochs_kernel(
                                 heappush(waiting, (consumer[7], consumer))
 
             # --------------------------------------------------- rename
-            act_cycles += 1
             budget = decode_width
             renamed = 0
             stall_rob = stall_iq = stall_lq = stall_sq = stall_rf = False
@@ -423,22 +491,9 @@ def run_smt_epochs_kernel(
                     progressed = True
                 if not progressed:
                     break
-            if renamed:
-                act_running += 1
-            elif not fetchqs[0] and not fetchqs[1]:
-                act_idle += 1
-            else:
-                act_stalled += 1
-                if stall_rob:
-                    act_rob += 1
-                if stall_iq:
-                    act_iq += 1
-                if stall_lq:
-                    act_lq += 1
-                if stall_sq:
-                    act_sq += 1
-                if stall_rf:
-                    act_rf += 1
+            # Counted below, once the jump has set how many cycles this
+            # one stands for.
+            idle = not renamed and not fetchqs[0] and not fetchqs[1]
 
             # ---------------------------------------------------- fetch
             gated0 = gated1 = False
@@ -547,8 +602,34 @@ def run_smt_epochs_kernel(
                         }
                         completions[ti] = completion
                         completion_gets[ti] = completion.get
-            cycle += 1
-            rr += 1
+
+            # ----------------------------------------------------- jump
+            # A cycle that renamed and fetched nothing and left nothing
+            # ready repeats until the next event: ``span`` cycles in all.
+            span = 1
+            if not renamed and choice < 0 and not ready:
+                span = _next_event(cycle, end_cycle, sq_releases, waiting,
+                                   robs, completion_gets, blocked_seqs,
+                                   mispredict_penalty) - cycle
+            act_cycles += span
+            if renamed:
+                act_running += 1
+            elif idle:
+                act_idle += span
+            else:
+                act_stalled += span
+                if stall_rob:
+                    act_rob += span
+                if stall_iq:
+                    act_iq += span
+                if stall_lq:
+                    act_lq += span
+                if stall_sq:
+                    act_sq += span
+                if stall_rf:
+                    act_rf += span
+            cycle += span
+            rr += span
 
         # ------------------------------------------------ epoch boundary
         epoch_ipc = (committed[0] + committed[1] - epoch_start_committed) / epoch_cycles

@@ -18,11 +18,12 @@ bit-identical results:
   hierarchy stats, before and after ``finalize``.
 - **SMT.** The fused cycle kernel against the ``SMTPipeline`` object path
   over evaluation mixes, all 64 PG policies, random pipeline configs
-  (widths, queue and register-file sizes, memory latencies), random
-  long-op latencies, random epoch lengths, and epoch budgets that leave a
-  partial bandit step at the end. Every latency range includes 0: a
-  zero-latency producer makes a younger consumer ready in the same issue
-  stage, which the kernel's wake-up lists must reproduce.
+  (widths, queue and register-file sizes, memory latencies, the
+  branch-redirect penalty), random long-op latencies, random epoch
+  lengths, and epoch budgets that leave a partial bandit step at the end.
+  Every latency range includes 0: a zero-latency producer makes a younger
+  consumer ready in the same issue stage, which the kernel's wake-up
+  lists must reproduce.
 
 The lane kernel has its own batched-vs-scalar test in
 ``tests/test_lane_kernel_properties.py``.
@@ -243,7 +244,9 @@ QUEUE = st.integers(8, 96)
 
 #: Pipeline configs. Every IQ holds two minimum Hill-Climbing allowances
 #: (8 entries each) and every IRF two threads' 32 architectural registers.
-#: Memory latencies run from 0 to above the Table 5 defaults.
+#: Memory latencies run from 0 to above the Table 5 defaults, and the
+#: branch-redirect penalty from 0 to 40 cycles (Table 5: 6), so a blocked
+#: thread can be freed at any point of a quiescent stretch.
 SMT_CONFIGS = st.builds(
     SMTConfig,
     fetch_width=WIDTH,
@@ -259,6 +262,7 @@ SMT_CONFIGS = st.builds(
     l1_latency=st.integers(0, 8),
     l2_latency=st.integers(0, 30),
     dram_latency=st.integers(0, 300),
+    mispredict_penalty=st.integers(0, 40),
 )
 
 

@@ -4,8 +4,9 @@ The kernel (:mod:`repro.core_model.smt_kernel`) must be *bit-identical* to
 the per-object :class:`~repro.smt.pipeline.SMTPipeline` loop — same floats,
 same RNG draw order, same epoch boundaries. These tests pin that contract
 plus the dispatch rules (env kill-switch, subclass fallback), the hand-off
-of one pipeline between the two paths, and the sanitizer plumbing that
-checks the two paths against each other.
+of one pipeline between the two paths, the kernel's jumps over quiescent
+cycles, and the sanitizer plumbing that checks the two paths against each
+other.
 """
 
 import dataclasses
@@ -13,6 +14,7 @@ from collections import Counter
 
 import pytest
 
+from repro.core_model import smt_kernel
 from repro.core_model.sanitizer import (
     SanitizeDivergence,
     SMTStepRecord,
@@ -40,7 +42,9 @@ GCC = thread_profile("gcc")
 LBM = thread_profile("lbm")
 MIX = (GCC, LBM)
 
-#: Small but long enough to cross a completion-prune boundary (cycle 4096).
+#: Small runs of 6,000 cycles. They pass the completion prune at cycle
+#: 4,096, but these tests compare results, which a missed prune leaves
+#: alone; ``TestJump`` compares the state a prune changes.
 SCALE = SMTScale(epoch_cycles=300, total_epochs=20)
 
 
@@ -211,6 +215,47 @@ class TestHandOff:
         # The hand-offs above crossed the wake-up lists' two harder shapes.
         assert any(named_twice for named_twice, _ in shapes)
         assert any(shared for _, shared in shapes)
+
+
+#: 17 epochs of 512 cycles, 8,704 cycles in all: past the completion
+#: prunes at cycles 4,096 and 8,192.
+PRUNE_EPOCHS = 17
+PRUNE_EPOCH_CYCLES = 512
+
+
+class TestJump:
+    """The kernel's jumps over quiescent cycles leave the object path's state.
+
+    A jump must stop before every cycle that can change the pipeline, the
+    completion prunes included. A skipped prune changes no result, so only
+    a whole-state comparison past the prunes can see one.
+    """
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("policy", [CHOI_POLICY, ICOUNT_POLICY],
+                             ids=["choi", "icount"])
+    def test_state_across_prunes_matches_object_path(self, monkeypatch,
+                                                       policy, seed):
+        spans = []
+        next_event = smt_kernel._next_event
+
+        def recording_next_event(cycle, *args):
+            wake = next_event(cycle, *args)
+            spans.append(wake - cycle)
+            return wake
+
+        monkeypatch.setattr(smt_kernel, "_next_event", recording_next_event)
+        states = []
+        for use_kernel in (True, False):
+            pipeline = SMTPipeline(list(HAND_OFF_MIX), policy, seed=seed)
+            hill_climbing = HillClimbing(
+                scaled_hill_climbing(PRUNE_EPOCH_CYCLES)
+            )
+            run_epochs(pipeline, hill_climbing, PRUNE_EPOCHS,
+                       PRUNE_EPOCH_CYCLES, use_kernel=use_kernel)
+            states.append(_pipeline_state(pipeline, hill_climbing))
+        assert max(spans) > 1, "the kernel never jumped"
+        assert states[0] == states[1]
 
 
 class TestSanitizer:
